@@ -31,6 +31,7 @@ from .errors import (
     EvalDiverged,
     PointRejected,
     SamplingFailed,
+    WitnessRejected,
 )
 from .exactalg import (
     GaussRat,
@@ -51,6 +52,7 @@ from .invariants import Mobius, to_normal_form
 from .classifier import classify, expand_table1, profile
 from .equivalence import (
     EquivalenceWitness,
+    reduce_ode,
     seed_ode,
     solve_equivalence,
     transformed_seed_ode,
@@ -75,6 +77,7 @@ __all__ = [
     "EvalDiverged",
     "PointRejected",
     "SamplingFailed",
+    "WitnessRejected",
     "GaussRat",
     "GenRatFunc",
     "Poly",
@@ -92,6 +95,7 @@ __all__ = [
     "expand_table1",
     "profile",
     "EquivalenceWitness",
+    "reduce_ode",
     "seed_ode",
     "solve_equivalence",
     "transformed_seed_ode",

@@ -12,7 +12,6 @@ family, and those counts are asserted at import time.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .exactalg import factor_rational_roots, squarefree_decomposition
@@ -123,11 +122,6 @@ def _assert_counts():
 
 
 _assert_counts()
-
-
-def format_case(symbol):
-    p, qs = symbol
-    return "[%d, [%s]]" % (p, ", ".join(str(q) for q in qs))
 
 
 def profile(i0):

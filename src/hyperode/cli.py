@@ -19,11 +19,9 @@ import time
 from dataclasses import dataclass
 from importlib import resources
 
-from .classifier import classify, profile
-from .equivalence import solve_equivalence
+from .equivalence import reduce_ode, solve_equivalence
 from .errors import (
     DegreeOverflow,
-    HyperodeError,
     IrrationalExponentDifference,
     NoEquivalence,
     ParseError,
@@ -32,12 +30,6 @@ from .errors import (
     UnsupportedParameterField,
 )
 from .exactalg import set_degree_cap
-from .invariants import (
-    invariant_from_shifted,
-    minimize_power_exponents,
-    shifted_invariant,
-    to_normal_form,
-)
 from .numverify import residual_check
 from .odeio import format_exact, parse_ode, parse_solution, print_solution, \
     ratfunc_to_expr
@@ -67,26 +59,6 @@ class CorpusEntry:
             expected_class=data.get("expected_class"),
             expected_integral_free=data.get("expected_integral_free"),
         )
-
-
-@dataclass(frozen=True)
-class SolveReport:
-    """Everything one solve produced, ready for JSON rendering."""
-
-    witness: dict
-    solutions: dict
-    residuals: object
-    timing_ms: float
-
-    def to_json(self):
-        out = {
-            "witness": self.witness,
-            "solutions": self.solutions,
-            "timing_ms": self.timing_ms,
-        }
-        if self.residuals is not None:
-            out["residuals"] = self.residuals
-        return out
 
 
 def _error_payload(kind, exc):
@@ -124,8 +96,9 @@ def _residuals_json(ode, pair, n_points):
 def cmd_solve(ode_text, verify=False, n_points=8):
     """Run the pipeline on one equation.
 
-    Returns (payload, exit_code). The payload is a SolveReport rendered
-    to a dict on success and a structured diagnostic otherwise.
+    Returns (payload, exit_code). The payload holds the witness, the
+    solutions, the residuals under ``verify`` and the timing on success,
+    and a structured diagnostic otherwise.
     """
     start = time.perf_counter()
     try:
@@ -145,12 +118,17 @@ def cmd_solve(ode_text, verify=False, n_points=8):
             residuals = _residuals_json(ode, pair, n_points)
         except SamplingFailed as e:
             return _error_payload("sampling_failed", e), 1
-    timing = (time.perf_counter() - start) * 1000.0
-    report = SolveReport(_witness_json(w), pair.to_json(), residuals, timing)
+    payload = {
+        "witness": _witness_json(w),
+        "solutions": pair.to_json(),
+        "timing_ms": (time.perf_counter() - start) * 1000.0,
+    }
     code = 0
-    if residuals is not None and not residuals["passes"]:
-        code = 2
-    return report.to_json(), code
+    if residuals is not None:
+        payload["residuals"] = residuals
+        if not residuals["passes"]:
+            code = 2
+    return payload, code
 
 
 def _profile_json(pr):
@@ -167,23 +145,20 @@ def _profile_json(pr):
 def cmd_classify(ode_text):
     """Fingerprint one equation without attempting resolution."""
     try:
-        ode = parse_ode(ode_text)
-        nf = to_normal_form(ode)
-        k, j0 = minimize_power_exponents(shifted_invariant(nf.I))
-        i0 = invariant_from_shifted(j0)
-        pr = profile(i0)
+        red = reduce_ode(parse_ode(ode_text))
     except _BAD_INPUT as e:
         return _error_payload("invalid_input", e), 1
+    pr = red.profile
     payload = {
-        "k": str(k),
+        "k": str(red.k),
         "profile": _profile_json(pr),
         "candidates": [
             {"class": c.class_kind,
              "case": [c.matched_case[0], list(c.matched_case[1])]}
-            for c in classify(pr)
+            for c in red.candidates
         ],
     }
-    if i0.num.is_zero:
+    if red.i0.num.is_zero:
         payload["note"] = "trivial invariant"
     if pr.has_irrational_points:
         payload["diagnostic"] = "IrrationalSingularities"

@@ -14,21 +14,25 @@ verification:
     extracting the map's scale and the parameters from principal-part
     coefficients, which needs at worst one square root.
 
-Every candidate that survives the cheap invariant identity is wrapped in
-an EquivalenceWitness, whose constructor re-verifies the full coefficient
-identity of the transformed model equation against the input. A witness
-that exists is therefore always correct; callers only choose among them.
+A resolver returns the candidates that satisfy the invariant identity.
+reduce_ode runs the reduction they start from, and solve_equivalence turns
+the first candidate into an EquivalenceWitness, whose constructor
+re-verifies the full coefficient identity of the transformed model
+equation against the input. A witness that exists is therefore always
+correct.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
+from typing import NamedTuple
 
 from .classifier import classify, profile
 from .errors import (
     IrrationalExponentDifference,
     NoEquivalence,
     UnsupportedParameterField,
+    WitnessRejected,
 )
 from .exactalg import (
     GaussRat,
@@ -49,7 +53,6 @@ from .invariants import (
     apply_gauge,
     invariant_from_shifted,
     minimize_power_exponents,
-    normal_form_ode,
     shifted_invariant,
     to_normal_form,
     transform_invariant,
@@ -262,6 +265,19 @@ def _coeff_eq(a, b):
     return _unwrap(a) == _unwrap(b)
 
 
+def _pull_back(seed, mobius, k):
+    """The argument M(x^k) and the equation satisfied by Y(M(x^k)).
+
+    Y is any solution of the equation ``seed``.
+    """
+    arg = _mobius_of_power(mobius, Fraction(k))
+    d1 = arg.deriv()
+    pulled = LinearODE(
+        _unwrap(-(d1.deriv() / d1) + _compose_coeff(seed.A, arg) * d1),
+        _unwrap(_compose_coeff(seed.B, arg) * d1 * d1))
+    return arg, pulled
+
+
 # ---------------------------------------------------------------------------
 # gauge multiplier in closed form
 
@@ -334,8 +350,9 @@ class EquivalenceWitness:
 
     carries solutions Y of the instantiated model equation to solutions y
     of the input. Construction verifies the transformed model equation
-    against the input coefficient by coefficient; an instance can
-    therefore never hold an unchecked claim.
+    against the input coefficient by coefficient and raises
+    WitnessRejected on a mismatch, under ``python -O`` too; an instance
+    can therefore never hold an unchecked claim.
     """
 
     def __init__(self, class_kind, k, mobius, params, input_ode):
@@ -345,14 +362,14 @@ class EquivalenceWitness:
         self.params = dict(params)
         self.input_ode = input_ode
         self.seed = seed_ode(class_kind, self.params)
-        arg = _mobius_of_power(mobius, self.k)
-        d1 = arg.deriv()
-        pulled_a = _unwrap(-(d1.deriv() / d1) + _compose_coeff(self.seed.A, arg) * d1)
-        pulled_b = _unwrap(_compose_coeff(self.seed.B, arg) * d1 * d1)
-        gpp = _unwrap((pulled_a - input_ode.A) / 2)
+        arg, pulled = _pull_back(self.seed, mobius, self.k)
+        gpp = _unwrap((pulled.A - input_ode.A) / 2)
         gauged = apply_gauge(input_ode, gpp)
-        assert _coeff_eq(gauged.A, pulled_a) and _coeff_eq(gauged.B, pulled_b), \
-            "witness construction reached an unverifiable candidate"
+        if not (_coeff_eq(gauged.A, pulled.A)
+                and _coeff_eq(gauged.B, pulled.B)):
+            raise WitnessRejected(
+                "the transformed %s equation does not match the input"
+                % class_kind)
         self.argument = _unwrap(arg)
         self.gauge_log_derivative = gpp
         self.gauge = exp_integral_expr(gpp)
@@ -366,6 +383,14 @@ class EquivalenceWitness:
 # resolvers
 
 
+class Candidate(NamedTuple):
+    """A map and parameters whose model invariant transforms onto I0."""
+
+    class_kind: str
+    mobius: Mobius
+    params: dict
+
+
 def _sort_point(p):
     if p is INF:
         return (1, Fraction(0))
@@ -373,7 +398,7 @@ def _sort_point(p):
 
 
 def resolve_2F1(i0, pr):
-    """All verified full-model witnesses for a reduced invariant.
+    """All full-model candidates for a reduced invariant.
 
     Visible singular points (rational poles plus infinity when it is
     singular) are assigned to the preimages of {0, 1, infinity}; a model
@@ -417,15 +442,16 @@ def resolve_2F1(i0, pr):
                 (-diff_of(t0), -diff_of(t1), -diff_of(tinf)),
                 tuple(_sort_point(p) for p in slots))
 
-    reduced = normal_form_ode(i0)
     out = []
     for t0, t1, tinf in sorted(assignments, key=order_key):
         shape = ExponentDifferences(diff_of(t0), diff_of(t1), diff_of(tinf))
         params = shape.parameters()
-        assert params["a"] >= params["b"]
+        if params["a"] < params["b"]:
+            raise WitnessRejected(
+                "negative exponent difference at infinity: %r" % (params,))
         m = mobius_from_three_points(t0, t1, tinf)
         if transform_invariant(seed_invariant("2F1", params), m) == i0:
-            out.append(EquivalenceWitness("2F1", 1, m, params, reduced))
+            out.append(Candidate("2F1", m, params))
     return out
 
 
@@ -474,7 +500,7 @@ def _scale_mobius(theta, t_irr, t_reg):
 
 
 def resolve_1F1(i0, pr):
-    """All verified witnesses of the first confluent model.
+    """All candidates of the first confluent model.
 
     The irregular model point has pole order 4 after transformation (or
     sits at infinity when numerator and denominator degrees agree), the
@@ -506,7 +532,6 @@ def resolve_1F1(i0, pr):
                 return nxt / (theta * (t_irr - t_reg))
 
     theta = _scale_root(theta_sq)
-    reduced = normal_form_ode(i0)
     out = []
     seen = set()
     for c in (1 + d, 1 - d):
@@ -518,12 +543,12 @@ def resolve_1F1(i0, pr):
             params = {"a": a, "c": c}
             m = _scale_mobius(th, t_irr, t_reg)
             if transform_invariant(seed_invariant("1F1", params), m) == i0:
-                out.append(EquivalenceWitness("1F1", 1, m, params, reduced))
+                out.append(Candidate("1F1", m, params))
     return out
 
 
 def resolve_0F1(i0, pr):
-    """All verified witnesses of the doubly confluent model.
+    """All candidates of the doubly confluent model.
 
     Same layout as the first confluent model with irregular pole order 3
     (or a degree gap of one at infinity); the scale parameter is linear in
@@ -544,7 +569,6 @@ def resolve_0F1(i0, pr):
             theta = lead / (t_irr - t_reg)
     if not theta:
         return []
-    reduced = normal_form_ode(i0)
     out = []
     seen = set()
     for c in (1 + d, 1 - d):
@@ -554,7 +578,7 @@ def resolve_0F1(i0, pr):
         params = {"c": c}
         m = _scale_mobius(demote_scalar(theta), t_irr, t_reg)
         if transform_invariant(seed_invariant("0F1", params), m) == i0:
-            out.append(EquivalenceWitness("0F1", 1, m, params, reduced))
+            out.append(Candidate("0F1", m, params))
     return out
 
 
@@ -565,40 +589,62 @@ _RESOLVERS = {"2F1": resolve_2F1, "1F1": resolve_1F1, "0F1": resolve_0F1}
 # the pipeline
 
 
-def solve_equivalence(ode):
-    """Full resolution pipeline from a raw equation to a verified witness.
+@dataclass(frozen=True)
+class Reduction:
+    """An equation reduced to the data the resolvers match against.
 
-    Normal form, shift, power minimization, classification, then the
-    resolvers in class order; the first verified witness (re-checked
-    against the original equation, power and gauge included) is returned.
-    Resolver errors about unreachable fields are kept and re-raised only
-    when no later candidate succeeds.
+    normal_form holds the invariant I of the input, k the power pulled
+    out of it, i0 the reduced invariant, profile its singularity
+    fingerprint and candidates the model classes that fingerprint admits,
+    in the order they are tried.
     """
+
+    normal_form: object
+    k: Fraction
+    i0: object
+    profile: object
+    candidates: tuple
+
+
+def reduce_ode(ode):
+    """Normal form, power minimization, fingerprint and class candidates."""
     nf = to_normal_form(ode)
     k, j0 = minimize_power_exponents(shifted_invariant(nf.I))
     i0 = invariant_from_shifted(j0)
     pr = profile(i0)
-    candidates = classify(pr)
-    if not candidates:
+    return Reduction(nf, k, i0, pr, tuple(classify(pr)))
+
+
+def solve_equivalence(ode):
+    """Full resolution pipeline from a raw equation to a verified witness.
+
+    Reduces the equation, then runs the resolvers in class order; the
+    first candidate becomes the witness, verified against the original
+    equation with the power and the gauge included. Resolver errors about
+    unreachable fields are kept and re-raised only when no later
+    candidate succeeds.
+    """
+    red = reduce_ode(ode)
+    if not red.candidates:
         raise NoEquivalence(
             "the reduced invariant matches no model singularity case",
-            profile=pr)
+            profile=red.profile)
     stashed = None
-    for cand in candidates:
+    for cand in red.candidates:
         try:
-            found = _RESOLVERS[cand.class_kind](i0, pr)
+            found = _RESOLVERS[cand.class_kind](red.i0, red.profile)
         except (IrrationalExponentDifference, UnsupportedParameterField) as e:
             if stashed is None:
                 stashed = e
             continue
-        for w in found:
-            return EquivalenceWitness(w.class_kind, k, w.mobius,
-                                      w.params, ode)
+        if found:
+            kind, m, params = found[0]
+            return EquivalenceWitness(kind, red.k, m, params, ode)
     if stashed is not None:
         raise stashed
     raise NoEquivalence(
         "no candidate assignment verified against the reduced invariant",
-        profile=pr)
+        profile=red.profile)
 
 
 def transformed_seed_ode(class_kind, params, mobius, k=1,
@@ -610,12 +656,7 @@ def transformed_seed_ode(class_kind, params, mobius, k=1,
     (absent means P = 1). This is the instance generator used to exercise
     the resolvers on known-equivalent inputs.
     """
-    seed = seed_ode(class_kind, params)
-    arg = _mobius_of_power(mobius, Fraction(k))
-    d1 = arg.deriv()
-    pulled = LinearODE(
-        _unwrap(-(d1.deriv() / d1) + _compose_coeff(seed.A, arg) * d1),
-        _unwrap(_compose_coeff(seed.B, arg) * d1 * d1))
+    _, pulled = _pull_back(seed_ode(class_kind, params), mobius, k)
     if gauge_log_derivative is None:
         return pulled
     gauged = apply_gauge(pulled, -gauge_log_derivative)

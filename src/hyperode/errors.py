@@ -57,6 +57,13 @@ class ParseError(HyperodeError):
         self.position = position
 
 
+class WitnessRejected(HyperodeError):
+    """A candidate transformation failed the exact coefficient identity.
+
+    Raised by an explicit check, so it holds under ``python -O`` too.
+    """
+
+
 class EvalDiverged(HyperodeError):
     """A series evaluation failed to converge within the term budget."""
 

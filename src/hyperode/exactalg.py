@@ -12,8 +12,6 @@ import random
 
 from .errors import DegreeOverflow
 
-Rat = Fraction
-
 _degree_cap = 64
 
 
@@ -41,13 +39,6 @@ class GaussRat:
     def __init__(self, re=0, im=0):
         self.re = Fraction(re)
         self.im = Fraction(im)
-
-    @property
-    def is_real(self):
-        return self.im == 0
-
-    def conjugate(self):
-        return GaussRat(self.re, -self.im)
 
     def norm(self):
         return self.re * self.re + self.im * self.im
@@ -153,17 +144,6 @@ class GaussRat:
             return "%s*i" % (self.im,)
         sign = "+" if self.im > 0 else "-"
         return "%s%s%s*i" % (self.re, sign, abs(self.im))
-
-
-I_UNIT = GaussRat(0, 1)
-
-
-def scalar_is_real(c):
-    return not isinstance(c, GaussRat) or c.im == 0
-
-
-def scalar_real_part(c):
-    return c.re if isinstance(c, GaussRat) else Fraction(c)
 
 
 def demote_scalar(c):
@@ -420,9 +400,6 @@ class Poly:
     def has_gauss(self):
         return any(isinstance(c, GaussRat) for c in self.coeffs)
 
-    def real_check(self):
-        return all(scalar_is_real(c) for c in self.coeffs)
-
     def demote(self):
         """Collapse GaussRat coefficients with zero imaginary part."""
         return Poly(tuple(demote_scalar(c) for c in self.coeffs))
@@ -448,12 +425,6 @@ def _as_poly(other):
     if isinstance(other, (int, Fraction, GaussRat)):
         return Poly.const(other)
     return NotImplemented
-
-
-def format_scalar(c):
-    if isinstance(c, GaussRat):
-        return str(c)
-    return str(c)
 
 
 def format_poly(p, var):
@@ -630,17 +601,6 @@ class RatFunc:
     @property
     def is_zero(self):
         return self.num.is_zero
-
-    @property
-    def is_constant(self):
-        return self.num.degree <= 0 and self.den.degree == 0
-
-    def constant_value(self):
-        if not self.is_constant:
-            raise ValueError("not a constant")
-        if self.num.is_zero:
-            return Fraction(0)
-        return self.num.coeffs[0]
 
     def __add__(self, other):
         other = _as_ratfunc(other)
@@ -1141,33 +1101,6 @@ def _as_scalar_root(v):
     if isinstance(v, GaussRat):
         return v
     return Fraction(v)
-
-
-def factor_full(p):
-    """Factor over Q with Gaussian refinement of quadratic pieces.
-
-    Returns (unit, roots, blocks):
-      unit   leading coefficient,
-      roots  {root: multiplicity} with roots in Q or Q(i) (conjugate pairs
-             both present when a rational quadratic splits over Q(i)),
-      blocks [(monic squarefree poly, multiplicity), ...] for the part
-             whose roots stay outside Q(i).
-    """
-    unit, roots, rem = factor_rational_roots(p)
-    blocks = []
-    if rem.degree >= 1:
-        for piece, mult in squarefree_decomposition(rem):
-            if piece.degree == 2:
-                split = split_quadratic_gauss(piece)
-                if split is not None:
-                    for r in split:
-                        roots[r] = roots.get(r, 0) + mult
-                    continue
-            blocks.append((piece, mult))
-    merged = {}
-    for r, m in roots.items():
-        merged[r] = merged.get(r, 0) + m
-    return unit, merged, blocks
 
 
 def laurent_coefficients(f, r, mult, count):

@@ -170,21 +170,11 @@ def to_normal_form(ode):
     return NormalizedODE(i, gauge)
 
 
-def general_schwarzian(f):
-    """3 F''^2 / (4 F'^2) - F''' / (2 F') for an arbitrary rational F."""
-    d1 = f.deriv()
-    if d1.is_zero:
-        raise ValueError("constant map has no Schwarzian")
-    d2 = d1.deriv()
-    d3 = d2.deriv()
-    return (d2 * d2) / (d1 * d1) * Fraction(3, 4) - d3 / d1 / 2
-
-
 def schwarzian(f):
     """Schwarzian term for the two structured map families.
 
     Accepts a Mobius (identically zero) or a rational power exponent k
-    (giving (k^2-1)/(4x^2)). The general formula is general_schwarzian.
+    (giving (k^2-1)/(4x^2)).
     """
     if isinstance(f, Mobius):
         return RatFunc.const(0)
@@ -304,24 +294,3 @@ def apply_gauge(ode, log_deriv):
     a, b = ode.A, ode.B
     l = log_deriv
     return LinearODE(a + 2 * l, b + l.deriv() + l * l + a * l)
-
-
-def pullback_ode(i0, f):
-    """The ODE satisfied by y(x) = u(F(x)) when u'' = I0 u.
-
-    F is given as a RatFunc. Independent route to the transformation law:
-    to_normal_form(pullback_ode(I0, F)).I == transform_invariant(I0, F).
-    """
-    d1 = f.deriv()
-    if d1.is_zero:
-        raise ValueError("constant substitution")
-    a = -(d1.deriv() / d1)
-    b = -(d1 * d1 * i0.compose(f))
-    return LinearODE(a, b)
-
-
-def normal_form_ode(i):
-    """u'' = I u as a LinearODE."""
-    if isinstance(i, GenRatFunc):
-        return LinearODE(GenRatFunc.const(0), -i)
-    return LinearODE(RatFunc.const(0), -i)

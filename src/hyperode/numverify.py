@@ -34,6 +34,7 @@ from .odeio import (
     Pow,
     Sym,
     differentiate_expr,
+    has_integral,
     ratfunc_to_expr,
 )
 
@@ -61,8 +62,8 @@ def _nonpositive_int(s):
     return int(s)
 
 
-def pfq_terms(kind, upper, lower, z):
-    """Yield the series terms of the named function at z, in order.
+def pfq_terms(upper, lower, z):
+    """Yield the series terms of pFq(upper; lower; z), in order.
 
     Terms follow the two-term recursion
     t_{k+1} = t_k * prod(u + k) / (prod(l + k) * (k + 1)) * z,
@@ -115,7 +116,7 @@ def eval_pfq(kind, upper, lower, z):
                 "lower parameter %s is a nonpositive integer" % (l,))
     total = complex(0.0, 0.0)
     count = 0
-    for term in pfq_terms(kind, upper, lower, zc):
+    for term in pfq_terms(upper, lower, zc):
         if not cmath.isfinite(term):
             raise EvalDiverged("series term overflowed at z=%s" % (zc,))
         total += term
@@ -240,20 +241,6 @@ class ResidualReport:
         }
 
 
-def _contains_integral(e):
-    if isinstance(e, Intg):
-        return True
-    if isinstance(e, Add):
-        return any(_contains_integral(t) for t in e.terms)
-    if isinstance(e, Mul):
-        return any(_contains_integral(f) for f in e.factors)
-    if isinstance(e, Pow):
-        return _contains_integral(e.base)
-    if isinstance(e, (Exp, Hyp, Leg)):
-        return _contains_integral(e.arg)
-    return False
-
-
 def _horner(coeffs, z):
     out = complex(0.0, 0.0)
     for c in reversed(coeffs):
@@ -359,11 +346,12 @@ def residual_check(ode, s, n_points=8):
     of the coefficients. Points where any piece fails its numeric
     guards (series outside the convergence disc, pole proximity,
     overflow) are skipped; if fewer than n_points survive the ladder,
-    SamplingFailed is raised. The solution must be integral free.
+    SamplingFailed is raised. A solution holding an unevaluated integral,
+    or a series whose lower parameter is 0, raises ValueError.
     """
     if n_points < 1:
         raise ValueError("n_points must be positive")
-    if _contains_integral(s):
+    if has_integral(s):
         raise ValueError(
             "solution contains an unevaluated integral; exclude it "
             "from pointwise residual checks")

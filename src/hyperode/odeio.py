@@ -9,25 +9,17 @@ folding to keep printed output tidy and round-trippable.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Union
 
 from .errors import ParseError, UnsupportedEquation
 from .exactalg import (
     GaussRat,
     GenRatFunc,
-    Poly,
     RatFunc,
     demote_scalar,
 )
 
 Scalar = Union[Fraction, GaussRat]
-
-
-@dataclass(frozen=True)
-class ParseDiagnostic:
-    position: int
-    message: str
 
 
 @dataclass(frozen=True)
@@ -275,6 +267,21 @@ def legendre(kind, degree, arg):
     return Leg(kind, demote_scalar(Fraction(degree)
                                    if isinstance(degree, int) else degree),
                arg)
+
+
+def has_integral(e):
+    """True when the tree holds an unevaluated integral."""
+    if isinstance(e, Intg):
+        return True
+    if isinstance(e, Add):
+        return any(has_integral(t) for t in e.terms)
+    if isinstance(e, Mul):
+        return any(has_integral(t) for t in e.factors)
+    if isinstance(e, Pow):
+        return has_integral(e.base)
+    if isinstance(e, (Exp, Hyp, Leg)):
+        return has_integral(e.arg)
+    return False
 
 
 def poly_to_expr(p, var=None):
@@ -820,7 +827,11 @@ def print_solution(e):
 
 
 def differentiate_expr(e):
-    """Exact d/dx of a solution expression tree."""
+    """Exact d/dx of a solution expression tree.
+
+    A series with a lower parameter 0 has no derivative rule and raises
+    ValueError.
+    """
     if isinstance(e, (Num, Const)):
         return ZERO
     if isinstance(e, Sym):
@@ -844,6 +855,10 @@ def differentiate_expr(e):
     if isinstance(e, Intg):
         return e.integrand
     if isinstance(e, Hyp):
+        if any(not c for c in e.lower):
+            # the rule below divides by the lower parameters
+            raise ValueError("no derivative rule for %s with a lower "
+                             "parameter 0" % e.kind)
         da = differentiate_expr(e.arg)
         if e.kind == "2F1":
             a, b = e.upper

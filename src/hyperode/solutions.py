@@ -13,7 +13,6 @@ from fractions import Fraction
 
 from .equivalence import exp_integral_expr, seed_ode
 from .exactalg import GaussRat, RatFunc, integrate_ratfunc
-from .invariants import Mobius
 from .odeio import (
     ONE,
     Add,
@@ -28,6 +27,7 @@ from .odeio import (
     Sym,
     X,
     add,
+    has_integral,
     hyp,
     legendre,
     mul,
@@ -37,44 +37,6 @@ from .odeio import (
     print_solution,
     ratfunc_to_expr,
 )
-
-
-@dataclass(frozen=True)
-class Automorphism:
-    """One argument symmetry of the full model equation.
-
-    The fractional linear map permutes the three singular points; ``perm``
-    records that permutation as index positions into the triple of
-    exponent differences (at 0, at 1, at infinity), so the transformed
-    equation's triple is ``permute`` of the original one.
-    """
-
-    name: str
-    mobius: Mobius
-    perm: tuple
-
-    def permute(self, triple):
-        return tuple(triple[i] for i in self.perm)
-
-    def compose(self, other):
-        """The member acting like ``other`` followed by this one."""
-        m = self.mobius.compose(other.mobius).canonical()
-        for g in AUTOMORPHISMS:
-            if g.mobius == m:
-                return g
-        raise ValueError("composition left the symmetry group")
-
-
-AUTOMORPHISMS = (
-    Automorphism("g1", Mobius.from_ints(1, 0, 0, 1).canonical(), (0, 1, 2)),
-    Automorphism("g2", Mobius.from_ints(-1, 1, 0, 1).canonical(), (1, 0, 2)),
-    Automorphism("g3", Mobius.from_ints(0, 1, 1, 0).canonical(), (2, 1, 0)),
-    Automorphism("g4", Mobius.from_ints(0, 1, -1, 1).canonical(), (1, 2, 0)),
-    Automorphism("g5", Mobius.from_ints(1, -1, 1, 0).canonical(), (2, 0, 1)),
-    Automorphism("g6", Mobius.from_ints(1, 0, 1, -1).canonical(), (0, 2, 1)),
-)
-
-AUTOMORPHISM_BY_NAME = {g.name: g for g in AUTOMORPHISMS}
 
 
 @dataclass(frozen=True)
@@ -169,7 +131,7 @@ def repair_degenerate(params, pair):
                             True, "legendre")
     base = pair.y1 if c >= 1 else pair.y2
     second = integral_fallback(base, seed_ode("2F1", params).A)
-    return SolutionPair(base, second, not _has_integral(second), "integral")
+    return SolutionPair(base, second, not has_integral(second), "integral")
 
 
 def integral_fallback(y1, coeff_a):
@@ -234,20 +196,6 @@ def _expr_as_ratfunc(e):
     return None
 
 
-def _has_integral(e):
-    if isinstance(e, Intg):
-        return True
-    if isinstance(e, Add):
-        return any(_has_integral(t) for t in e.terms)
-    if isinstance(e, Mul):
-        return any(_has_integral(t) for t in e.factors)
-    if isinstance(e, Pow):
-        return _has_integral(e.base)
-    if isinstance(e, (Exp, Hyp, Leg)):
-        return _has_integral(e.arg)
-    return False
-
-
 def substitute_argument(e, arg, darg):
     """Replace the variable of a solution expression by ``arg``.
 
@@ -297,10 +245,10 @@ def assemble(witness):
             c = witness.params["c"]
             base = pair.y1 if c >= 1 else pair.y2
             second = integral_fallback(base, witness.seed.A)
-            pair = SolutionPair(base, second, not _has_integral(second),
+            pair = SolutionPair(base, second, not has_integral(second),
                                 "integral")
     arg_expr, darg_expr = _argument_exprs(witness.argument)
     y1 = mul(witness.gauge, substitute_argument(pair.y1, arg_expr, darg_expr))
     y2 = mul(witness.gauge, substitute_argument(pair.y2, arg_expr, darg_expr))
-    free = not (_has_integral(y1) or _has_integral(y2))
+    free = not (has_integral(y1) or has_integral(y2))
     return SolutionPair(y1, y2, free, pair.derivation_note)

@@ -16,7 +16,6 @@ from hyperode.exactalg import Poly, RatFunc
 from hyperode.invariants import (
     Mobius,
     apply_power_to_ratfunc,
-    general_schwarzian,
     schwarzian,
     to_normal_form,
     transform_invariant,
@@ -25,6 +24,8 @@ from hyperode.errors import EvalDiverged, PointRejected
 from hyperode.numverify import eval_expr, residual_check
 from hyperode.odeio import Add, Hyp, Leg, Mul, Pow, differentiate_expr, hyp, parse_ode
 from hyperode.solutions import assemble
+
+from reference import general_schwarzian
 
 WORKED_ODE = ("y'' = ((1/3*x^2 - 3*x^4 - 8/3)/(x^5 - x))*y'"
               " + (19/12/(x^6 - x^2))*y")

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction as Fr
 
 import pytest
@@ -7,9 +8,9 @@ from hyperode.classifier import (
     ClassCandidate,
     classify,
     expand_table1,
-    format_case,
     profile,
 )
+from hyperode.cli import cmd_classify
 from hyperode.exactalg import Poly, RatFunc
 from hyperode.invariants import Mobius, transform_invariant
 
@@ -60,9 +61,15 @@ class TestTableExpansion:
         assert set(expand_table1()["0F1"]) == EXPECTED_0F1
 
     def test_format(self):
-        assert format_case((2, (2, 2, 2))) == "[2, [2, 2, 2]]"
-        assert format_case((1, (0,))) == "[1, [0]]"
-        assert format_case((0, (2, 0))) == "[0, [2, 0]]"
+        # a case symbol (p, (q1, ...)) reaches users as [p, [q1, ...]]
+        worked = ("y'' = ((1/3*x^2 - 3*x^4 - 8/3)/(x^5 - x))*y'"
+                  " + (19/12/(x^6 - x^2))*y")
+        payload, _ = cmd_classify(worked)
+        assert json.dumps(payload["candidates"][0]["case"]) == \
+            "[2, [2, 2, 2]]"
+        payload, _ = cmd_classify("y'' + x*y = 0")
+        assert [c["case"] for c in payload["candidates"]] == [[2, [2]],
+                                                              [1, [2]]]
 
 
 class TestProfile:

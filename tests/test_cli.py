@@ -5,6 +5,7 @@ import pathlib
 
 import pytest
 
+from hyperode import cli, equivalence
 from hyperode.cli import (
     CorpusEntry,
     cmd_classify,
@@ -119,6 +120,30 @@ class TestClassify:
         assert code == 1
         assert payload["error"]["type"] == "invalid_input"
 
+    def test_corpus_matches_the_solve_reduction(self, monkeypatch):
+        # classify and solve both reduce through reduce_ode, once each
+        seen = []
+        reduce_ode = equivalence.reduce_ode
+
+        def recording(ode):
+            seen.append(reduce_ode(ode))
+            return seen[-1]
+
+        monkeypatch.setattr(equivalence, "reduce_ode", recording)
+        monkeypatch.setattr(cli, "reduce_ode", recording)
+        for entry in load_corpus():
+            seen.clear()
+            payload, code = cmd_classify(entry.ode_text)
+            assert code == 0 and len(seen) == 1, entry.id
+            report, code = cmd_solve(entry.ode_text)
+            assert len(seen) == 2, entry.id
+            kinds = [c.class_kind for c in seen[1].candidates]
+            assert payload["k"] == str(seen[1].k), entry.id
+            assert [c["class"] for c in payload["candidates"]] == kinds
+            if code == 0:
+                assert report["witness"]["class"] in kinds, entry.id
+                assert report["witness"]["k"] == payload["k"], entry.id
+
 
 class TestVerify:
     def test_confirms_a_correct_solution(self):
@@ -139,6 +164,18 @@ class TestVerify:
 
     def test_integral_solution_cannot_be_verified(self):
         payload, code = cmd_verify("y'' = 0", "Int(x, x)")
+        assert code == 1
+        assert payload["error"]["type"] == "verification_impossible"
+
+    @pytest.mark.parametrize("solution", [
+        "hypergeom([1/2, 1/3], [0], x)",
+        "hypergeom([1/2], [0], x)",
+        "hypergeom([], [0], x)",
+        "x*hypergeom([], [-1], -x^2/4)",
+    ])
+    def test_undefined_series_cannot_be_verified(self, solution):
+        # a lower parameter 0 (in y, or in y'' after two shifts by one)
+        payload, code = cmd_verify("y'' + y = 0", solution)
         assert code == 1
         assert payload["error"]["type"] == "verification_impossible"
 

@@ -1,17 +1,24 @@
 """Resolvers, witnesses, and the full equivalence pipeline."""
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hyperode
 from hyperode.classifier import profile
 from hyperode.errors import (
     IrrationalExponentDifference,
     NoEquivalence,
     UnsupportedParameterField,
+    WitnessRejected,
 )
 from hyperode.exactalg import GaussRat, Poly, RatFunc
 from hyperode.equivalence import (
@@ -32,7 +39,6 @@ from hyperode.equivalence import (
 from hyperode.invariants import (
     INF,
     Mobius,
-    normal_form_ode,
     to_normal_form,
     transform_invariant,
 )
@@ -309,8 +315,31 @@ class TestResolve0F1:
 class TestWitness:
     def test_constructor_rejects_bad_candidate(self):
         ode = seed_ode("0F1", {"c": F(2)})
-        with pytest.raises(AssertionError):
+        with pytest.raises(WitnessRejected):
             EquivalenceWitness("0F1", 1, Mobius.identity(), {"c": F(3)}, ode)
+
+    def test_constructor_rejects_bad_candidate_under_optimize(self):
+        # the exact check is not an assert, so -O keeps it
+        script = textwrap.dedent("""
+            import sys
+            from fractions import Fraction as F
+            from hyperode import (EquivalenceWitness, Mobius,
+                                  WitnessRejected, parse_ode)
+            assert False, "not reached under -O"
+            try:
+                EquivalenceWitness(
+                    "2F1", 1, Mobius.identity(),
+                    {"a": F(1), "b": F(2), "c": F(1, 3)},
+                    parse_ode("y'' + x*y = 0"))
+            except WitnessRejected:
+                sys.exit(0)
+            sys.exit(3)
+            """)
+        src = str(Path(hyperode.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-O", "-c", script],
+                              env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
 
     def test_gauge_expression_worked_example(self):
         w = solve_equivalence(parse_ode(WORKED_ODE))

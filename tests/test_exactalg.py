@@ -14,7 +14,6 @@ from hyperode.exactalg import (
     RatFunc,
     degree_cap,
     divisors,
-    factor_full,
     factor_rational_roots,
     factorize,
     gauss_sqrt,
@@ -25,6 +24,7 @@ from hyperode.exactalg import (
     rational_sqrt,
     residue_at,
     set_degree_cap,
+    split_quadratic_gauss,
     squarefree_decomposition,
 )
 
@@ -176,23 +176,22 @@ class TestGcdAndFactoring:
         # 4 t^2 (t-1)^2 (t+1)^2
         t = Poly.x()
         p = 4 * t ** 2 * (t - 1) ** 2 * (t + 1) ** 2
-        unit, roots, blocks = factor_full(p)
+        unit, roots, rem = factor_rational_roots(p)
         assert unit == 4
         assert roots == {F(0): 2, F(1): 2, F(-1): 2}
-        assert blocks == []
+        assert rem == Poly.const(F(1))
 
     def test_gaussian_quadratic_split(self):
-        unit, roots, blocks = factor_full(poly_of([1, 0, 1]))
-        assert unit == 1
-        assert roots == {GaussRat(0, 1): 1, GaussRat(0, -1): 1}
-        assert blocks == []
+        unit, roots, rem = factor_rational_roots(poly_of([1, 0, 1]))
+        assert (unit, roots) == (1, {})
+        assert set(split_quadratic_gauss(rem)) == {GaussRat(0, 1),
+                                                   GaussRat(0, -1)}
 
     def test_irrational_block_preserved(self):
-        unit, roots, blocks = factor_full(poly_of([-2, 0, 1]))
+        unit, roots, rem = factor_rational_roots(poly_of([-2, 0, 1]))
         assert roots == {}
-        assert len(blocks) == 1
-        assert blocks[0][0] == poly_of([-2, 0, 1])
-        assert blocks[0][1] == 1
+        assert rem == poly_of([-2, 0, 1])
+        assert split_quadratic_gauss(rem) is None
 
     def test_squarefree_decomposition(self):
         x = Poly.x()

@@ -100,7 +100,7 @@ class TestEvalPfq:
         if c.denominator == 1 and c <= 0:
             c = c + F(9)
         z = F(3, 10)
-        got = list(islice(pfq_terms("2F1", (a, b), (c,), float(z)), 10))
+        got = list(islice(pfq_terms((a, b), (c,), float(z)), 10))
         for k, term in enumerate(got):
             want = _to_complex(_exact_term((a, b), (c,), z, k))
             assert abs(term - want) <= 1e-13 * max(1.0, abs(want))

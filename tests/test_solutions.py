@@ -8,11 +8,13 @@ import pytest
 
 from hyperode.exactalg import GaussRat, Poly, RatFunc
 from hyperode.equivalence import (
+    ExponentDifferences,
+    seed_invariant,
     seed_ode,
     solve_equivalence,
     transformed_seed_ode,
 )
-from hyperode.invariants import INF, Mobius
+from hyperode.invariants import INF, Mobius, transform_invariant
 from hyperode.odeio import (
     ONE,
     Add,
@@ -34,8 +36,6 @@ from hyperode.odeio import (
     ratfunc_to_expr,
 )
 from hyperode.solutions import (
-    AUTOMORPHISM_BY_NAME,
-    AUTOMORPHISMS,
     SolutionPair,
     assemble,
     integral_fallback,
@@ -112,43 +112,71 @@ INNER = (0.31 + 0.24j, -0.38 + 0.41j, 0.52 - 0.19j)
 OUTER = (2.6 + 0.5j, -2.1 + 1.2j, 3.3 - 0.7j)
 
 
+# The six argument symmetries of the full model equation, which the g2 and
+# g3 branches of repair_degenerate use: each map permutes the singular
+# points (0, 1, oo), sending point i to point perm[i], and so permutes the
+# exponent differences (at 0, at 1, at oo) the same way.
+SYMMETRIES = {
+    "g1": (Mobius.from_ints(1, 0, 0, 1), (0, 1, 2)),
+    "g2": (Mobius.from_ints(-1, 1, 0, 1), (1, 0, 2)),
+    "g3": (Mobius.from_ints(0, 1, 1, 0), (2, 1, 0)),
+    "g4": (Mobius.from_ints(0, 1, -1, 1), (1, 2, 0)),
+    "g5": (Mobius.from_ints(1, -1, 1, 0), (2, 0, 1)),
+    "g6": (Mobius.from_ints(1, 0, 1, -1), (0, 2, 1)),
+}
+
+
+def _compose(g, h):
+    """Name of the symmetry acting like h followed by g."""
+    m = SYMMETRIES[g][0].compose(SYMMETRIES[h][0]).canonical()
+    return next(name for name, (n, _) in SYMMETRIES.items()
+                if n.canonical() == m)
+
+
+def _permute(perm, triple):
+    return tuple(triple[i] for i in perm)
+
+
 class TestAutomorphisms:
     def test_point_actions(self):
         points = (F(0), F(1), INF)
-        for g in AUTOMORPHISMS:
+        for m, perm in SYMMETRIES.values():
             for i, p in enumerate(points):
-                image = g.mobius.apply(p)
-                want = points[g.perm[i]]
+                image = m.apply(p)
+                want = points[perm[i]]
                 assert (image is INF) if want is INF else (image == want)
 
     def test_identity_is_neutral(self):
-        g1 = AUTOMORPHISM_BY_NAME["g1"]
-        for g in AUTOMORPHISMS:
-            assert g.compose(g1) is g
-            assert g1.compose(g) is g
+        for g in SYMMETRIES:
+            assert _compose(g, "g1") == g
+            assert _compose("g1", g) == g
 
     def test_group_closure_and_permutation_consistency(self):
-        for g, h in product(AUTOMORPHISMS, AUTOMORPHISMS):
-            composed = g.compose(h)
-            assert composed in AUTOMORPHISMS
-            assert composed.perm == tuple(g.perm[j] for j in h.perm)
+        for g, h in product(SYMMETRIES, SYMMETRIES):
+            composed = _compose(g, h)
+            gp, hp = SYMMETRIES[g][1], SYMMETRIES[h][1]
+            assert SYMMETRIES[composed][1] == tuple(gp[j] for j in hp)
 
     def test_every_member_has_an_inverse(self):
-        g1 = AUTOMORPHISM_BY_NAME["g1"]
-        for g in AUTOMORPHISMS:
-            assert any(g.compose(h) is g1 for h in AUTOMORPHISMS)
+        for g in SYMMETRIES:
+            assert any(_compose(g, h) == "g1" for h in SYMMETRIES)
 
     def test_composition_spot_checks(self):
-        by = AUTOMORPHISM_BY_NAME
         # 1 - 1/x = (x-1)/x and 1/(1-x) respectively
-        assert by["g2"].compose(by["g3"]) is by["g5"]
-        assert by["g3"].compose(by["g2"]) is by["g4"]
-        assert by["g3"].compose(by["g3"]) is by["g1"]
+        assert _compose("g2", "g3") == "g5"
+        assert _compose("g3", "g2") == "g4"
+        assert _compose("g3", "g3") == "g1"
 
     def test_permute(self):
-        triple = (F(1), F(2), F(3))
-        assert AUTOMORPHISM_BY_NAME["g2"].permute(triple) == (2, 1, 3)
-        assert AUTOMORPHISM_BY_NAME["g4"].permute(triple) == (2, 3, 1)
+        # pulling the model invariant back along a symmetry permutes its
+        # exponent differences
+        for triple in ((F(1, 3), F(1, 5), F(2, 7)), (F(0), F(1, 2), F(3))):
+            before = seed_invariant(
+                "2F1", ExponentDifferences(*triple).parameters())
+            for m, perm in SYMMETRIES.values():
+                after = seed_invariant("2F1", ExponentDifferences(
+                    *_permute(perm, triple)).parameters())
+                assert transform_invariant(before, m) == after
 
 
 class TestSeedSolutions:
