@@ -25,6 +25,7 @@ from .errors import (
     UnsupportedEquation,
     UnsupportedParameterField,
     DegreeOverflow,
+    CoefficientOverflow,
     IrrationalExponentDifference,
     NoEquivalence,
     ParseError,
@@ -71,6 +72,7 @@ __all__ = [
     "UnsupportedEquation",
     "UnsupportedParameterField",
     "DegreeOverflow",
+    "CoefficientOverflow",
     "IrrationalExponentDifference",
     "NoEquivalence",
     "ParseError",

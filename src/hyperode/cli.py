@@ -21,6 +21,7 @@ from importlib import resources
 
 from .equivalence import reduce_ode, solve_equivalence
 from .errors import (
+    CoefficientOverflow,
     DegreeOverflow,
     IrrationalExponentDifference,
     NoEquivalence,
@@ -39,7 +40,8 @@ RESIDUAL_GATE = 1e-7
 
 _NO_WITNESS = (NoEquivalence, IrrationalExponentDifference,
                UnsupportedParameterField)
-_BAD_INPUT = (ParseError, UnsupportedEquation, DegreeOverflow)
+_BAD_INPUT = (ParseError, UnsupportedEquation, DegreeOverflow,
+              CoefficientOverflow)
 
 
 @dataclass(frozen=True)
@@ -111,6 +113,8 @@ def cmd_solve(ode_text, verify=False, n_points=8):
         return _error_payload("no_equivalence", e), 2
     except DegreeOverflow as e:
         return _error_payload("degree_overflow", e), 1
+    except CoefficientOverflow as e:
+        return _error_payload("coefficient_overflow", e), 1
     pair = assemble(w)
     residuals = None
     if verify:

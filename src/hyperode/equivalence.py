@@ -315,9 +315,9 @@ def _exp_integral_in(f, carrier):
         return ONE
     fallback = Exp(Intg(ratfunc_to_expr(f, var)) if carrier != 1
                    else Intg(ratfunc_to_expr(f)))
-    if f.den.demote().has_gauss():
+    if f.den.has_gauss():
         return fallback
-    result = integrate_ratfunc(f.demote())
+    result = integrate_ratfunc(f)
     if not result.exact:
         return fallback
     factors = []

@@ -29,6 +29,17 @@ class DegreeOverflow(HyperodeError):
         self.cap = cap
 
 
+class CoefficientOverflow(HyperodeError):
+    """An exact number outgrew the cap on numerator and denominator size."""
+
+    def __init__(self, bits, cap):
+        super().__init__(
+            "a coefficient of at least %d bits exceeds the cap of %d bits"
+            % (bits, cap))
+        self.bits = bits
+        self.cap = cap
+
+
 class IrrationalExponentDifference(HyperodeError):
     """A local exponent difference is not rational, so the candidate class
     cannot be matched over the fields we carry."""

@@ -4,15 +4,34 @@ Everything downstream (invariant computation, equivalence resolution,
 solution assembly) runs on the types in this module: Fraction scalars,
 Gaussian rationals, dense polynomials, and reduced rational functions.
 All arithmetic is exact; floats never enter here.
+
+A Poly holds integers only, in the layout of FLINT's fmpq_poly: a tuple
+of integer numerators for the real parts of its coefficients, a second
+tuple for the imaginary parts (empty over Q), and one positive common
+denominator. The denominator and all numerators together have gcd 1, so
+the layout is canonical and equality and hashing compare integer tuples.
+A product is an integer convolution followed by one gcd pass, division is
+pseudo-division over Z or Z[i], and the gcd over Q is a primitive
+remainder sequence on the stored numerators (content and primitive part,
+von zur Gathen and Gerhard, Modern Computer Algebra, ch. 6). Fractions
+and GaussRats appear only where a caller reads a coefficient.
+
+Two guards bound every polynomial: its degree may not exceed
+degree_cap() (DegreeOverflow), and no numerator or denominator may be
+longer than COEFF_BITS bits (CoefficientOverflow).
 """
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 import random
 
-from .errors import DegreeOverflow
+from .errors import CoefficientOverflow, DegreeOverflow
 
 _degree_cap = 64
+
+# Cap on the bit length of any numerator or denominator a Poly stores.
+COEFF_BITS = 4096
+_COEFF_LIMIT = 1 << COEFF_BITS
 
 
 def set_degree_cap(n):
@@ -112,8 +131,9 @@ class GaussRat:
         while exp:
             if exp & 1:
                 out = out * base
-            base = base * base
             exp >>= 1
+            if exp:
+                base = base * base
         return out
 
     def __eq__(self, other):
@@ -153,31 +173,193 @@ def demote_scalar(c):
     return c
 
 
-class Poly:
-    """Dense univariate polynomial, coefficients low degree first.
+def _scalar_parts(c):
+    """(real numerator, imaginary numerator, positive denominator) of c."""
+    if isinstance(c, GaussRat):
+        re, im = c.re, c.im
+        d = lcm(re.denominator, im.denominator)
+        return (re.numerator * (d // re.denominator),
+                im.numerator * (d // im.denominator), d)
+    if isinstance(c, (int, Fraction)):
+        return c.numerator, 0, c.denominator
+    raise TypeError("not an exact scalar: %r" % (c,))
 
-    Coefficients are Fraction or GaussRat (the two interoperate, so mixed
-    polynomials are fine). The zero polynomial has an empty coefficient
-    tuple and degree -1.
+
+def _scalar(re, im, den):
+    """The exact scalar (re + im*i)/den: a Fraction unless im is nonzero."""
+    if im:
+        return GaussRat(Fraction(re, den), Fraction(im, den))
+    return Fraction(re, den)
+
+
+def _padded(seq, n):
+    return list(seq) + [0] * (n - len(seq))
+
+
+def _lin(a, s, b, t):
+    """s*a + t*b for integer sequences, the shorter padded with zeros."""
+    out = [s * x for x in a]
+    out += [0] * (len(b) - len(a))
+    for k, y in enumerate(b):
+        out[k] += t * y
+    return out
+
+
+def _conv(a, b):
+    """Product of two integer coefficient sequences (empty if one is)."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _int_divmod(a, b):
+    """Pseudo-division of integer coefficient lists (low degree first).
+
+    Returns (q, r, s) with s*a == q*b + r, len(r) == len(b) - 1 and s a
+    positive integer. The running dividend is scaled only by the part of
+    lc(b) that does not already divide its leading term, so s stays a
+    small divisor of lc(b)^(deg a - deg b + 1).
+    """
+    n = len(b) - 1
+    lb = b[-1]
+    r = list(a)
+    q = [0] * (len(a) - n)
+    s = 1
+    for k in range(len(q) - 1, -1, -1):
+        x = r[k + n]
+        if not x:
+            continue
+        m = abs(lb) // gcd(lb, x)
+        if m != 1:
+            r = [v * m for v in r]
+            q = [v * m for v in q]
+            s *= m
+            x *= m
+        c = x // lb
+        q[k] = c
+        for j, y in enumerate(b):
+            r[k + j] -= c * y
+    return q, r[:n], s
+
+
+def _gauss_divmod(ar, ai, br, bi):
+    """Pseudo-division over Z[i]; b's leading numerator must be real.
+
+    Same contract as _int_divmod with each sequence split into real and
+    imaginary numerators: returns (qr, qi, rr, ri, s).
+    """
+    n = len(br) - 1
+    lb = br[-1]
+    rr, ri = list(ar), _padded(ai, len(ar))
+    bi = _padded(bi, n + 1)
+    qr = [0] * (len(ar) - n)
+    qi = list(qr)
+    s = 1
+    for k in range(len(qr) - 1, -1, -1):
+        x, y = rr[k + n], ri[k + n]
+        if not x and not y:
+            continue
+        m = abs(lb) // gcd(lb, x, y)
+        if m != 1:
+            rr, ri = [v * m for v in rr], [v * m for v in ri]
+            qr, qi = [v * m for v in qr], [v * m for v in qi]
+            s *= m
+            x *= m
+            y *= m
+        cx, cy = x // lb, y // lb
+        qr[k], qi[k] = cx, cy
+        for j in range(n + 1):
+            u, v = br[j], bi[j]
+            rr[k + j] -= cx * u - cy * v
+            ri[k + j] -= cx * v + cy * u
+    return qr, qi, rr[:n], ri[:n], s
+
+
+def _real_lead(br, bi):
+    """b times the conjugate c of its leading numerator: (br, bi, cr, ci).
+
+    The product's leading numerator is real; c is 1 when b's already is.
+    """
+    if not (bi and bi[-1]):
+        return br, bi, 1, 0
+    cr, ci = br[-1], -bi[-1]
+    return _lin(br, cr, bi, -ci), _lin(br, ci, bi, cr), cr, ci
+
+
+def _poly(re, im, den):
+    """The Poly (re + im*i)/den from integer numerators, made canonical.
+
+    Strips trailing zeros, drops an all-zero imaginary part, divides out
+    the common gcd with a positive denominator and enforces both caps.
+    """
+    n = len(re)
+    if im and any(im):
+        if len(im) != n:
+            n = max(n, len(im))
+            re, im = _padded(re, n), _padded(im, n)
+        while not re[n - 1] and not im[n - 1]:
+            n -= 1
+        im = im[:n]
+    else:
+        im = ()
+        while n and not re[n - 1]:
+            n -= 1
+    p = object.__new__(Poly)
+    if not n:
+        p.re, p.im, p.den = (), (), 1
+        return p
+    if n > _degree_cap + 1:
+        raise DegreeOverflow(n - 1, _degree_cap)
+    if n != len(re):
+        re = re[:n]
+    g = gcd(den, *re, *im)
+    if den < 0:
+        g = -g
+    if g != 1:
+        re = [c // g for c in re]
+        im = [c // g for c in im]
+        den //= g
+    if den >= _COEFF_LIMIT or max(re) >= _COEFF_LIMIT \
+            or min(re) <= -_COEFF_LIMIT or (im and (
+                max(im) >= _COEFF_LIMIT or min(im) <= -_COEFF_LIMIT)):
+        bits = max(abs(c).bit_length() for c in (den, *re, *im))
+        raise CoefficientOverflow(bits, COEFF_BITS)
+    p.re, p.im, p.den = tuple(re), tuple(im), den
+    return p
+
+
+class Poly:
+    """Dense univariate polynomial over Q or Q(i), low degree first.
+
+    ``re`` and ``im`` are tuples of integer numerators of the real and
+    imaginary coefficient parts over the positive common denominator
+    ``den``; ``im`` is empty for a polynomial over Q and as long as ``re``
+    otherwise. The zero polynomial has empty tuples, den 1 and degree -1.
+    The constructor takes exact scalars (int, Fraction or GaussRat).
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("re", "im", "den")
 
     def __init__(self, coeffs=()):
-        cs = list(coeffs)
-        while cs and not cs[-1]:
-            cs.pop()
-        if len(cs) - 1 > _degree_cap:
-            raise DegreeOverflow(len(cs) - 1, _degree_cap)
-        self.coeffs = tuple(cs)
+        parts = [_scalar_parts(c) for c in coeffs]
+        den = lcm(*(d for _, _, d in parts))
+        p = _poly([r * (den // d) for r, _, d in parts],
+                  [i * (den // d) for _, i, d in parts], den)
+        self.re, self.im, self.den = p.re, p.im, p.den
 
     @classmethod
     def const(cls, c):
-        return cls((_as_scalar(c),))
+        re, im, den = _scalar_parts(c)
+        return _poly((re,), (im,), den)
 
     @classmethod
     def x(cls):
-        return cls((Fraction(0), Fraction(1)))
+        return _poly((0, 1), (), 1)
 
     @classmethod
     def from_pairs(cls, pairs):
@@ -187,41 +369,51 @@ class Poly:
         top = max(e for e, _ in pairs)
         if top > _degree_cap:
             raise DegreeOverflow(top, _degree_cap)
-        cs = [Fraction(0)] * (top + 1)
+        cs = [0] * (top + 1)
         for e, c in pairs:
             cs[e] = cs[e] + c
         return cls(cs)
 
     @property
+    def coeffs(self):
+        """The coefficients as exact scalars, low degree first."""
+        im = self.im or (0,) * len(self.re)
+        return tuple(_scalar(r, i, self.den) for r, i in zip(self.re, im))
+
+    @property
     def degree(self):
-        return len(self.coeffs) - 1
+        return len(self.re) - 1
 
     @property
     def is_zero(self):
-        return not self.coeffs
+        return not self.re
 
     @property
     def lc(self):
-        if not self.coeffs:
-            return Fraction(0)
-        return self.coeffs[-1]
+        return self.coeff(len(self.re) - 1)
 
     def coeff(self, k):
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
+        if 0 <= k < len(self.re):
+            return _scalar(self.re[k], self.im[k] if self.im else 0,
+                           self.den)
         return Fraction(0)
+
+    def _combine(self, other, sign):
+        """self + sign*other over the least common denominator."""
+        d1, d2 = self.den, other.den
+        if d1 == d2:
+            s, t = 1, sign
+        else:
+            g = gcd(d1, d2)
+            s, t = d2 // g, sign * (d1 // g)
+        im = _lin(self.im, s, other.im, t) if self.im or other.im else ()
+        return _poly(_lin(self.re, s, other.re, t), im, d1 * s)
 
     def __add__(self, other):
         other = _as_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        cs = list(a)
-        for k, c in enumerate(b):
-            cs[k] = cs[k] + c
-        return Poly(cs)
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
@@ -229,34 +421,37 @@ class Poly:
         other = _as_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        return self._combine(other, -1)
 
     def __rsub__(self, other):
         other = _as_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        return other + (-self)
+        return other._combine(self, -1)
 
     def __neg__(self):
-        return Poly(tuple(-c for c in self.coeffs))
+        return _poly([-c for c in self.re], [-c for c in self.im], self.den)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, GaussRat)):
-            if not other:
-                return Poly()
-            return Poly(tuple(c * other for c in self.coeffs))
         if not isinstance(other, Poly):
-            return NotImplemented
-        if self.is_zero or other.is_zero:
-            return Poly()
-        a, b = self.coeffs, other.coeffs
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if not ca:
-                continue
-            for j, cb in enumerate(b):
-                out[i + j] = out[i + j] + ca * cb
-        return Poly(out)
+            if not isinstance(other, (int, Fraction, GaussRat)):
+                return NotImplemented
+            sr, si, sd = _scalar_parts(other)
+            if si:
+                re = _lin(self.re, sr, self.im, -si)
+                im = _lin(self.re, si, self.im, sr)
+            else:
+                re = [c * sr for c in self.re]
+                im = [c * sr for c in self.im]
+            return _poly(re, im, self.den * sd)
+        ar, ai, br, bi = self.re, self.im, other.re, other.im
+        re = _conv(ar, br)
+        im = ()
+        if ai or bi:
+            if ai and bi:
+                re = _lin(re, 1, _conv(ai, bi), -1)
+            im = _lin(_conv(ar, bi), 1, _conv(ai, br), 1)
+        return _poly(re, im, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -268,8 +463,9 @@ class Poly:
         while exp:
             if exp & 1:
                 out = out * base
-            base = base * base
             exp >>= 1
+            if exp:
+                base = base * base
         return out
 
     def __divmod__(self, other):
@@ -277,22 +473,23 @@ class Poly:
             other = Poly.const(other)
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
-        if dq < 0:
+        if len(self.re) < len(other.re):
             return Poly(), self
-        quot = [Fraction(0)] * (dq + 1)
-        dlc = other.lc
-        dcs = other.coeffs
-        for k in range(dq, -1, -1):
-            c = rem[k + len(dcs) - 1]
-            if not c:
-                continue
-            q = c / dlc
-            quot[k] = q
-            for j, dc in enumerate(dcs):
-                rem[k + j] = rem[k + j] - q * dc
-        return Poly(quot), Poly(rem)
+        # over Z[i] the divisor is scaled to a real leading numerator and
+        # the quotient scaled back by the same factor
+        br, bi, cr, ci = _real_lead(other.re, other.im)
+        if self.im or bi:
+            qr, qi, rr, ri, s = _gauss_divmod(self.re, self.im, br, bi)
+            if ci:
+                qr, qi = _lin(qr, cr, qi, -ci), _lin(qr, ci, qi, cr)
+        else:
+            qr, rr, s = _int_divmod(self.re, br)
+            qi = ri = ()
+        # s*a == q*b + r over the integers, with self = a/da, other = b/db
+        db = other.den
+        den = s * self.den
+        return (_poly([c * db for c in qr], [c * db for c in qi], den),
+                _poly(rr, ri, den))
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -304,78 +501,109 @@ class Poly:
         other = _as_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return (self.den == other.den and self.re == other.re
+                and self.im == other.im)
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.re, self.im, self.den))
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.re)
 
     def __call__(self, v):
         return self.eval(v)
 
     def eval(self, v):
-        if not self.coeffs:
-            return Fraction(0) if not isinstance(v, (float, complex)) else 0.0
-        acc = self.coeffs[-1]
         if isinstance(v, (float, complex)):
-            acc = complex(acc) if isinstance(acc, GaussRat) else float(acc)
-            for c in reversed(self.coeffs[:-1]):
-                cv = complex(c) if isinstance(c, GaussRat) else float(c)
-                acc = acc * v + cv
+            if not self.re:
+                return 0.0
+            den = self.den
+            if self.im:
+                cs = [complex(r / den, i / den)
+                      for r, i in zip(self.re, self.im)]
+            else:
+                cs = [r / den for r in self.re]
+            acc = cs[-1]
+            for c in reversed(cs[:-1]):
+                acc = acc * v + c
             return acc
-        for c in reversed(self.coeffs[:-1]):
-            acc = acc * v + c
-        return acc
+        if not self.re:
+            return Fraction(0)
+        if isinstance(v, GaussRat):
+            cs = self.coeffs
+            acc = cs[-1]
+            for c in reversed(cs[:-1]):
+                acc = acc * v + c
+            return acc
+        # homogeneous Horner: q^deg * p(u/q) is an integer combination
+        u, q = v.numerator, v.denominator
+        acc_re = self.re[-1]
+        acc_im = self.im[-1] if self.im else 0
+        qk = 1
+        for k in range(len(self.re) - 2, -1, -1):
+            qk *= q
+            acc_re = acc_re * u + self.re[k] * qk
+            if self.im:
+                acc_im = acc_im * u + self.im[k] * qk
+        return _scalar(acc_re, acc_im, self.den * qk)
 
     def compose(self, other):
         """self(other(x)) for a polynomial argument."""
-        if not self.coeffs:
-            return Poly()
-        acc = Poly.const(self.coeffs[-1])
-        for c in reversed(self.coeffs[:-1]):
-            acc = acc * other + Poly.const(c)
+        if self.is_zero:
+            return self
+        re, im, den = self.re, self.im or (0,) * len(self.re), self.den
+        acc = _poly(re[-1:], im[-1:], den)
+        for k in range(len(re) - 2, -1, -1):
+            acc = acc * other + _poly((re[k],), (im[k],), den)
         return acc
 
     def deriv(self):
-        if len(self.coeffs) <= 1:
+        if len(self.re) <= 1:
             return Poly()
-        return Poly(tuple(self.coeffs[k] * k
-                          for k in range(1, len(self.coeffs))))
+        return _poly([k * c for k, c in enumerate(self.re)][1:],
+                     [k * c for k, c in enumerate(self.im)][1:], self.den)
 
     def monic(self):
         if self.is_zero:
             return self
-        lc = self.lc
-        if lc == 1:
-            return self
-        return Poly(tuple(c / lc for c in self.coeffs))
+        lr = self.re[-1]
+        li = self.im[-1] if self.im else 0
+        if not li:
+            return self if lr == self.den else _poly(self.re, self.im, lr)
+        # divide by (lr + li*i)/den: multiply by its conjugate over the norm
+        return _poly(_lin(self.re, lr, self.im, li),
+                     _lin(self.re, -li, self.im, lr), lr * lr + li * li)
 
     def substitute_power(self, k):
         """Return p(x^k) by exponent spreading (k a positive integer)."""
         if k == 1 or self.is_zero:
             return self
-        return Poly.from_pairs([(e * k, c) for e, c in enumerate(self.coeffs)
-                                if c])
+        top = self.degree * k
+        if top > _degree_cap:
+            raise DegreeOverflow(top, _degree_cap)
+        re = [0] * (top + 1)
+        re[::k] = self.re
+        im = ()
+        if self.im:
+            im = [0] * (top + 1)
+            im[::k] = self.im
+        return _poly(re, im, self.den)
 
     def compress_power(self, k):
         """Inverse of substitute_power: p must have support in k*Z."""
         if k == 1:
             return self
-        cs = []
-        for e, c in enumerate(self.coeffs):
-            if c and e % k:
+        for e in range(len(self.re)):
+            if e % k and (self.re[e] or (self.im and self.im[e])):
                 raise ValueError("polynomial support not divisible by %d" % k)
-            if e % k == 0:
-                cs.append(c)
-        return Poly(cs)
+        return _poly(self.re[::k], self.im[::k], self.den)
 
     def exponent_gcd(self):
         """gcd of the exponents carrying nonzero coefficients."""
         g = 0
-        for e, c in enumerate(self.coeffs):
-            if c:
+        im = self.im or (0,) * len(self.re)
+        for e, (r, i) in enumerate(zip(self.re, im)):
+            if r or i:
                 g = gcd(g, e)
         return g
 
@@ -398,11 +626,7 @@ class Poly:
         return out
 
     def has_gauss(self):
-        return any(isinstance(c, GaussRat) for c in self.coeffs)
-
-    def demote(self):
-        """Collapse GaussRat coefficients with zero imaginary part."""
-        return Poly(tuple(demote_scalar(c) for c in self.coeffs))
+        return bool(self.im)
 
     def __repr__(self):
         return "Poly(%r)" % (self.coeffs,)
@@ -411,12 +635,8 @@ class Poly:
         return format_poly(self, "x")
 
 
-def _as_scalar(c):
-    if isinstance(c, (Fraction, GaussRat)):
-        return c
-    if isinstance(c, int):
-        return Fraction(c)
-    raise TypeError("not an exact scalar: %r" % (c,))
+# Polys are never mutated after construction, so one instance can serve.
+_ONE = _poly((1,), (), 1)
 
 
 def _as_poly(other):
@@ -435,13 +655,12 @@ def format_poly(p, var):
         c = p.coeff(e)
         if not c:
             continue
-        if isinstance(c, GaussRat) and c.im != 0:
+        if isinstance(c, GaussRat):
             coef = "(%s)" % c
             sign = "+"
         else:
-            cr = c.re if isinstance(c, GaussRat) else c
-            sign = "+" if cr >= 0 else "-"
-            coef = str(abs(cr))
+            sign = "+" if c >= 0 else "-"
+            coef = str(abs(c))
         if e == 0:
             term = coef
         else:
@@ -458,78 +677,81 @@ def format_poly(p, var):
 # gcd machinery
 
 
-def _clear_denominators(p):
-    """Integer coefficient list (low first) proportional to p, primitive."""
-    if p.is_zero:
-        return []
-    denlcm = 1
-    for c in p.coeffs:
-        denlcm = denlcm * c.denominator // gcd(denlcm, c.denominator)
-    ints = [int(c * denlcm) for c in p.coeffs]
-    g = 0
-    for c in ints:
-        g = gcd(g, c)
-    if g > 1:
-        ints = [c // g for c in ints]
-    if ints[-1] < 0:
-        ints = [-c for c in ints]
-    return ints
-
-
-def _int_content(cs):
-    g = 0
-    for c in cs:
-        g = gcd(g, c)
-    return g or 1
-
-
-def _int_pseudo_rem(a, b):
-    """Pseudo-remainder of integer coefficient lists (low first)."""
-    rem = list(a)
-    db = len(b) - 1
-    lb = b[-1]
-    while len(rem) - 1 >= db and any(rem):
-        while rem and rem[-1] == 0:
-            rem.pop()
-        if len(rem) - 1 < db:
-            break
-        lead = rem[-1]
-        shift = len(rem) - 1 - db
-        rem = [c * lb for c in rem]
-        for j, bc in enumerate(b):
-            rem[shift + j] -= lead * bc
-        while rem and rem[-1] == 0:
-            rem.pop()
-    return rem
+def _primitive(cs):
+    """Primitive part of an integer coefficient list, leading term > 0."""
+    g = gcd(*cs)
+    if cs[-1] < 0:
+        g = -g
+    return [c // g for c in cs] if g != 1 else list(cs)
 
 
 def poly_gcd(p, q):
     """Monic gcd of two polynomials.
 
-    Rational polynomials go through a primitive integer remainder sequence,
-    which keeps coefficient growth tame. Gaussian coefficients take the
-    straightforward monic Euclid route.
+    A nonzero constant argument gives 1 at once. Other rational
+    polynomials go through a primitive integer remainder sequence on the
+    stored numerators, which keeps coefficient growth tame; Gaussian ones
+    through the same sequence over Z[i].
     """
     if p.is_zero:
         return q.monic()
     if q.is_zero:
         return p.monic()
-    if p.has_gauss() or q.has_gauss():
-        a, b = p, q
-        while not b.is_zero:
-            a, b = b, (a % b)
-        return a.monic()
-    a = _clear_denominators(p)
-    b = _clear_denominators(q)
+    if len(p.re) == 1 or len(q.re) == 1:
+        return _ONE
+    if p.im or q.im:
+        return _gauss_gcd(p, q)
+    a = _primitive(p.re)
+    b = _primitive(q.re)
     if len(a) < len(b):
         a, b = b, a
     while True:
-        r = _int_pseudo_rem(a, b)
+        r = _int_divmod(a, b)[1]
+        while r and not r[-1]:
+            r.pop()
         if not r:
             break
-        g = _int_content(r)
-        a, b = b, [c // g for c in r]
-    return Poly([Fraction(c) for c in b]).monic()
+        a, b = b, _primitive(r)
+    return _poly(b, (), b[-1])
+
+
+def _gauss_int_gcd(ar, ai, br, bi):
+    """A gcd in Z[i] of the Gaussian integers ar + ai*i and br + bi*i."""
+    while br or bi:
+        # a - q*b with q the Gaussian integer nearest a/b = a*conj(b)/n
+        n = br * br + bi * bi
+        xr, xi = ar * br + ai * bi, ai * br - ar * bi
+        qr, qi = (2 * xr + n) // (2 * n), (2 * xi + n) // (2 * n)
+        ar, ai, br, bi = (br, bi, ar - qr * br + qi * bi,
+                          ai - qr * bi - qi * br)
+    return ar, ai
+
+
+def _gauss_primitive(re, im):
+    """re + im*i divided by a gcd in Z[i] of its coefficients."""
+    gr = gi = 0
+    for x, y in zip(re, im):
+        gr, gi = _gauss_int_gcd(gr, gi, x, y)
+    n = gr * gr + gi * gi
+    return ([(x * gr + y * gi) // n for x, y in zip(re, im)],
+            [(y * gr - x * gi) // n for x, y in zip(re, im)])
+
+
+def _gauss_gcd(p, q):
+    """Monic gcd of polynomials over Q(i), by a primitive PRS over Z[i]."""
+    ar, ai = p.re, _padded(p.im, len(p.re))
+    br, bi = q.re, _padded(q.im, len(q.re))
+    if len(ar) < len(br):
+        ar, ai, br, bi = br, bi, ar, ai
+    while True:
+        rr, ri = _gauss_divmod(ar, ai, *_real_lead(br, bi)[:2])[2:4]
+        n = len(rr)
+        while n and not rr[n - 1] and not ri[n - 1]:
+            n -= 1
+        if not n:
+            return _poly(br, bi, 1).monic()
+        ar, ai = br, bi
+        br, bi = _gauss_primitive(rr[:n], ri[:n])
 
 
 def squarefree_decomposition(p):
@@ -569,23 +791,21 @@ class RatFunc:
         if not isinstance(num, Poly):
             num = _as_poly(num)
         if den is None:
-            den = Poly.const(1)
+            den = _ONE
         elif not isinstance(den, Poly):
             den = _as_poly(den)
         if den.is_zero:
             raise ZeroDivisionError("rational function with zero denominator")
         if num.is_zero:
-            self.num = Poly()
-            self.den = Poly.const(1)
+            self.num = num
+            self.den = _ONE
             return
         g = poly_gcd(num, den)
         if g.degree > 0:
             num = num // g
             den = den // g
-        lc = den.lc
-        if lc != 1:
-            num = num * (Fraction(1) / lc if not isinstance(lc, GaussRat)
-                         else GaussRat(1) / lc)
+        if den.re[-1] != den.den or (den.im and den.im[-1]):
+            num = num * (1 / den.lc)
             den = den.monic()
         self.num = num
         self.den = den
@@ -719,9 +939,6 @@ class RatFunc:
 
     def has_gauss(self):
         return self.num.has_gauss() or self.den.has_gauss()
-
-    def demote(self):
-        return RatFunc(self.num.demote(), self.den.demote())
 
     def __repr__(self):
         return "RatFunc(%r, %r)" % (self.num, self.den)
@@ -1058,7 +1275,7 @@ def factor_rational_roots(p):
             work = work // Poly((-r, Fraction(1)))
         if work.degree < 1:
             return unit, roots, work
-    ints = _clear_denominators(work)
+    ints = _primitive(work.re)
     p1 = sum(ints)
     pm1 = sum(c if k % 2 == 0 else -c for k, c in enumerate(ints))
     for cand in _rational_root_candidates(ints[0], ints[-1]):

@@ -70,6 +70,9 @@ def pfq_terms(upper, lower, z):
     which is exactly the ratio of consecutive coefficients written as
     rising factorials. The generator stops after an exactly zero term
     (a terminating series) and is otherwise infinite; callers truncate.
+    A zero upper factor stops it before the lower parameters divide, so
+    a series that an upper parameter -n ends after term n stops there
+    even when a lower parameter reaches 0 at the same step.
     """
     up = [_as_complex(u) for u in upper]
     lo = [_as_complex(l) for l in lower]
@@ -81,6 +84,8 @@ def pfq_terms(upper, lower, z):
         ratio = zc / (k + 1)
         for u in up:
             ratio *= u + k
+        if not ratio:
+            return
         for l in lo:
             ratio /= l + k
         term = term * ratio

@@ -9,12 +9,15 @@ folding to keep printed output tidy and round-trippable.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm, log2
 from typing import Union
 
-from .errors import ParseError, UnsupportedEquation
+from .errors import CoefficientOverflow, ParseError, UnsupportedEquation
 from .exactalg import (
+    COEFF_BITS,
     GaussRat,
     GenRatFunc,
+    Poly,
     RatFunc,
     demote_scalar,
 )
@@ -202,6 +205,29 @@ def neg(e):
     return mul(num(-1), e)
 
 
+def _check_power_size(v, e):
+    """Refuse v**e, for e >= 0, before computing it when it cannot fit.
+
+    The cap is the kernel's: COEFF_BITS bits for each integer of the
+    value over its least common denominator. With v = (a + b*i)/d so
+    written, v**e is (a + b*i)**e / d**e, and the two can share only a
+    power of 2, at most 2**(e//2) when d is even (a + b*i is then not
+    divisible by 2 = -i*(1 + i)**2). So the denominator keeps at least
+    e*log2(d) - e//2 bits; and the numerators, whose squares sum to
+    m**e / 4**(e//2) or more with m = a*a + b*b, the longer one at least
+    (e*log2(m) - 2*(e//2) - 1)/2 bits. A power that passes is at most a
+    few times the cap long, and power() then checks the result itself.
+    """
+    re, im = (v.re, v.im) if isinstance(v, GaussRat) else (v, Fraction(0))
+    d = lcm(re.denominator, im.denominator)
+    m = int((re * d) ** 2 + (im * d) ** 2)
+    shared = e // 2 if d % 2 == 0 else 0
+    bits = max(e * (d.bit_length() - 1) - shared,
+               (e * (m.bit_length() - 1) - 2 * shared - 1) // 2)
+    if bits > COEFF_BITS:
+        raise CoefficientOverflow(bits, COEFF_BITS)
+
+
 def power(base, exponent):
     if isinstance(exponent, int):
         exponent = Fraction(exponent)
@@ -212,11 +238,13 @@ def power(base, exponent):
     if isinstance(base, Num) and exponent.denominator == 1:
         v = base.value
         e = exponent.numerator
+        if e < 0 and v:
+            v, e = 1 / v, -e
         if e >= 0:
-            return num(v ** e)
-        if v:
-            return num(v ** e if isinstance(v, GaussRat)
-                       else Fraction(1) / v ** (-e))
+            _check_power_size(v, e)
+            w = v ** e
+            Poly.const(w)  # the kernel's cap on the result itself
+            return num(w)
     if isinstance(base, Pow) and exponent.denominator == 1:
         return power(base.base, base.exponent * exponent)
     if isinstance(base, Mul) and exponent.denominator == 1:
@@ -319,6 +347,16 @@ def ratfunc_to_expr(f, var=None):
 
 _SINGLE = set("+-*/^()[],=")
 
+# Deepest nesting of parentheses, function arguments and unary minus signs
+# either parser accepts; it keeps the recursive descent far from Python's
+# recursion limit.
+MAX_NESTING = 100
+
+# A literal with more significant digits than this is at least
+# 10^_MAX_DIGITS, which is beyond 2^COEFF_BITS.
+_BITS_PER_DIGIT = log2(10)
+_MAX_DIGITS = int(COEFF_BITS / _BITS_PER_DIGIT) + 1
+
 
 def _tokenize(text):
     tokens = []
@@ -344,6 +382,10 @@ def _tokenize(text):
             if j < n and text[j] == ".":
                 raise ParseError("decimal literals are not supported; "
                                  "use exact rationals", i)
+            digits = len(text[i:j].lstrip("0"))
+            if digits > _MAX_DIGITS:
+                raise CoefficientOverflow(
+                    int((digits - 1) * _BITS_PER_DIGIT) + 1, COEFF_BITS)
             tokens.append(("num", text[i:j], i))
             i = j
             continue
@@ -364,6 +406,13 @@ class _TokenStream:
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
+
+    def descend(self):
+        """Enter one nesting level; fail past MAX_NESTING."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            self.fail("expression nested deeper than %d levels" % MAX_NESTING)
 
     def peek(self):
         return self.tokens[self.pos]
@@ -508,6 +557,8 @@ class _OdeParser:
                 raise UnsupportedEquation(
                     "nonlinear term: y raised to power %s" % e)
             if e.denominator == 1:
+                if e < 0 and base.free.is_zero:
+                    self.ts.fail("division by zero")
                 return _LinForm(base.free ** e.numerator)
             if base_is_x:
                 return _LinForm(GenRatFunc.x_power(e.numerator,
@@ -518,6 +569,12 @@ class _OdeParser:
         return base
 
     def base(self):
+        self.ts.descend()
+        out = self._base()
+        self.ts.depth -= 1
+        return out
+
+    def _base(self):
         ts = self.ts
         tok = ts.next()
         kind, val, pos = tok
@@ -629,6 +686,12 @@ class _ExprParser:
         return tuple(out)
 
     def base(self):
+        self.ts.descend()
+        out = self._base()
+        self.ts.depth -= 1
+        return out
+
+    def _base(self):
         ts = self.ts
         kind, val, pos = ts.next()
         if kind == "(":
@@ -829,7 +892,8 @@ def print_solution(e):
 def differentiate_expr(e):
     """Exact d/dx of a solution expression tree.
 
-    A series with a lower parameter 0 has no derivative rule and raises
+    A series with an upper parameter 0 is the constant 1. Otherwise a
+    series with a lower parameter 0 has no derivative rule and raises
     ValueError.
     """
     if isinstance(e, (Num, Const)):
@@ -855,6 +919,8 @@ def differentiate_expr(e):
     if isinstance(e, Intg):
         return e.integrand
     if isinstance(e, Hyp):
+        if any(not u for u in e.upper):
+            return ZERO
         if any(not c for c in e.lower):
             # the rule below divides by the lower parameters
             raise ValueError("no derivative rule for %s with a lower "

@@ -2,6 +2,7 @@
 
 import json
 import pathlib
+import time
 
 import pytest
 
@@ -15,6 +16,7 @@ from hyperode.cli import (
     load_corpus,
     main,
 )
+from hyperode.errors import CoefficientOverflow
 from hyperode.exactalg import degree_cap, set_degree_cap
 from hyperode.odeio import parse_ode
 
@@ -178,6 +180,79 @@ class TestVerify:
         payload, code = cmd_verify("y'' + y = 0", solution)
         assert code == 1
         assert payload["error"]["type"] == "verification_impossible"
+
+    def test_series_ending_before_its_lower_zero_verifies(self):
+        # 1F1(-1; -1; x) = 1 + x; y' = 1F1(0; 0; x) = 1 and y'' = 0
+        payload, code = cmd_verify("y'' = 0", "hypergeom([-1], [-1], x)")
+        assert code == 0
+        assert payload["residual_report"]["max_residual"] == 0.0
+
+    def test_series_ending_before_its_lower_zero_can_fail(self):
+        # 2F1(-2, 1; -2; x) = 1 + x + x^2, so y'' = 2 while 2*y'/(1+x) is not
+        payload, code = cmd_verify("y'' = 2*y'/(1+x)",
+                                   "hypergeom([-2, 1], [-2], x)")
+        assert code == 2
+        assert payload["passes"] is False
+
+
+class TestBoundedInput:
+    @pytest.mark.parametrize("exponent", [10000, 100000])
+    def test_huge_power_is_an_input_error(self, capsys, exponent):
+        start = time.perf_counter()
+        code = main(["--json", "solve", "y'' + 7^(%d)*y = 0" % exponent])
+        elapsed = time.perf_counter() - start
+        out = json.loads(capsys.readouterr().out)
+        assert code == 1
+        assert out["error"]["type"] == "invalid_input"
+        assert "cap of 4096 bits" in out["error"]["message"]
+        assert elapsed < 1.0
+
+    @pytest.mark.parametrize("solution", [
+        "x + 7^(100000)", "(7*x)^(100000)", "x + (7+7*I)^(100000)"])
+    def test_huge_power_in_a_solution_is_an_input_error(self, solution):
+        start = time.perf_counter()
+        payload, code = cmd_verify("y'' = 0", solution)
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert payload["error"]["type"] == "invalid_input"
+
+    def test_huge_literal_is_an_input_error(self):
+        # longer than Python's int() accepts by default
+        payload, code = cmd_solve("y'' + %s*y = 0" % ("7" * 5000))
+        assert code == 1
+        assert payload["error"]["type"] == "invalid_input"
+
+    def test_zero_to_a_negative_power_is_an_input_error(self):
+        payload, code = cmd_solve("y'' + 0^(-1)*y = 0")
+        assert code == 1
+        assert payload["error"]["type"] == "invalid_input"
+
+    def test_overflow_while_solving_exits_one(self, monkeypatch):
+        def overflow(ode):
+            raise CoefficientOverflow(5000, 4096)
+        monkeypatch.setattr(cli, "solve_equivalence", overflow)
+        payload, code = cmd_solve("y'' + x*y = 0")
+        assert code == 1
+        assert payload["error"]["type"] == "coefficient_overflow"
+
+    @pytest.mark.parametrize("depth", [250, 3000])
+    @pytest.mark.parametrize("verb", ["solve", "verify"])
+    def test_deep_nesting_is_a_parse_error(self, capsys, verb, depth):
+        nested = "(" * depth + "x" + ")" * depth
+        if verb == "solve":
+            argv = ["--json", "solve", "y'' + %s*y = 0" % nested]
+        else:
+            argv = ["--json", "verify", "y'' = 0", nested]
+        code = main(argv)
+        out = json.loads(capsys.readouterr().out)
+        assert code == 1
+        assert out["error"]["type"] == "invalid_input"
+        assert "nested deeper" in out["error"]["message"]
+
+    def test_long_unary_minus_chain_is_a_parse_error(self):
+        payload, code = cmd_solve("y'' + x*%sx*y = 0" % ("-" * 3000))
+        assert code == 1
+        assert payload["error"]["type"] == "invalid_input"
 
 
 class TestCorpus:

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperode.errors import DegreeOverflow
+from hyperode.errors import CoefficientOverflow, DegreeOverflow
 from hyperode.exactalg import (
+    COEFF_BITS,
     GaussRat,
     GenRatFunc,
     Poly,
@@ -120,6 +121,28 @@ class TestPoly:
                 poly_of([0, 1]) ** 9
         finally:
             set_degree_cap(old)
+
+    def test_power_builds_nothing_past_its_result(self):
+        old = degree_cap()
+        try:
+            set_degree_cap(8)
+            assert poly_of([0, 1]) ** 8 == Poly.from_pairs([(8, F(1))])
+        finally:
+            set_degree_cap(old)
+        assert Poly.const(2) ** (COEFF_BITS - 1) == \
+            Poly.const(2 ** (COEFF_BITS - 1))
+        assert GaussRat(1, 1) ** 3 == GaussRat(-2, 2)
+
+    def test_coefficient_cap(self):
+        top = 2 ** COEFF_BITS
+        assert Poly.const(top - 1).coeffs == (F(top - 1),)
+        assert Poly.const(F(1, top - 1)).lc == F(1, top - 1)
+        for c in (top, F(1, top), GaussRat(1, -top)):
+            with pytest.raises(CoefficientOverflow):
+                Poly.const(c)
+        half = Poly((F(2 ** (COEFF_BITS // 2)), F(1)))
+        with pytest.raises(CoefficientOverflow):
+            half * half
 
     @given(st.lists(small_rationals, min_size=1, max_size=5),
            st.lists(small_rationals, min_size=1, max_size=5))

@@ -105,6 +105,13 @@ class TestEvalPfq:
             want = _to_complex(_exact_term((a, b), (c,), z, k))
             assert abs(term - want) <= 1e-13 * max(1.0, abs(want))
 
+    def test_terms_stop_at_an_upper_parameter_before_a_lower_zero(self):
+        # 2F1(0, 3; 0; z): term 1 would divide 0 by 0
+        assert list(pfq_terms((F(0), F(3)), (F(0),), 0.5)) == [1]
+        # 2F1(-2, 1; -2; z) = 1 + z + z^2
+        assert list(pfq_terms((F(-2), F(1)), (F(-2),), 0.5)) == \
+            [1, 0.5, 0.25]
+
     def test_gauss_disc_guard(self):
         with pytest.raises(EvalDiverged):
             eval_pfq("2F1", (F(1, 2), F(1, 2)), (F(1),), 0.81)

@@ -7,7 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperode.errors import ParseError, UnsupportedEquation
+from hyperode.errors import (
+    CoefficientOverflow,
+    ParseError,
+    UnsupportedEquation,
+)
 from hyperode.exactalg import GaussRat, Poly, RatFunc
 from hyperode import odeio
 from hyperode.odeio import (
@@ -146,6 +150,32 @@ class TestParseOde:
         with pytest.raises(ParseError):
             parse_ode("y'' + 1/y = 0")
 
+    @pytest.mark.parametrize("base, exponent", [(7, 1400), (2, 4095)])
+    def test_power_just_under_the_cap(self, base, exponent):
+        ode = parse_ode("y'' + %d^(%d)*y = 0" % (base, exponent))
+        assert ode.B == rf([base ** exponent])
+
+
+class TestPowerCap:
+    @pytest.mark.parametrize("text, value", [
+        ("3^(2584)", F(3) ** 2584),
+        ("(1/2)^(4095)", F(1, 2 ** 4095)),
+        ("(2/3)^(-2584)", F(3, 2) ** 2584),
+        # (1+i)^2 = 2i, so 2^5000 in the denominator shrinks to 2^2500
+        ("((1+I)/2)^(5000)", F(1, 2 ** 2500)),
+    ])
+    def test_largest_fitting_power_is_kept(self, text, value):
+        assert parse_solution(text) == num(value)
+
+    @pytest.mark.parametrize("text", [
+        "3^(2585)", "(1/2)^(4096)", "(2/3)^(-2585)", "((1+I)/2)^(8194)",
+        "(7*x)^(99999999999999)", "(7+7*I)^(100000)",
+        "(1+I)^(100000000000000)", "((3+4*I)/5)^(1000000000000)",
+    ])
+    def test_power_past_the_cap_is_refused(self, text):
+        with pytest.raises(CoefficientOverflow):
+            parse_solution(text)
+
 
 class TestPrinting:
     def test_hypergeom_node(self):
@@ -251,6 +281,13 @@ class TestDifferentiate:
         d = differentiate_expr(node)
         val = eval_tree(d, 0.25)
         assert abs(val - F(16, 9)) < 1e-10
+
+    def test_series_with_an_upper_zero_is_constant(self):
+        # checked before the lower parameter 0, which has no rule
+        for node in (hyp("1F1", (F(0),), (F(0),), X, degenerate=True),
+                     hyp("2F1", (F(1, 2), F(0)), (F(-1),), power(X, 2),
+                         degenerate=True)):
+            assert differentiate_expr(node) == odeio.ZERO
 
     def test_integral_node(self):
         integrand = div(num(1), X)
