@@ -30,10 +30,10 @@ from .errors import (
     UnsupportedEquation,
     UnsupportedParameterField,
 )
-from .exactalg import set_degree_cap
+from .exactalg import COEFF_BITS, set_degree_cap
 from .numverify import residual_check
-from .odeio import format_exact, parse_ode, parse_solution, print_solution, \
-    ratfunc_to_expr
+from .odeio import format_exact, has_integral, parse_ode, parse_solution, \
+    print_solution, ratfunc_to_expr
 from .solutions import assemble
 
 RESIDUAL_GATE = 1e-7
@@ -84,11 +84,10 @@ def _residuals_json(ode, pair, n_points):
     out = {}
     worst = 0.0
     for name, s in (("y1", pair.y1), ("y2", pair.y2)):
-        try:
-            rep = residual_check(ode, s, n_points)
-        except ValueError:
+        if has_integral(s):
             out[name] = {"skipped": "contains an unevaluated integral"}
             continue
+        rep = residual_check(ode, s, n_points)
         out[name] = rep.to_json()
         worst = max(worst, rep.max_residual)
     out["passes"] = worst <= RESIDUAL_GATE
@@ -122,6 +121,8 @@ def cmd_solve(ode_text, verify=False, n_points=8):
             residuals = _residuals_json(ode, pair, n_points)
         except SamplingFailed as e:
             return _error_payload("sampling_failed", e), 1
+        except ValueError as e:
+            return _error_payload("verification_impossible", e), 1
     payload = {
         "witness": _witness_json(w),
         "solutions": pair.to_json(),
@@ -358,8 +359,13 @@ def build_parser():
                     "linear ODEs with rational coefficients.")
     parser.add_argument("--json", action="store_true",
                         help="machine-readable output")
-    parser.add_argument("--max-degree", type=int, metavar="N",
-                        help="override the intermediate degree guardrail")
+    parser.add_argument(
+        "--max-degree", type=int, metavar="N",
+        help="override the intermediate degree guardrail; N must be at "
+             "least 1. Intermediate integers are also capped at %d bits, "
+             "so an equation coefficient longer than about %d bits fails "
+             "once the normal form squares it"
+             % (COEFF_BITS, COEFF_BITS // 2))
     sub = parser.add_subparsers(dest="verb", required=True)
 
     p_solve = sub.add_parser("solve", help="find a witness and solutions")
@@ -395,20 +401,24 @@ _RENDER = {
 }
 
 
+def _run(args):
+    if args.max_degree is not None:
+        try:
+            set_degree_cap(args.max_degree)
+        except ValueError as e:
+            return _error_payload("invalid_input", e), 1
+    if args.verb == "solve":
+        return cmd_solve(args.ode, verify=args.verify, n_points=args.points)
+    if args.verb == "classify":
+        return cmd_classify(args.ode)
+    if args.verb == "verify":
+        return cmd_verify(args.ode, args.solution, n_points=args.points)
+    return cmd_corpus(args.path, verify=args.verify)
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    if args.max_degree is not None:
-        set_degree_cap(args.max_degree)
-    if args.verb == "solve":
-        payload, code = cmd_solve(args.ode, verify=args.verify,
-                                  n_points=args.points)
-    elif args.verb == "classify":
-        payload, code = cmd_classify(args.ode)
-    elif args.verb == "verify":
-        payload, code = cmd_verify(args.ode, args.solution,
-                                   n_points=args.points)
-    else:
-        payload, code = cmd_corpus(args.path, verify=args.verify)
+    payload, code = _run(args)
     if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:

@@ -14,9 +14,10 @@ verification:
     extracting the map's scale and the parameters from principal-part
     coefficients, which needs at worst one square root.
 
-A resolver returns the candidates that satisfy the invariant identity.
-reduce_ode runs the reduction they start from, and solve_equivalence turns
-the first candidate into an EquivalenceWitness, whose constructor
+A resolver yields, one at a time and in a fixed order, the candidates
+that satisfy the invariant identity. reduce_ode runs the reduction they
+start from, and solve_equivalence turns the first candidate into an
+EquivalenceWitness, whose constructor
 re-verifies the full coefficient identity of the transformed model
 equation against the input. A witness that exists is therefore always
 correct.
@@ -39,7 +40,6 @@ from .exactalg import (
     GenRatFunc,
     Poly,
     RatFunc,
-    demote_scalar,
     gauss_sqrt,
     integrate_ratfunc,
     laurent_coefficients,
@@ -175,7 +175,7 @@ def double_pole_coefficient(i0, point):
         if gap < 2:
             raise ValueError("infinity is an irregular point")
         if gap == 2:
-            return demote_scalar(i0.num.lc / i0.den.lc)
+            return i0.num.lc / i0.den.lc
         return Fraction(0)
     order = pole_order(i0, point)
     if order > 2:
@@ -194,10 +194,8 @@ def exponent_difference_at(i0, point):
     c2 = double_pole_coefficient(i0, point)
     disc = 1 + 4 * c2
     if isinstance(disc, GaussRat):
-        if disc.im:
-            raise IrrationalExponentDifference(
-                "complex indicial discriminant at %s" % (point,))
-        disc = disc.re
+        raise IrrationalExponentDifference(
+            "complex indicial discriminant at %s" % (point,))
     if disc < 0:
         raise IrrationalExponentDifference(
             "negative indicial discriminant at %s" % (point,))
@@ -230,39 +228,11 @@ def mobius_from_three_points(t0, t1, tinf):
     return m.canonical()
 
 
-def _power_of_x(k):
-    k = Fraction(k)
-    if k.denominator == 1:
-        e = k.numerator
-        if e >= 0:
-            return RatFunc(Poly.from_pairs([(e, Fraction(1))]))
-        return RatFunc(Poly.const(1), Poly.from_pairs([(-e, Fraction(1))]))
-    return GenRatFunc.x_power(k.numerator, k.denominator)
-
-
-def _mobius_of_power(m, k):
-    """The substitution argument F(x) = M(x^k)."""
-    xk = _power_of_x(k)
-    return (xk * m.a + m.b) / (xk * m.c + m.d)
-
-
-def _unwrap(coeff):
-    if isinstance(coeff, GenRatFunc):
-        coeff = coeff.reduce_carrier()
-        if coeff.carrier == 1:
-            return coeff.fn
-    return coeff
-
-
 def _compose_coeff(f, arg):
     """f(arg(x)) where f is rational and arg may carry fractional powers."""
     if isinstance(arg, GenRatFunc):
-        return _unwrap(GenRatFunc(f.compose(arg.fn), arg.carrier))
+        return GenRatFunc(f.compose(arg.fn), arg.carrier)
     return f.compose(arg)
-
-
-def _coeff_eq(a, b):
-    return _unwrap(a) == _unwrap(b)
 
 
 def _pull_back(seed, mobius, k):
@@ -270,23 +240,19 @@ def _pull_back(seed, mobius, k):
 
     Y is any solution of the equation ``seed``.
     """
-    arg = _mobius_of_power(mobius, Fraction(k))
+    k = Fraction(k)
+    xk = GenRatFunc.x_power(k.numerator, k.denominator)
+    arg = (xk * mobius.a + mobius.b) / (xk * mobius.c + mobius.d)
     d1 = arg.deriv()
     pulled = LinearODE(
-        _unwrap(-(d1.deriv() / d1) + _compose_coeff(seed.A, arg) * d1),
-        _unwrap(_compose_coeff(seed.B, arg) * d1 * d1))
+        -(d1.deriv() / d1) + _compose_coeff(seed.A, arg) * d1,
+        _compose_coeff(seed.B, arg) * d1 * d1)
     return arg, pulled
 
 
 # ---------------------------------------------------------------------------
 # gauge multiplier in closed form
 
-
-def _log_exponent(c):
-    c = demote_scalar(c)
-    if isinstance(c, GaussRat):
-        return None
-    return c
 
 def exp_integral_expr(f):
     """exp(integral of f dx) as a product-form expression, f rational.
@@ -297,24 +263,16 @@ def exp_integral_expr(f):
     integral under the exponential. The integration constant is dropped,
     so the result is one multiplier out of the scale class.
     """
+    var = X
     if isinstance(f, GenRatFunc):
-        work = f.reduce_carrier()
-        if work.carrier != 1:
-            carrier = work.carrier
-            # integrate in s = x^(1/carrier): dx = carrier*s^(carrier-1) ds
-            integrand = work.fn * RatFunc(
-                Poly.from_pairs([(carrier - 1, Fraction(carrier))]))
-            return _exp_integral_in(integrand, carrier)
-        f = work.fn
-    return _exp_integral_in(f, 1)
-
-
-def _exp_integral_in(f, carrier):
-    var = X if carrier == 1 else power(X, Fraction(1, carrier))
+        carrier = f.carrier
+        # integrate in s = x^(1/carrier): dx = carrier*s^(carrier-1) ds
+        var = power(X, Fraction(1, carrier))
+        f = f.fn * RatFunc(
+            Poly.from_pairs([(carrier - 1, Fraction(carrier))]))
     if f.is_zero:
         return ONE
-    fallback = Exp(Intg(ratfunc_to_expr(f, var)) if carrier != 1
-                   else Intg(ratfunc_to_expr(f)))
+    fallback = Exp(Intg(ratfunc_to_expr(f, var)))
     if f.den.has_gauss():
         return fallback
     result = integrate_ratfunc(f)
@@ -322,10 +280,9 @@ def _exp_integral_in(f, carrier):
         return fallback
     factors = []
     for g, c in result.logarithms:
-        e = _log_exponent(c)
-        if e is None:
+        if isinstance(c, GaussRat):
             return fallback
-        factors.append(power(poly_to_expr(g, var), e))
+        factors.append(power(poly_to_expr(g, var), c))
     arg_terms = []
     if not result.polynomial_part.is_zero:
         arg_terms.append(poly_to_expr(result.polynomial_part, var))
@@ -363,14 +320,12 @@ class EquivalenceWitness:
         self.input_ode = input_ode
         self.seed = seed_ode(class_kind, self.params)
         arg, pulled = _pull_back(self.seed, mobius, self.k)
-        gpp = _unwrap((pulled.A - input_ode.A) / 2)
-        gauged = apply_gauge(input_ode, gpp)
-        if not (_coeff_eq(gauged.A, pulled.A)
-                and _coeff_eq(gauged.B, pulled.B)):
+        gpp = (pulled.A - input_ode.A) / 2
+        if apply_gauge(input_ode, gpp) != pulled:
             raise WitnessRejected(
                 "the transformed %s equation does not match the input"
                 % class_kind)
-        self.argument = _unwrap(arg)
+        self.argument = arg
         self.gauge_log_derivative = gpp
         self.gauge = exp_integral_expr(gpp)
 
@@ -398,7 +353,7 @@ def _sort_point(p):
 
 
 def resolve_2F1(i0, pr):
-    """All full-model candidates for a reduced invariant.
+    """Yield the full-model candidates for a reduced invariant.
 
     Visible singular points (rational poles plus infinity when it is
     singular) are assigned to the preimages of {0, 1, infinity}; a model
@@ -408,7 +363,7 @@ def resolve_2F1(i0, pr):
     infinity), then larger exponent differences first.
     """
     if pr.has_irrational_points:
-        return []
+        return
     finite = [loc for loc, _ in pr.finite_points]
     gap = pr.point_at_infinity_order
     inf_singular = gap <= 3
@@ -427,7 +382,7 @@ def resolve_2F1(i0, pr):
                 slots.insert(hole, spare)
                 assignments.append(tuple(slots))
     else:
-        return []
+        return
     diffs = {}
     for p in visible:
         diffs[p] = exponent_difference_at(i0, p)
@@ -442,7 +397,6 @@ def resolve_2F1(i0, pr):
                 (-diff_of(t0), -diff_of(t1), -diff_of(tinf)),
                 tuple(_sort_point(p) for p in slots))
 
-    out = []
     for t0, t1, tinf in sorted(assignments, key=order_key):
         shape = ExponentDifferences(diff_of(t0), diff_of(t1), diff_of(tinf))
         params = shape.parameters()
@@ -451,8 +405,7 @@ def resolve_2F1(i0, pr):
                 "negative exponent difference at infinity: %r" % (params,))
         m = mobius_from_three_points(t0, t1, tinf)
         if transform_invariant(seed_invariant("2F1", params), m) == i0:
-            out.append(Candidate("2F1", m, params))
-    return out
+            yield Candidate("2F1", m, params)
 
 
 def _confluent_positions(pr, irregular_order, infinity_gap):
@@ -480,27 +433,24 @@ def _confluent_positions(pr, irregular_order, infinity_gap):
 
 
 def _scale_root(value):
-    value = demote_scalar(value)
     root = gauss_sqrt(value)
     if root is None:
         raise UnsupportedParameterField(
             "the map's scale parameter lies outside the Gaussian rationals")
-    return demote_scalar(root)
+    return root
 
 
 def _scale_mobius(theta, t_irr, t_reg):
     """The map theta * (t - t_reg) / (t - t_irr) with INF conventions."""
     if t_irr is INF:
-        return Mobius(theta, demote_scalar(-theta * t_reg),
-                      Fraction(0), Fraction(1))
+        return Mobius(theta, -theta * t_reg, Fraction(0), Fraction(1))
     if t_reg is INF:
         return Mobius(Fraction(0), theta, Fraction(1), -t_irr)
-    return Mobius(theta, demote_scalar(-theta * t_reg),
-                  Fraction(1), -t_irr)
+    return Mobius(theta, -theta * t_reg, Fraction(1), -t_irr)
 
 
 def resolve_1F1(i0, pr):
-    """All candidates of the first confluent model.
+    """Yield the candidates of the first confluent model.
 
     The irregular model point has pole order 4 after transformation (or
     sits at infinity when numerator and denominator degrees agree), the
@@ -510,11 +460,11 @@ def resolve_1F1(i0, pr):
     """
     spots = _confluent_positions(pr, 4, 0)
     if spots is None:
-        return []
+        return
     t_irr, t_reg = spots
     d = exponent_difference_at(i0, t_reg)
     if t_irr is INF:
-        theta_sq = 4 * demote_scalar(i0.num.lc / i0.den.lc)
+        theta_sq = 4 * i0.num.lc / i0.den.lc
 
         def linear_of(theta):
             return residue_at(i0, t_reg) / theta
@@ -532,23 +482,21 @@ def resolve_1F1(i0, pr):
                 return nxt / (theta * (t_irr - t_reg))
 
     theta = _scale_root(theta_sq)
-    out = []
     seen = set()
     for c in (1 + d, 1 - d):
         if c in seen:
             continue
         seen.add(c)
-        for th in (theta, demote_scalar(-theta)):
-            a = demote_scalar(linear_of(th) + Fraction(c) / 2)
+        for th in (theta, -theta):
+            a = linear_of(th) + Fraction(c) / 2
             params = {"a": a, "c": c}
             m = _scale_mobius(th, t_irr, t_reg)
             if transform_invariant(seed_invariant("1F1", params), m) == i0:
-                out.append(Candidate("1F1", m, params))
-    return out
+                yield Candidate("1F1", m, params)
 
 
 def resolve_0F1(i0, pr):
-    """All candidates of the doubly confluent model.
+    """Yield the candidates of the doubly confluent model.
 
     Same layout as the first confluent model with irregular pole order 3
     (or a degree gap of one at infinity); the scale parameter is linear in
@@ -556,7 +504,7 @@ def resolve_0F1(i0, pr):
     """
     spots = _confluent_positions(pr, 3, 1)
     if spots is None:
-        return []
+        return
     t_irr, t_reg = spots
     d = exponent_difference_at(i0, t_reg)
     if t_irr is INF:
@@ -568,18 +516,16 @@ def resolve_0F1(i0, pr):
         else:
             theta = lead / (t_irr - t_reg)
     if not theta:
-        return []
-    out = []
+        return
     seen = set()
     for c in (1 + d, 1 - d):
         if c in seen:
             continue
         seen.add(c)
         params = {"c": c}
-        m = _scale_mobius(demote_scalar(theta), t_irr, t_reg)
+        m = _scale_mobius(theta, t_irr, t_reg)
         if transform_invariant(seed_invariant("0F1", params), m) == i0:
-            out.append(Candidate("0F1", m, params))
-    return out
+            yield Candidate("0F1", m, params)
 
 
 _RESOLVERS = {"2F1": resolve_2F1, "1F1": resolve_1F1, "0F1": resolve_0F1}
@@ -632,13 +578,14 @@ def solve_equivalence(ode):
     stashed = None
     for cand in red.candidates:
         try:
-            found = _RESOLVERS[cand.class_kind](red.i0, red.profile)
+            found = next(_RESOLVERS[cand.class_kind](red.i0, red.profile),
+                         None)
         except (IrrationalExponentDifference, UnsupportedParameterField) as e:
             if stashed is None:
                 stashed = e
             continue
-        if found:
-            kind, m, params = found[0]
+        if found is not None:
+            kind, m, params = found
             return EquivalenceWitness(kind, red.k, m, params, ode)
     if stashed is not None:
         raise stashed
@@ -659,5 +606,4 @@ def transformed_seed_ode(class_kind, params, mobius, k=1,
     _, pulled = _pull_back(seed_ode(class_kind, params), mobius, k)
     if gauge_log_derivative is None:
         return pulled
-    gauged = apply_gauge(pulled, -gauge_log_derivative)
-    return LinearODE(_unwrap(gauged.A), _unwrap(gauged.B))
+    return apply_gauge(pulled, -gauge_log_derivative)

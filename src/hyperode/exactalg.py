@@ -16,6 +16,11 @@ remainder sequence on the stored numerators (content and primitive part,
 von zur Gathen and Gerhard, Modern Computer Algebra, ch. 6). Fractions
 and GaussRats appear only where a caller reads a coefficient.
 
+The value types above Poly have one form each, fixed when they are built:
+a real scalar is always a Fraction (GaussRat(a, 0) is Fraction(a)), and
+a GenRatFunc whose carrier reduces to 1 is built as the RatFunc it
+equals. No caller converts a result back.
+
 Two guards bound every polynomial: its degree may not exceed
 degree_cap() (DegreeOverflow), and no numerator or denominator may be
 longer than COEFF_BITS bits (CoefficientOverflow).
@@ -47,73 +52,70 @@ def degree_cap():
 
 
 class GaussRat:
-    """A Gaussian rational a + b*i with Fraction components.
+    """A Gaussian rational a + b*i with Fraction parts and b nonzero.
 
-    Interoperates with int and Fraction on both sides of every operator,
-    so mixed-field polynomial arithmetic needs no explicit lifting.
+    A real value has one representation, the Fraction: GaussRat(a, 0)
+    returns Fraction(a), and so does every operator whose imaginary part
+    cancels. Interoperates with int and Fraction on both sides of every
+    operator, so mixed-field polynomial arithmetic needs no explicit
+    lifting.
     """
 
     __slots__ = ("re", "im")
 
-    def __init__(self, re=0, im=0):
+    def __new__(cls, re=0, im=0):
+        im = Fraction(im)
+        if not im:
+            return Fraction(re)
+        self = object.__new__(cls)
         self.re = Fraction(re)
-        self.im = Fraction(im)
+        self.im = im
+        return self
 
     def norm(self):
         return self.re * self.re + self.im * self.im
 
-    @staticmethod
-    def _coerce(other):
-        if isinstance(other, GaussRat):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return GaussRat(other)
-        return None
-
     def __add__(self, other):
-        o = self._coerce(other)
+        o = _parts(other)
         if o is None:
             return NotImplemented
-        return GaussRat(self.re + o.re, self.im + o.im)
+        return GaussRat(self.re + o[0], self.im + o[1])
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = _parts(other)
         if o is None:
             return NotImplemented
-        return GaussRat(self.re - o.re, self.im - o.im)
+        return GaussRat(self.re - o[0], self.im - o[1])
 
     def __rsub__(self, other):
-        o = self._coerce(other)
+        o = _parts(other)
         if o is None:
             return NotImplemented
-        return GaussRat(o.re - self.re, o.im - self.im)
+        return GaussRat(o[0] - self.re, o[1] - self.im)
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = _parts(other)
         if o is None:
             return NotImplemented
-        return GaussRat(self.re * o.re - self.im * o.im,
-                        self.re * o.im + self.im * o.re)
+        re, im = o
+        return GaussRat(self.re * re - self.im * im,
+                        self.re * im + self.im * re)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
+        o = _parts(other)
         if o is None:
             return NotImplemented
-        n = o.norm()
-        if n == 0:
-            raise ZeroDivisionError("division by zero Gaussian rational")
-        return GaussRat((self.re * o.re + self.im * o.im) / n,
-                        (self.im * o.re - self.re * o.im) / n)
+        return _gauss_div(self.re, self.im, *o)
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
+        o = _parts(other)
         if o is None:
             return NotImplemented
-        return o.__truediv__(self)
+        return _gauss_div(*o, self.re, self.im)
 
     def __neg__(self):
         return GaussRat(-self.re, -self.im)
@@ -125,8 +127,8 @@ class GaussRat:
         if not isinstance(exp, int):
             return NotImplemented
         if exp < 0:
-            return (GaussRat(1) / self) ** (-exp)
-        out = GaussRat(1)
+            return (1 / self) ** (-exp)
+        out = Fraction(1)
         base = self
         while exp:
             if exp & 1:
@@ -137,19 +139,11 @@ class GaussRat:
         return out
 
     def __eq__(self, other):
-        if isinstance(other, GaussRat):
-            return self.re == other.re and self.im == other.im
-        if isinstance(other, (int, Fraction)):
-            return self.im == 0 and self.re == other
-        return NotImplemented
+        return (isinstance(other, GaussRat) and self.re == other.re
+                and self.im == other.im)
 
     def __hash__(self):
-        if self.im == 0:
-            return hash(self.re)
         return hash((self.re, self.im))
-
-    def __bool__(self):
-        return bool(self.re) or bool(self.im)
 
     def __complex__(self):
         return complex(float(self.re), float(self.im))
@@ -158,19 +152,27 @@ class GaussRat:
         return "GaussRat(%s, %s)" % (self.re, self.im)
 
     def __str__(self):
-        if self.im == 0:
-            return str(self.re)
         if self.re == 0:
             return "%s*i" % (self.im,)
         sign = "+" if self.im > 0 else "-"
         return "%s%s%s*i" % (self.re, sign, abs(self.im))
 
 
-def demote_scalar(c):
-    """Collapse a real GaussRat back to a Fraction; pass others through."""
-    if isinstance(c, GaussRat) and c.im == 0:
-        return c.re
-    return c
+def _parts(c):
+    """(real part, imaginary part) of an exact scalar, else None."""
+    if isinstance(c, GaussRat):
+        return c.re, c.im
+    if isinstance(c, (int, Fraction)):
+        return c, 0
+    return None
+
+
+def _gauss_div(a, b, c, d):
+    """(a + b*i) / (c + d*i) for rational parts."""
+    n = c * c + d * d
+    if n == 0:
+        raise ZeroDivisionError("division by zero Gaussian rational")
+    return GaussRat((a * c + b * d) / n, (b * c - a * d) / n)
 
 
 def _scalar_parts(c):
@@ -969,57 +971,55 @@ def _as_ratfunc(other):
 class GenRatFunc:
     """Rational function of a fractional power carrier.
 
-    Represents f(x) = fn(x^(1/carrier)) with fn a RatFunc. carrier == 1
-    reduces to an ordinary rational function. Supports just enough
-    arithmetic for normal form and invariant work on equations whose
-    coefficients involve fractional powers of x.
+    Represents f(x) = fn(x^(1/carrier)) with fn a RatFunc. The carrier is
+    reduced when the value is built: the constructor divides it and the
+    exponents of fn by their gcd, and returns fn itself, a RatFunc, when
+    the carrier comes out as 1. A GenRatFunc therefore always has
+    carrier >= 2 and gcd(fn.exponent_gcd(), carrier) == 1, so equal
+    values have equal parts. Supports just enough arithmetic, mixed
+    freely with RatFunc and scalars, for normal form and invariant work
+    on equations whose coefficients involve fractional powers of x.
     """
 
     __slots__ = ("fn", "carrier")
 
-    def __init__(self, fn, carrier=1):
+    # a zero value comes out of the constructor as a RatFunc
+    is_zero = False
+
+    def __new__(cls, fn, carrier):
         if carrier < 1:
             raise ValueError("carrier must be a positive integer")
-        self.fn = _as_ratfunc(fn)
+        fn = _as_ratfunc(fn)
+        g = gcd(fn.exponent_gcd(), carrier)
+        if g > 1:
+            fn = fn.compress_power(g)
+            carrier //= g
+        if carrier == 1:
+            return fn
+        self = object.__new__(cls)
+        self.fn = fn
         self.carrier = int(carrier)
-
-    @classmethod
-    def const(cls, c):
-        return cls(RatFunc.const(c), 1)
+        return self
 
     @classmethod
     def x_power(cls, num, den):
-        """x^(num/den) as a carrier function."""
+        """x^(num/den): a RatFunc when den divides num."""
         if num < 0:
             return cls(RatFunc(Poly.const(1),
                                Poly.from_pairs([(-num, Fraction(1))])), den)
         return cls(RatFunc(Poly.from_pairs([(num, Fraction(1))])), den)
 
-    @staticmethod
-    def _align(a, b):
-        b = a._coerce(b)
-        if b is NotImplemented:
-            return None, None
-        la, lb = a.carrier, b.carrier
-        g = gcd(la, lb)
-        lcm = la // g * lb
-        fa = a.fn.substitute_power(lcm // la)
-        fb = b.fn.substitute_power(lcm // lb)
-        return GenRatFunc(fa, lcm), GenRatFunc(fb, lcm)
-
-    @staticmethod
-    def _coerce(other):
-        if isinstance(other, GenRatFunc):
-            return other
-        if isinstance(other, (RatFunc, Poly, int, Fraction, GaussRat)):
-            return GenRatFunc(_as_ratfunc(other), 1)
-        return NotImplemented
-
     def _binop(self, other, op):
-        a, b = self._align(self, other)
-        if a is None:
-            return NotImplemented
-        return GenRatFunc(op(a.fn, b.fn), a.carrier).reduce_carrier()
+        if isinstance(other, GenRatFunc):
+            fn, carrier = other.fn, other.carrier
+        else:
+            fn, carrier = _as_ratfunc(other), 1
+            if fn is NotImplemented:
+                return NotImplemented
+        # both as rational functions of x^(1/L), L the common carrier
+        common = lcm(self.carrier, carrier)
+        return GenRatFunc(op(self.fn.substitute_power(common // self.carrier),
+                             fn.substitute_power(common // carrier)), common)
 
     def __add__(self, other):
         return self._binop(other, lambda x, y: x + y)
@@ -1047,46 +1047,21 @@ class GenRatFunc:
         return GenRatFunc(-self.fn, self.carrier)
 
     def __pow__(self, exp):
-        return GenRatFunc(self.fn ** exp, self.carrier).reduce_carrier()
+        return GenRatFunc(self.fn ** exp, self.carrier)
 
     def __eq__(self, other):
-        a, b = self._align(self, other)
-        if a is None:
-            return NotImplemented
-        return a.fn == b.fn
+        return (isinstance(other, GenRatFunc)
+                and self.carrier == other.carrier and self.fn == other.fn)
 
     def __hash__(self):
-        r = self.reduce_carrier()
-        return hash((r.fn, r.carrier))
-
-    @property
-    def is_zero(self):
-        return self.fn.is_zero
+        return hash((self.fn, self.carrier))
 
     def deriv(self):
         """d/dx of fn(x^(1/L)): chain rule through the carrier."""
-        if self.carrier == 1:
-            return GenRatFunc(self.fn.deriv(), 1)
-        inner = self.fn.deriv()
         # d sigma / dx = (1/L) sigma^(1-L)
         chain = RatFunc(Poly.const(Fraction(1, self.carrier)),
                         Poly.from_pairs([(self.carrier - 1, Fraction(1))]))
-        return GenRatFunc(inner * chain, self.carrier).reduce_carrier()
-
-    def reduce_carrier(self):
-        """Shrink the carrier when every exponent permits it."""
-        if self.carrier == 1:
-            return self
-        g = gcd(self.fn.exponent_gcd(), self.carrier)
-        if g <= 1:
-            return self
-        return GenRatFunc(self.fn.compress_power(g), self.carrier // g)
-
-    def as_ratfunc(self):
-        r = self.reduce_carrier()
-        if r.carrier != 1:
-            raise ValueError("fractional carrier %d remains" % r.carrier)
-        return r.fn
+        return GenRatFunc(self.fn.deriv() * chain, self.carrier)
 
     def __repr__(self):
         return "GenRatFunc(%r, %d)" % (self.fn, self.carrier)
@@ -1208,9 +1183,6 @@ def gauss_sqrt(z):
             if r is not None:
                 return GaussRat(0, r)
         return None
-    if z.im == 0:
-        r = gauss_sqrt(z.re)
-        return r if r is None or isinstance(r, GaussRat) else GaussRat(r)
     n2 = rational_sqrt(z.norm())
     if n2 is None:
         return None
@@ -1309,15 +1281,7 @@ def split_quadratic_gauss(p):
     w = gauss_sqrt(disc)
     if w is None:
         return None
-    r1 = (-b + w) / 2
-    r2 = (-b - w) / 2
-    return demote_scalar(_as_scalar_root(r1)), demote_scalar(_as_scalar_root(r2))
-
-
-def _as_scalar_root(v):
-    if isinstance(v, GaussRat):
-        return v
-    return Fraction(v)
+    return (-b + w) / 2, (-b - w) / 2
 
 
 def laurent_coefficients(f, r, mult, count):
@@ -1328,8 +1292,7 @@ def laurent_coefficients(f, r, mult, count):
     (x - r)^(-mult) term.
     """
     num, den = f.num, f.den
-    lin = Poly((-r, Fraction(1) if not isinstance(r, GaussRat)
-                else GaussRat(1)))
+    lin = Poly((-r, 1))
     d1 = den
     for _ in range(mult):
         q, rem = divmod(d1, lin)
@@ -1346,8 +1309,7 @@ def laurent_coefficients(f, r, mult, count):
     d0 = taylor_d[0]
     for k in range(count):
         if k == 0:
-            inv.append((1 / d0) if not isinstance(d0, GaussRat)
-                       else GaussRat(1) / d0)
+            inv.append(1 / d0)
             continue
         acc = Fraction(0)
         for j in range(1, k + 1):
@@ -1358,7 +1320,7 @@ def laurent_coefficients(f, r, mult, count):
         acc = Fraction(0)
         for j in range(k + 1):
             acc = acc + taylor_n[j] * inv[k - j]
-        out.append(demote_scalar(acc))
+        out.append(acc)
     return out
 
 
@@ -1373,8 +1335,7 @@ def residue_at(f, r):
 
 def pole_order(f, r):
     """Order of the pole of f at r (0 when f is finite there)."""
-    lin = Poly((-r, Fraction(1) if not isinstance(r, GaussRat)
-                else GaussRat(1)))
+    lin = Poly((-r, 1))
     d = f.den
     order = 0
     while True:
@@ -1401,8 +1362,7 @@ def _poly_ext_gcd(a, b):
         t0, t1 = t1, t0 - q * t1
     if r0.is_zero:
         raise ValueError("extended gcd of two zero polynomials")
-    lc = r0.lc
-    inv = (GaussRat(1) / lc) if isinstance(lc, GaussRat) else (1 / lc)
+    inv = 1 / r0.lc
     return r0 * inv, s0 * inv, t0 * inv
 
 
@@ -1484,21 +1444,18 @@ def integrate_ratfunc(f):
         if w.is_zero:
             continue
         if g.degree == 1:
-            logs.append((g, demote_scalar(w.coeff(0))))
+            logs.append((g, w.coeff(0)))
             continue
         gp = g.deriv()
         lcq = w.lc / gp.lc
         if gp * lcq == w:
-            logs.append((g, demote_scalar(lcq)))
+            logs.append((g, lcq))
             continue
         if g.degree == 2:
             split = split_quadratic_gauss(g)
             if split is not None:
                 for root in split:
-                    res = w(root) / gp(root)
-                    one = GaussRat(1) if isinstance(root, GaussRat) \
-                        else Fraction(1)
-                    logs.append((Poly((-root, one)), demote_scalar(res)))
+                    logs.append((Poly((-root, 1)), w(root) / gp(root)))
                 continue
         exact = False
     return IntegrationResult(poly_int, rational_part, tuple(logs), exact)

@@ -17,13 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .exactalg import (
-    GaussRat,
-    GenRatFunc,
-    Poly,
-    RatFunc,
-    demote_scalar,
-)
+from .exactalg import GaussRat, GenRatFunc, Poly, RatFunc
 from .odeio import LinearODE
 
 
@@ -42,6 +36,9 @@ class _Infinity:
 
 
 INF = _Infinity()
+
+# x^2, the factor between an invariant and its shifted invariant
+_X_SQUARED = RatFunc(Poly.x() ** 2)
 
 
 @dataclass(frozen=True)
@@ -77,11 +74,11 @@ class Mobius:
         if v is INF:
             if not self.c:
                 return INF
-            return demote_scalar(self.a / self.c)
+            return self.a / self.c
         den = self.c * v + self.d
         if not den:
             return INF
-        return demote_scalar((self.a * v + self.b) / den)
+        return (self.a * v + self.b) / den
 
     def inverse(self):
         return Mobius(self.d, -self.b, -self.c, self.a)
@@ -101,12 +98,10 @@ class Mobius:
         first nonzero entry is 1.
         """
         entries = (self.a, self.b, self.c, self.d)
-        if any(isinstance(e, GaussRat) and e.im != 0 for e in entries):
+        if any(isinstance(e, GaussRat) for e in entries):
             lead = next(e for e in entries if e)
-            scaled = tuple(demote_scalar(e / lead) for e in entries)
-            return Mobius(*scaled)
-        fracs = [Fraction(e) if not isinstance(e, GaussRat) else e.re
-                 for e in entries]
+            return Mobius(*(e / lead for e in entries))
+        fracs = [Fraction(e) for e in entries]
         denlcm = 1
         for f in fracs:
             denlcm = denlcm * f.denominator // gcd(denlcm, f.denominator)
@@ -149,25 +144,12 @@ class GenInvariant:
     base_exponent_denominator: int
     carrier: RatFunc
 
-    @property
-    def N(self):
-        return self.base_exponent_denominator
-
 
 def to_normal_form(ode):
     """Invariant and gauge data of a linear ODE; exact in all fields."""
     a, b = ode.A, ode.B
     i = a.deriv() / 2 + a * a * Fraction(1, 4) - b
-    if isinstance(i, GenRatFunc):
-        i = i.reduce_carrier()
-        if i.carrier == 1:
-            i = i.fn
-    gauge = -a / 2
-    if isinstance(gauge, GenRatFunc):
-        gauge = gauge.reduce_carrier()
-        if gauge.carrier == 1:
-            gauge = gauge.fn
-    return NormalizedODE(i, gauge)
+    return NormalizedODE(i, -a / 2)
 
 
 def schwarzian(f):
@@ -200,10 +182,7 @@ def apply_power_to_ratfunc(f, k):
     else:
         inner = RatFunc(Poly.const(1), Poly.from_pairs([(-p, Fraction(1))]))
         composed = f.compose(inner)
-    if q == 1:
-        return composed
-    out = GenRatFunc(composed, q).reduce_carrier()
-    return out.fn if out.carrier == 1 else out
+    return GenRatFunc(composed, q)
 
 
 def transform_invariant(i0, f):
@@ -222,37 +201,20 @@ def transform_invariant(i0, f):
     p, q = k.numerator, k.denominator
     shifted = apply_power_to_ratfunc(i0, k)
     # F'^2 = k^2 x^(2k-2)
-    e = 2 * k - 2
-    if e.denominator == 1:
-        xfac = _x_power_ratfunc(e.numerator)
-    else:
-        xfac = GenRatFunc.x_power(2 * (p - q), q)
-    out = shifted * xfac * (k * k) + schwarzian(k)
-    if isinstance(out, GenRatFunc):
-        out = out.reduce_carrier()
-        if out.carrier == 1:
-            return out.fn
-    return out
-
-
-def _x_power_ratfunc(e):
-    if e >= 0:
-        return RatFunc(Poly.from_pairs([(e, Fraction(1))]))
-    return RatFunc(Poly.const(1), Poly.from_pairs([(-e, Fraction(1))]))
+    xfac = GenRatFunc.x_power(2 * (p - q), q)
+    return shifted * xfac * (k * k) + schwarzian(k)
 
 
 def shifted_invariant(i):
     """J = x^2 I + 1/4 as a GenInvariant with minimal carrier."""
     if isinstance(i, GenInvariant):
         return i
-    if isinstance(i, RatFunc):
-        j = _x_power_ratfunc(2) * i + Fraction(1, 4)
-        return GenInvariant(1, j)
-    if isinstance(i, GenRatFunc):
-        x2 = GenRatFunc(_x_power_ratfunc(2), 1)
-        j = (x2 * i + Fraction(1, 4)).reduce_carrier()
+    if not isinstance(i, (RatFunc, GenRatFunc)):
+        raise TypeError("expected an invariant, got %r" % (i,))
+    j = _X_SQUARED * i + Fraction(1, 4)
+    if isinstance(j, GenRatFunc):
         return GenInvariant(j.carrier, j.fn)
-    raise TypeError("expected an invariant, got %r" % (i,))
+    return GenInvariant(1, j)
 
 
 def minimize_power_exponents(j1):
@@ -282,7 +244,7 @@ def minimize_power_exponents(j1):
 
 def invariant_from_shifted(j0):
     """I0 = (J0 - 1/4) / x^2, inverse of the shift at the reduced stage."""
-    return (j0 - Fraction(1, 4)) / _x_power_ratfunc(2)
+    return (j0 - Fraction(1, 4)) / _X_SQUARED
 
 
 def apply_gauge(ode, log_deriv):

@@ -44,18 +44,9 @@ _GAUSS_DISC = 0.8
 _POLE_GUARD = 1e-9
 
 
-def _as_complex(s):
-    """Complex value of an exact scalar (int, Fraction, or GaussRat)."""
-    if isinstance(s, GaussRat):
-        return complex(float(s.re), float(s.im))
-    return complex(float(s), 0.0)
-
-
 def _nonpositive_int(s):
     if isinstance(s, GaussRat):
-        if s.im:
-            return None
-        s = s.re
+        return None
     s = Fraction(s)
     if s.denominator != 1 or s > 0:
         return None
@@ -74,8 +65,8 @@ def pfq_terms(upper, lower, z):
     a series that an upper parameter -n ends after term n stops there
     even when a lower parameter reaches 0 at the same step.
     """
-    up = [_as_complex(u) for u in upper]
-    lo = [_as_complex(l) for l in lower]
+    up = [complex(u) for u in upper]
+    lo = [complex(l) for l in lower]
     zc = complex(z)
     term = complex(1.0, 0.0)
     k = 0
@@ -144,9 +135,7 @@ def _legendre_value(kind, degree, z):
     by the symbolic differentiation rule.
     """
     if isinstance(degree, GaussRat):
-        if degree.im:
-            raise EvalDiverged("nonreal Legendre degree %s" % (degree,))
-        degree = degree.re
+        raise EvalDiverged("nonreal Legendre degree %s" % (degree,))
     v = Fraction(degree)
     if kind == "P":
         return eval_pfq("2F1", (v + 1, -v), (Fraction(1),), (1 - z) / 2)
@@ -179,7 +168,7 @@ def eval_expr(s, z):
 
 def _ev(e, z):
     if isinstance(e, Num):
-        return _as_complex(e.value)
+        return complex(e.value)
     if isinstance(e, Sym):
         return z
     if isinstance(e, Const):
@@ -260,7 +249,7 @@ def _poly_roots(p):
     1e-12 range is plenty: roots only steer the sampler away from
     singular points, they never enter a reported value.
     """
-    cs = [_as_complex(c) for c in p.coeffs]
+    cs = [complex(c) for c in p.coeffs]
     n = len(cs) - 1
     if n <= 0:
         return []
@@ -287,15 +276,9 @@ def _poly_roots(p):
 
 
 def _coeff_singularities(f):
-    out = []
     if isinstance(f, GenRatFunc):
-        g = f.reduce_carrier()
-        out.append(complex(0.0, 0.0))
-        for r in _poly_roots(g.fn.den):
-            out.append(r ** g.carrier)
-    else:
-        out.extend(_poly_roots(f.den))
-    return out
+        return [0j] + [r ** f.carrier for r in _poly_roots(f.fn.den)]
+    return _poly_roots(f.den)
 
 
 def _singular_points(ode):

@@ -19,7 +19,6 @@ from .exactalg import (
     GenRatFunc,
     Poly,
     RatFunc,
-    demote_scalar,
 )
 
 Scalar = Union[Fraction, GaussRat]
@@ -29,9 +28,11 @@ Scalar = Union[Fraction, GaussRat]
 class LinearODE:
     """y'' + A y' + B y = 0 with reduced rational coefficients.
 
-    A and B are RatFunc in the ordinary case. Inputs containing x^(p/q)
-    literals carry GenRatFunc coefficients instead, and downstream code
-    routes them through the generalized invariant path.
+    A and B are RatFunc in the ordinary case. A coefficient that keeps a
+    fractional power of x, from an x^(p/q) literal or a pullback through
+    M(x^k), is a GenRatFunc instead, so the two may be of mixed types;
+    downstream code routes such equations through the generalized
+    invariant path.
     """
 
     A: object
@@ -119,7 +120,6 @@ ONE = Num(Fraction(1))
 def num(v):
     if isinstance(v, int):
         v = Fraction(v)
-    v = demote_scalar(v)
     return Num(v)
 
 
@@ -275,8 +275,8 @@ def _lower_param_degenerate(lower):
 
 def hyp(kind, upper, lower, arg, degenerate=False):
     nu, nl = _ARITY[kind]
-    upper = tuple(demote_scalar(u) for u in upper)
-    lower = tuple(demote_scalar(l) for l in lower)
+    upper = tuple(upper)
+    lower = tuple(lower)
     if len(upper) != nu or len(lower) != nl:
         raise ValueError("bad %s arity: %d upper, %d lower"
                          % (kind, len(upper), len(lower)))
@@ -292,8 +292,7 @@ def hyp(kind, upper, lower, arg, degenerate=False):
 def legendre(kind, degree, arg):
     if kind not in ("P", "Q"):
         raise ValueError("Legendre kind must be P or Q")
-    return Leg(kind, demote_scalar(Fraction(degree)
-                                   if isinstance(degree, int) else degree),
+    return Leg(kind, Fraction(degree) if isinstance(degree, int) else degree,
                arg)
 
 
@@ -326,13 +325,9 @@ def poly_to_expr(p, var=None):
 
 
 def ratfunc_to_expr(f, var=None):
-    if isinstance(f, GenRatFunc):
-        g = f.reduce_carrier()
-        if g.carrier == 1:
-            return ratfunc_to_expr(g.fn, var)
-        inner = X if var is None else var
-        return ratfunc_to_expr(g.fn, power(inner, Fraction(1, g.carrier)))
     var = X if var is None else var
+    if isinstance(f, GenRatFunc):
+        return ratfunc_to_expr(f.fn, power(var, Fraction(1, f.carrier)))
     if f.is_zero:
         return ZERO
     top = poly_to_expr(f.num, var)
@@ -449,7 +444,7 @@ class _LinForm:
     __slots__ = ("free", "ys")
 
     def __init__(self, free=None, ys=None):
-        self.free = GenRatFunc.const(0) if free is None else free
+        self.free = RatFunc.const(0) if free is None else free
         self.ys = ys or {}
 
     @property
@@ -534,7 +529,7 @@ class _OdeParser:
                     self.ts.fail("cannot divide by an expression containing y")
                 if rhs.free.is_zero:
                     self.ts.fail("division by zero")
-                acc = acc.scaled(GenRatFunc.const(1) / rhs.free)
+                acc = acc.scaled(1 / rhs.free)
             else:
                 return acc
 
@@ -583,15 +578,15 @@ class _OdeParser:
             ts.expect(")", "')'")
             return inner
         if kind == "num":
-            return _LinForm(GenRatFunc.const(Fraction(int(val))))
+            return _LinForm(RatFunc.const(int(val)))
         if kind == "name":
             if val == "x":
-                return _LinForm(GenRatFunc(RatFunc.x(), 1))
+                return _LinForm(RatFunc.x())
             if val == "y":
                 order = 0
                 while ts.accept("prime"):
                     order += 1
-                return _LinForm(ys={order: GenRatFunc.const(1)})
+                return _LinForm(ys={order: RatFunc.const(1)})
             raise ParseError("unknown symbol %r in an ODE" % val, pos)
         if kind == "-":
             return -self.base()
@@ -614,12 +609,8 @@ def parse_ode(text):
         raise UnsupportedEquation("inhomogeneous equation")
     a = form.ys.get(1)
     b = form.ys.get(0)
-    a = (a / lead) if a is not None else GenRatFunc.const(0)
-    b = (b / lead) if b is not None else GenRatFunc.const(0)
-    a = a.reduce_carrier()
-    b = b.reduce_carrier()
-    if a.carrier == 1 and b.carrier == 1:
-        return LinearODE(a.fn, b.fn)
+    a = (a / lead) if a is not None else RatFunc.const(0)
+    b = (b / lead) if b is not None else RatFunc.const(0)
     return LinearODE(a, b)
 
 
@@ -736,8 +727,7 @@ class _ExprParser:
                 raise ParseError("unsupported hypergeom shape %s" % (shape,),
                                  pos)
             return hyp(kinds[shape], upper, lower, arg,
-                       degenerate=_lower_param_degenerate(
-                           tuple(demote_scalar(l) for l in lower)))
+                       degenerate=_lower_param_degenerate(lower))
         if val in ("LegendreP", "LegendreQ"):
             ts.expect("(", "'('")
             deg = self.scalar("degree")
@@ -760,8 +750,6 @@ def parse_solution(text):
 def format_exact(v):
     """Render a Fraction or GaussRat as re-parseable text."""
     if isinstance(v, GaussRat):
-        if v.im == 0:
-            return str(v.re)
         if v.re == 0:
             im = v.im
             if im == 1:
@@ -789,7 +777,7 @@ def _is_atom(e):
 
 def _scalar_is_simple(v):
     if isinstance(v, GaussRat):
-        return v.im == 0 and v.re >= 0 and v.re.denominator == 1
+        return False
     return v >= 0 and v.denominator == 1
 
 
@@ -940,8 +928,7 @@ def differentiate_expr(e):
                           degenerate=e.degenerate)
         else:
             c, = e.lower
-            factor = num(Fraction(1) / c if not isinstance(c, GaussRat)
-                         else GaussRat(1) / c)
+            factor = num(1 / c)
             shifted = hyp("0F1", (), (c + 1,), e.arg,
                           degenerate=e.degenerate)
         return mul(factor, shifted, da)

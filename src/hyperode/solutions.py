@@ -63,9 +63,7 @@ class SolutionPair:
 
 
 def _is_integer(v):
-    if isinstance(v, GaussRat):
-        return v.im == 0 and v.re.denominator == 1
-    return Fraction(v).denominator == 1
+    return not isinstance(v, GaussRat) and Fraction(v).denominator == 1
 
 
 def seed_solutions(class_kind, params):

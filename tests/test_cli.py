@@ -86,6 +86,14 @@ class TestSolve:
         assert "skipped" in payload["residuals"]["y2"]
         assert payload["residuals"]["passes"] is True
 
+    def test_no_sample_points_is_no_verdict(self, capsys):
+        # neither member holds an integral, so neither may be skipped
+        code = main(["--json", "solve", "--verify", "--points", "0",
+                     "y'' + x*y = 0"])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 1
+        assert out["error"]["type"] == "verification_impossible"
+
     def test_deterministic_payload_without_timing(self):
         a, _ = cmd_solve(WORKED_ODE, verify=True)
         b, _ = cmd_solve(WORKED_ODE, verify=True)
@@ -344,6 +352,16 @@ class TestMain:
         finally:
             set_degree_cap(before)
         capsys.readouterr()
+
+    @pytest.mark.parametrize("cap", ["0", "-3"])
+    def test_nonpositive_max_degree_is_an_input_error(self, capsys, cap):
+        before = degree_cap()
+        code = main(["--json", "--max-degree", cap, "solve",
+                     "y'' + x*y = 0"])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 1
+        assert out["error"]["type"] == "invalid_input"
+        assert degree_cap() == before
 
     def test_corpus_verb_prints_summary(self, capsys):
         code = main(["corpus"])

@@ -195,7 +195,7 @@ class TestMobiusFromThreePoints:
 
 class TestResolve2F1:
     def test_worked_example_first_witness(self):
-        ws = resolve_2F1(WORKED_I0, profile(WORKED_I0))
+        ws = list(resolve_2F1(WORKED_I0, profile(WORKED_I0)))
         assert ws
         w = ws[0]
         assert w.mobius == Mobius.from_ints(2, 0, 1, -1)
@@ -204,7 +204,7 @@ class TestResolve2F1:
     def test_euler_type_invisible_point(self):
         # poles {0, infinity} only; the third model point gets a fresh spot
         i0 = rf([3], [0, 0, 4])
-        ws = resolve_2F1(i0, profile(i0))
+        ws = list(resolve_2F1(i0, profile(i0)))
         assert ws
         w = ws[0]
         assert w.mobius == Mobius.identity()
@@ -213,7 +213,7 @@ class TestResolve2F1:
     def test_two_visible_points_with_ordinary_infinity(self):
         i0 = RatFunc(Poly.const(F(-1)),
                      (Poly((F(-1), F(1))) * Poly((F(1), F(1)))) ** 2)
-        ws = resolve_2F1(i0, profile(i0))
+        ws = list(resolve_2F1(i0, profile(i0)))
         assert ws
         assert ws[0].mobius == Mobius.from_ints(1, 1, 0, 2)
         assert ws[0].params == {"a": F(1), "b": F(0), "c": F(1)}
@@ -222,7 +222,7 @@ class TestResolve2F1:
         # normal form of the a=1, b=2, c=3 instance: parameters come back
         # as the nonnegative-difference representative
         i0 = seed_invariant("2F1", {"a": F(1), "b": F(2), "c": F(3)})
-        ws = resolve_2F1(i0, profile(i0))
+        ws = list(resolve_2F1(i0, profile(i0)))
         assert ws
         w = ws[0]
         assert w.mobius == Mobius.identity()
@@ -234,7 +234,7 @@ class TestResolve2F1:
         assert abs(shape.at_infinity) == abs(got.at_infinity)
 
     def test_ordering_prefers_larger_differences(self):
-        ws = resolve_2F1(WORKED_I0, profile(WORKED_I0))
+        ws = list(resolve_2F1(WORKED_I0, profile(WORKED_I0)))
         # first assignment keeps 0 in place and uses the 4/3 difference there
         first = ws[0]
         assert 1 - first.params["c"] == F(4, 3)
@@ -247,7 +247,7 @@ class TestResolve2F1:
         i0 = seed_invariant("2F1", {"a": a, "b": b, "c": c})
         pr = profile(i0)
         try:
-            ws = resolve_2F1(i0, pr)
+            ws = list(resolve_2F1(i0, pr))
         except IrrationalExponentDifference:
             return
         for w in ws:
@@ -257,7 +257,7 @@ class TestResolve2F1:
 class TestResolve1F1:
     def test_cubic_drift_reduced_invariant(self):
         i0 = rf([-2, -1, -1], [0, 0, 9])
-        ws = resolve_1F1(i0, profile(i0))
+        ws = list(resolve_1F1(i0, profile(i0)))
         assert ws
         w = ws[0]
         assert w.params["c"] == F(4, 3)
@@ -267,7 +267,7 @@ class TestResolve1F1:
 
     def test_seed_self_resolution(self):
         i0 = seed_invariant("1F1", {"a": F(1, 3), "c": F(3, 2)})
-        ws = resolve_1F1(i0, profile(i0))
+        ws = list(resolve_1F1(i0, profile(i0)))
         assert any(w.mobius == Mobius.identity()
                    and w.params == {"a": F(1, 3), "c": F(3, 2)}
                    for w in ws)
@@ -275,17 +275,17 @@ class TestResolve1F1:
     def test_scale_outside_gaussian_field(self):
         i0 = rf([3], [0, 0, 0, 0, 1])
         with pytest.raises(UnsupportedParameterField):
-            resolve_1F1(i0, profile(i0))
+            list(resolve_1F1(i0, profile(i0)))
 
     def test_wrong_profile_returns_nothing(self):
         i0 = rf([1], [0, 0, 0, 1])  # pole order 3 is the other model
-        assert resolve_1F1(i0, profile(i0)) == []
+        assert list(resolve_1F1(i0, profile(i0))) == []
 
 
 class TestResolve0F1:
     def test_identity_witness_first(self):
         i0 = rf([1], [0, 1])
-        ws = resolve_0F1(i0, profile(i0))
+        ws = list(resolve_0F1(i0, profile(i0)))
         assert [(w.mobius, w.params["c"]) for w in ws] == [
             (Mobius.identity(), F(2)),
             (Mobius.identity(), F(0)),
@@ -293,7 +293,7 @@ class TestResolve0F1:
 
     def test_airy_reduced_invariant(self):
         i0 = rf([-2, 1], [0, 0, 9])
-        ws = resolve_0F1(i0, profile(i0))
+        ws = list(resolve_0F1(i0, profile(i0)))
         assert ws
         w = ws[0]
         assert w.mobius == Mobius(F(1, 9), F(0), F(0), F(1))
@@ -303,13 +303,13 @@ class TestResolve0F1:
         # image of the model under x -> 1/x: triple pole at 0
         i0 = seed_invariant("0F1", {"c": F(1, 2)})
         flipped = transform_invariant(i0, Mobius.from_ints(0, 1, 1, 0))
-        ws = resolve_0F1(flipped, profile(flipped))
+        ws = list(resolve_0F1(flipped, profile(flipped)))
         assert ws
         assert any(w.params["c"] == F(1, 2) for w in ws)
 
     def test_zero_scale_returns_nothing(self):
         i0 = rf([1], [0, 0, 1])
-        assert resolve_0F1(i0, profile(i0)) == []
+        assert list(resolve_0F1(i0, profile(i0))) == []
 
 
 class TestWitness:

@@ -1,6 +1,7 @@
 """Exact arithmetic layer: scalars, polynomials, rational functions."""
 
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -37,6 +38,13 @@ def poly_of(coeffs):
     return Poly(tuple(F(c) for c in coeffs))
 
 
+def norm(c):
+    """|c|^2 of an exact scalar, real (a Fraction) or Gaussian."""
+    if isinstance(c, GaussRat):
+        return c.re * c.re + c.im * c.im
+    return c * c
+
+
 class TestGaussRat:
     def test_field_axioms_sample(self):
         z = GaussRat(F(1, 2), F(-3))
@@ -66,7 +74,7 @@ class TestGaussRat:
     def test_norm_multiplicative(self, parts):
         z = GaussRat(*parts)
         w = GaussRat(2, -3)
-        assert (z * w).norm() == z.norm() * w.norm()
+        assert norm(z * w) == norm(z) * norm(w)
 
 
 class TestPoly:
@@ -337,14 +345,55 @@ class TestGenRatFunc:
     def test_reduce_carrier(self):
         a = GenRatFunc.x_power(1, 2)
         sq = a * a
-        assert sq.carrier == 1
-        assert sq.as_ratfunc() == RatFunc.x()
+        assert sq == RatFunc.x()
 
     def test_integer_carrier_matches_ratfunc(self):
         x = GenRatFunc(RatFunc.x(), 1)
         expr = (x ** 2 - 1) / (x + 3)
         direct = (RatFunc.x() ** 2 - 1) / (RatFunc.x() + 3)
-        assert expr.as_ratfunc() == direct
+        assert expr == direct
+
+
+gauss_scalars = st.builds(GaussRat, small_rationals, small_rationals)
+exact_scalars = st.one_of(small_rationals, gauss_scalars)
+mixed_ratfuncs = st.builds(
+    lambda n, d: RatFunc(Poly(n), Poly(d)),
+    st.lists(exact_scalars, max_size=3),
+    st.lists(exact_scalars, min_size=1, max_size=3).filter(any))
+operands = st.one_of(
+    small_rationals, gauss_scalars, mixed_ratfuncs,
+    st.builds(GenRatFunc, mixed_ratfuncs, st.integers(1, 3)))
+
+
+def _assert_canonical(v):
+    if isinstance(v, GaussRat):
+        assert v.im != 0
+    elif isinstance(v, GenRatFunc):
+        assert v.carrier >= 2
+        assert gcd(v.fn.exponent_gcd(), v.carrier) == 1
+        _assert_canonical(v.fn)
+    elif isinstance(v, RatFunc):
+        for c in v.num.coeffs + v.den.coeffs:
+            _assert_canonical(c)
+    else:
+        assert isinstance(v, F)
+
+
+class TestCanonicalValues:
+    """Every exact value has one representation, whatever built it."""
+
+    @given(operands, operands, st.integers(min_value=-2, max_value=2))
+    @settings(max_examples=150, deadline=None)
+    def test_results_are_canonical(self, a, b, n):
+        results = [a, b, a + b, a - b, a * b]
+        if b != 0:
+            results.append(a / b)
+        if a != 0 or n >= 0:
+            results.append(a ** n)
+        results.extend(v.deriv() for v in (a, b)
+                       if isinstance(v, (RatFunc, GenRatFunc)))
+        for v in results:
+            _assert_canonical(v)
 
 
 def _integral_derivative(result):
