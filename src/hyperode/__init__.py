@@ -44,6 +44,7 @@ from .exactalg import (
 )
 from .odeio import (
     LinearODE,
+    differentiate_expr,
     format_exact,
     parse_ode,
     parse_solution,
@@ -87,6 +88,7 @@ __all__ = [
     "degree_cap",
     "set_degree_cap",
     "LinearODE",
+    "differentiate_expr",
     "format_exact",
     "parse_ode",
     "parse_solution",

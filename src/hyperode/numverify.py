@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import EvalDiverged, PointRejected, SamplingFailed
-from .exactalg import GaussRat, GenRatFunc
+from .exactalg import GaussRat, GenRatFunc, poly_gcd
 from .odeio import (
     Add,
     Const,
@@ -33,9 +33,10 @@ from .odeio import (
     Num,
     Pow,
     Sym,
-    differentiate_expr,
+    format_exact,
     has_integral,
     ratfunc_to_expr,
+    series_shift,
 )
 
 _TERM_CAP = 10000
@@ -204,6 +205,154 @@ def _ev(e, z):
     raise TypeError("not a solution expression: %r" % (e,))
 
 
+def _nodes(e):
+    """Every node of a solution tree, each parent before its children."""
+    yield e
+    if isinstance(e, Add):
+        children = e.terms
+    elif isinstance(e, Mul):
+        children = e.factors
+    elif isinstance(e, Pow):
+        children = (e.base,)
+    elif isinstance(e, (Exp, Hyp, Leg)):
+        children = (e.arg,)
+    else:
+        children = ()
+    for c in children:
+        yield from _nodes(c)
+
+
+def _check_evaluable(s):
+    """Raise, before any point is tried, what would fail at every point.
+
+    Each series gets the derivative rule applied once, and a second
+    time when its argument depends on x, as y' and y'' then need it; a
+    lower parameter 0 raises ValueError. Then an exact number beyond
+    double range raises SamplingFailed, since no sample point could
+    evaluate it.
+    """
+    nodes = list(_nodes(s))
+    for e in nodes:
+        if isinstance(e, Hyp):
+            shift = series_shift(e.kind, e.upper, e.lower)
+            if shift is not None and any(
+                    isinstance(n, Sym) for n in _nodes(e.arg)):
+                series_shift(e.kind, shift[1], shift[2])
+    for e in nodes:
+        if isinstance(e, Num):
+            values = (e.value,)
+        elif isinstance(e, Pow):
+            values = (e.exponent,)
+        elif isinstance(e, Hyp):
+            values = e.upper + e.lower
+        elif isinstance(e, Leg):
+            values = (e.degree,)
+        else:
+            values = ()
+        for v in values:
+            try:
+                complex(v)
+            except OverflowError:
+                text = format_exact(v)
+                if len(text) > 40:
+                    text = "%s...%s (%d characters)" % (
+                        text[:20], text[-8:], len(text))
+                raise SamplingFailed(
+                    "no sample point is admissible: the constant %s is "
+                    "beyond double range" % text) from None
+
+
+def _jet(e, z):
+    """(y, y', y'') of a solution expression at a complex point.
+
+    One pass of order-2 Taylor arithmetic: each node combines the jets
+    of its children by the sum, product and chain rules. A series needs
+    only itself and its two contiguous shifts at the argument's value, a
+    Legendre function its degrees v, v+1 and v+2. The guards are those
+    of eval_expr, plus the pole of the Legendre rule at z^2 = 1; a
+    constant argument, whose derivatives vanish, skips the shifts.
+    Expects a tree that has passed _check_evaluable.
+    """
+    if isinstance(e, Num):
+        return complex(e.value), 0j, 0j
+    if isinstance(e, Sym):
+        return z, 1 + 0j, 0j
+    if isinstance(e, Const):
+        return 1 + 0j, 0j, 0j
+    if isinstance(e, Add):
+        v = d1 = d2 = 0j
+        for t in e.terms:
+            tv, t1, t2 = _jet(t, z)
+            v += tv
+            d1 += t1
+            d2 += t2
+        return v, d1, d2
+    if isinstance(e, Mul):
+        v, d1, d2 = 1 + 0j, 0j, 0j
+        for f in e.factors:
+            fv, f1, f2 = _jet(f, z)
+            v, d1, d2 = (v * fv, d1 * fv + v * f1,
+                         d2 * fv + 2 * d1 * f1 + v * f2)
+        return v, d1, d2
+    if isinstance(e, Pow):
+        b, b1, b2 = _jet(e.base, z)
+        ex = e.exponent
+        p = float(ex)
+        if ex.denominator == 1 and ex >= 0:
+            n = int(ex)
+            v = b ** n
+            lower1 = b ** (n - 1) if n >= 1 else 0j
+            lower2 = b ** (n - 2) if n >= 2 else 0j
+        else:
+            if abs(b) < _POLE_GUARD:
+                raise PointRejected(
+                    "%s proximity |base|=%.2e"
+                    % ("pole" if ex.denominator == 1 else "branch point",
+                       abs(b)))
+            v = b ** (int(ex) if ex.denominator == 1 else complex(p, 0.0))
+            lower1 = v / b
+            lower2 = lower1 / b
+        return (v, p * lower1 * b1,
+                p * (p - 1) * lower2 * b1 * b1 + p * lower1 * b2)
+    if isinstance(e, Exp):
+        g, g1, g2 = _jet(e.arg, z)
+        v = cmath.exp(g)
+        return v, v * g1, v * (g2 + g1 * g1)
+    if isinstance(e, Hyp):
+        g, g1, g2 = _jet(e.arg, z)
+        v = eval_pfq(e.kind, e.upper, e.lower, g)
+        shift = series_shift(e.kind, e.upper, e.lower)
+        if shift is None or not (g1 or g2):
+            return v, 0j, 0j
+        k1, upper, lower = shift
+        f1 = complex(k1) * eval_pfq(e.kind, upper, lower, g)
+        f2 = 0j
+        shift = series_shift(e.kind, upper, lower)
+        if shift is not None:
+            k2, upper, lower = shift
+            f2 = complex(k1 * k2) * eval_pfq(e.kind, upper, lower, g)
+        return v, f1 * g1, f2 * g1 * g1 + f1 * g2
+    if isinstance(e, Leg):
+        g, g1, g2 = _jet(e.arg, z)
+        v = _legendre_value(e.kind, e.degree, g)
+        if not (g1 or g2):
+            return v, 0j, 0j
+        # (z^2 - 1) X_v'(z) = (v+1) (X_{v+1}(z) - z X_v(z)), used twice
+        pole = g ** 2 - 1
+        if abs(pole) < _POLE_GUARD:
+            raise PointRejected("pole proximity |base|=%.2e" % abs(pole))
+        x1 = _legendre_value(e.kind, e.degree + 1, g)
+        x2 = _legendre_value(e.kind, e.degree + 2, g)
+        s1 = complex(e.degree + 1)
+        dv = s1 * (x1 - g * v) / pole
+        dx1 = complex(e.degree + 2) * (x2 - g * x1) / pole
+        ddv = (s1 * (dx1 - v - g * dv) - 2 * g * dv) / pole
+        return v, dv * g1, ddv * g1 * g1 + dv * g2
+    if isinstance(e, Intg):
+        raise ValueError("unevaluated integral has no pointwise value")
+    raise TypeError("not a solution expression: %r" % (e,))
+
+
 @dataclass(frozen=True)
 class EvalPoint:
     """A sample point together with its clearance from singularities."""
@@ -276,9 +425,16 @@ def _poly_roots(p):
 
 
 def _coeff_singularities(f):
+    """The poles of one coefficient, each root once.
+
+    Durand-Kerner converges only linearly to a repeated root, so it
+    runs on the square-free part of the denominator.
+    """
+    den = f.fn.den if isinstance(f, GenRatFunc) else f.den
+    roots = _poly_roots(den // poly_gcd(den, den.deriv()))
     if isinstance(f, GenRatFunc):
-        return [0j] + [r ** f.carrier for r in _poly_roots(f.fn.den)]
-    return _poly_roots(f.den)
+        return [0j] + [r ** f.carrier for r in roots]
+    return roots
 
 
 def _singular_points(ode):
@@ -329,13 +485,15 @@ def _candidate_points(bad, fractional):
 def residual_check(ode, s, n_points=8):
     """Measure how well s satisfies the equation at sampled points.
 
-    Differentiates the expression exactly, then evaluates the equation
+    Evaluates y, y' and y'' together in one pass over the expression
     at deterministic sample points chosen away from the singularities
     of the coefficients. Points where any piece fails its numeric
     guards (series outside the convergence disc, pole proximity,
     overflow) are skipped; if fewer than n_points survive the ladder,
-    SamplingFailed is raised. A solution holding an unevaluated integral,
-    or a series whose lower parameter is 0, raises ValueError.
+    SamplingFailed is raised, at once when an exact number in the
+    solution is beyond double range. A solution holding an unevaluated
+    integral, or a series whose y' or y'' would need a lower parameter
+    0, raises ValueError before any point is tried.
     """
     if n_points < 1:
         raise ValueError("n_points must be positive")
@@ -343,8 +501,7 @@ def residual_check(ode, s, n_points=8):
         raise ValueError(
             "solution contains an unevaluated integral; exclude it "
             "from pointwise residual checks")
-    d1 = differentiate_expr(s)
-    d2 = differentiate_expr(d1)
+    _check_evaluable(s)
     a_expr = ratfunc_to_expr(ode.A)
     b_expr = ratfunc_to_expr(ode.B)
     bad = _singular_points(ode)
@@ -352,9 +509,7 @@ def residual_check(ode, s, n_points=8):
     residuals = []
     for z, guard in _candidate_points(bad, ode.is_fractional):
         try:
-            yv = _ev(s, z)
-            dv = _ev(d1, z)
-            ddv = _ev(d2, z)
+            yv, dv, ddv = _jet(s, z)
             av = _ev(a_expr, z)
             bv = _ev(b_expr, z)
         except (PointRejected, EvalDiverged, OverflowError,

@@ -877,6 +877,29 @@ def print_solution(e):
 # differentiation
 
 
+def series_shift(kind, upper, lower):
+    """The contiguous-series rule d/dz F(upper; lower; z).
+
+    Returns None when an upper parameter is 0, since F is then the
+    constant 1. Otherwise returns (factor, upper + 1, lower + 1), with
+    d/dz F(upper; lower; z) = factor * F(upper + 1; lower + 1; z) and
+    factor the product of the upper parameters over that of the lower
+    ones; a lower parameter 0 has no such rule and raises ValueError.
+    """
+    if any(not u for u in upper):
+        return None
+    if any(not c for c in lower):
+        raise ValueError("no derivative rule for %s with a lower "
+                         "parameter 0" % kind)
+    factor = Fraction(1)
+    for u in upper:
+        factor = factor * u
+    for c in lower:
+        factor = factor / c
+    return (factor, tuple(u + 1 for u in upper),
+            tuple(c + 1 for c in lower))
+
+
 def differentiate_expr(e):
     """Exact d/dx of a solution expression tree.
 
@@ -907,38 +930,24 @@ def differentiate_expr(e):
     if isinstance(e, Intg):
         return e.integrand
     if isinstance(e, Hyp):
-        if any(not u for u in e.upper):
+        shift = series_shift(e.kind, e.upper, e.lower)
+        if shift is None:
             return ZERO
-        if any(not c for c in e.lower):
-            # the rule below divides by the lower parameters
-            raise ValueError("no derivative rule for %s with a lower "
-                             "parameter 0" % e.kind)
-        da = differentiate_expr(e.arg)
-        if e.kind == "2F1":
-            a, b = e.upper
-            c, = e.lower
-            factor = num(a * b / c)
-            shifted = hyp("2F1", (a + 1, b + 1), (c + 1,), e.arg,
-                          degenerate=e.degenerate)
-        elif e.kind == "1F1":
-            a, = e.upper
-            c, = e.lower
-            factor = num(a / c)
-            shifted = hyp("1F1", (a + 1,), (c + 1,), e.arg,
-                          degenerate=e.degenerate)
-        else:
-            c, = e.lower
-            factor = num(1 / c)
-            shifted = hyp("0F1", (), (c + 1,), e.arg,
-                          degenerate=e.degenerate)
-        return mul(factor, shifted, da)
+        factor, upper, lower = shift
+        return mul(num(factor),
+                   hyp(e.kind, upper, lower, e.arg, degenerate=e.degenerate),
+                   differentiate_expr(e.arg))
     if isinstance(e, Leg):
-        # (z^2 - 1) X'(z) = (v+1) (X_{v+1}(z) - z X_v(z))
+        # (z^2 - 1) X'(z) = (v+1) (X_{v+1}(z) - z X_v(z)); a constant
+        # z, possibly at the pole z^2 = 1, needs no rule
         z = e.arg
+        dz = differentiate_expr(z)
+        if dz == ZERO:
+            return ZERO
         v = e.degree
         up = Leg(e.kind, v + 1, z)
         core = mul(num(v + 1),
                    add(up, neg(mul(z, e))),
                    invert(add(power(z, 2), num(-1))))
-        return mul(core, differentiate_expr(z))
+        return mul(core, dz)
     raise TypeError("not a solution expression: %r" % (e,))

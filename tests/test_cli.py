@@ -189,6 +189,19 @@ class TestVerify:
         assert code == 1
         assert payload["error"]["type"] == "verification_impossible"
 
+    @pytest.mark.parametrize("solution", ["3^(2584)*x", "(1/2)^(-4095)*x"])
+    def test_constant_beyond_double_range_cannot_be_verified(self, solution):
+        payload, code = cmd_verify("y'' = 0", solution)
+        assert code == 1
+        assert payload["error"]["type"] == "verification_impossible"
+        assert "beyond double range" in payload["error"]["message"]
+
+    def test_legendre_function_of_a_constant_is_a_constant(self):
+        # LegendreP(1/2, 1) = 1; its derivative rule has a pole at 1
+        payload, code = cmd_verify("y'' = 0", "LegendreP(1/2, 1)")
+        assert code == 0
+        assert payload["residual_report"]["max_residual"] == 0.0
+
     def test_series_ending_before_its_lower_zero_verifies(self):
         # 1F1(-1; -1; x) = 1 + x; y' = 1F1(0; 0; x) = 1 and y'' = 0
         payload, code = cmd_verify("y'' = 0", "hypergeom([-1], [-1], x)")

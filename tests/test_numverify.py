@@ -18,12 +18,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hyperode import numverify
 from hyperode.equivalence import solve_equivalence
 from hyperode.errors import EvalDiverged, PointRejected, SamplingFailed
 from hyperode.exactalg import GaussRat
 from hyperode.numverify import (
     EvalPoint,
     ResidualReport,
+    _jet,
+    _singular_points,
     eval_expr,
     eval_pfq,
     pfq_terms,
@@ -41,6 +44,7 @@ from hyperode.odeio import (
     add,
     differentiate_expr,
     hyp,
+    legendre,
     mul,
     num,
     parse_ode,
@@ -48,6 +52,7 @@ from hyperode.odeio import (
     power,
 )
 from hyperode.solutions import assemble
+from test_odeio import exprs
 
 WORKED_ODE = ("y'' = ((1/3*x^2 - 3*x^4 - 8/3)/(x^5 - x))*y'"
               " + (19/12/(x^6 - x^2))*y")
@@ -273,6 +278,75 @@ class TestEvalExpr:
                 grad = (eval_expr(s, z + h) - eval_expr(s, z - h)) / (2 * h)
                 exact = eval_expr(ds, z)
                 assert abs(grad - exact) <= 1e-7 * max(1.0, abs(exact))
+
+
+class TestJet:
+    @given(exprs(depth=3, numeric_safe=True),
+           st.sampled_from([0.337, 0.561 + 0.2j, -0.42 - 0.31j]))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_exact_derivatives(self, s, z):
+        d1 = differentiate_expr(s)
+        d2 = differentiate_expr(d1)
+        try:
+            got = _jet(s, z)
+            want = [eval_expr(e, z) for e in (s, d1, d2)]
+        except (PointRejected, EvalDiverged, OverflowError,
+                ZeroDivisionError, ValueError):
+            return
+        for g, w in zip(got, want):
+            if not (cmath.isfinite(g) and cmath.isfinite(w)):
+                return
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 1e-9 * max(abs(g), abs(w), 1.0)
+
+    @pytest.mark.parametrize("node, ref", [
+        (hyp("2F1", (F(1, 3), F(-1, 4)), (F(7, 5),),
+             add(mul(num(F(1, 2)), power(X, 2)), mul(num(F(-1, 3)), X))),
+         lambda t: mpmath.hyp2f1(F(1, 3), F(-1, 4), F(7, 5),
+                                 t * t / 2 - t / 3)),
+        (hyp("1F1", (F(2, 3),), (F(4, 3),),
+             add(mul(num(-1), power(X, 2)), mul(num(F(1, 2)), X))),
+         lambda t: mpmath.hyp1f1(F(2, 3), F(4, 3), -t * t + t / 2)),
+        (hyp("0F1", (), (F(3, 2),), mul(num(F(-1, 9)), power(X, 3))),
+         lambda t: mpmath.hyp0f1(F(3, 2), -t ** 3 / 9)),
+        (legendre("P", F(3, 2), add(mul(num(2), X), num(F(-1, 3)))),
+         lambda t: mpmath.legendre(F(3, 2), 2 * t - F(1, 3))),
+    ])
+    def test_matches_mpmath(self, node, ref):
+        for z in (0.41 + 0.13j, 0.27, 0.6 - 0.2j):
+            with mpmath.workdps(30):
+                want = [complex(mpmath.diff(ref, mpmath.mpc(z), n))
+                        for n in range(3)]
+            for g, w in zip(_jet(node, z), want):
+                assert abs(g - w) <= 1e-12 * max(1.0, abs(w))
+
+    def test_undefined_second_derivative_raises_before_any_point(
+            self, monkeypatch):
+        # lower -1 is fine for y but reaches 0 in the series of y''
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return eval_pfq(*args)
+
+        monkeypatch.setattr(numverify, "eval_pfq", counted)
+        s = mul(X, hyp("1F1", (F(1, 2),), (F(-1),), X, degenerate=True))
+        with pytest.raises(ValueError, match="lower parameter 0"):
+            residual_check(parse_ode("y'' = 0"), s, 8)
+        assert calls == []
+        residual_check(parse_ode("y'' = 0"), parse_solution(
+            "hypergeom([1/2], [3/2], x)"), 1)
+        assert calls
+
+
+class TestSingularPoints:
+    def test_repeated_factors_give_accurate_roots(self):
+        ode = parse_ode("y'' + (1/((x - 1/3)^3*(x^2 + 2)^2))*y' = 0")
+        got = _singular_points(ode)
+        exact = [1 / 3, 2 ** 0.5 * 1j, -(2 ** 0.5) * 1j]
+        assert len(got) == 3
+        for r in exact:
+            assert min(abs(r - g) for g in got) < 1e-10
 
 
 class TestResidualCheck:

@@ -1,10 +1,11 @@
 """Parsing, printing, and differentiation of equations and solutions."""
 
+import cmath
 from fractions import Fraction as F
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hyperode.errors import (
@@ -289,6 +290,11 @@ class TestDifferentiate:
                          degenerate=True)):
             assert differentiate_expr(node) == odeio.ZERO
 
+    def test_legendre_of_a_constant_at_its_pole(self):
+        # the rule divides by z^2 - 1, which is 0 here
+        assert differentiate_expr(legendre("P", F(1, 2), num(1))) == \
+            odeio.ZERO
+
     def test_integral_node(self):
         integrand = div(num(1), X)
         assert differentiate_expr(Intg(integrand)) == integrand
@@ -303,6 +309,9 @@ class TestDifferentiate:
 
     @given(exprs(depth=2, numeric_safe=True),
            exprs(depth=2, numeric_safe=True))
+    @example(  # the oracle's own values are nan here
+        Exp(hyp("1F1", (F(1, 2),), (F(3, 4),), num(F(15, 2)))),
+        Exp(hyp("1F1", (F(1, 2),), (F(3, 4),), X)))
     @settings(max_examples=25, deadline=None)
     def test_product_rule_numeric(self, a, b):
         prod = mul(a, b)
@@ -316,6 +325,8 @@ class TestDifferentiate:
             except (ZeroDivisionError, ValueError, OverflowError):
                 continue
             except mpmath.libmp.NoConvergence:
+                continue
+            if not (cmath.isfinite(lhs) and cmath.isfinite(rhs)):
                 continue
             scale = max(abs(lhs), abs(rhs), 1.0)
             if scale > 1e12:
