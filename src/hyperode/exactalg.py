@@ -373,7 +373,7 @@ class Poly:
             raise DegreeOverflow(top, _degree_cap)
         cs = [0] * (top + 1)
         for e, c in pairs:
-            cs[e] = cs[e] + c
+            cs[e] = cs[e] + c if cs[e] else c
         return cls(cs)
 
     @property
@@ -819,6 +819,22 @@ class RatFunc:
     @classmethod
     def x(cls):
         return cls(Poly.x())
+
+    @classmethod
+    def from_coprime(cls, num, den):
+        """num/den for polynomials the caller knows share no factor.
+
+        Skips the gcd and only makes den monic.
+        """
+        if num.is_zero:
+            den = _ONE
+        elif den.re[-1] != den.den or (den.im and den.im[-1]):
+            num = num * (1 / den.lc)
+            den = den.monic()
+        self = object.__new__(cls)
+        self.num = num
+        self.den = den
+        return self
 
     @property
     def is_zero(self):

@@ -35,7 +35,6 @@ from .odeio import (
     Sym,
     format_exact,
     has_integral,
-    ratfunc_to_expr,
     series_shift,
 )
 
@@ -424,6 +423,37 @@ def _poly_roots(p):
     return roots
 
 
+def _coefficient(f):
+    """One coefficient of the equation as a function of a complex point.
+
+    f(x) = fn(x^(1/L)), L = 1 for a RatFunc, is evaluated by Horner's
+    rule on the numerator and denominator of fn, converted to complex
+    once. The guards are those of the tree ratfunc_to_expr builds for f:
+    PointRejected within _POLE_GUARD of x = 0 when L > 1 (a branch
+    point) or when the denominator is a power of x, and where the value
+    of any other denominator is that small.
+    """
+    fn, carrier = (f.fn, f.carrier) if isinstance(f, GenRatFunc) else (f, 1)
+    num = [complex(c) for c in fn.num.coeffs]
+    den = [complex(c) for c in fn.den.coeffs]
+    monomial = sum(1 for c in den if c) == 1
+    near_zero = "branch point" if carrier > 1 else (
+        "pole" if monomial and len(den) > 1 else None)
+    root = complex(1.0 / carrier, 0.0)
+
+    def value(z):
+        if near_zero and abs(z) < _POLE_GUARD:
+            raise PointRejected("%s proximity |base|=%.2e"
+                                % (near_zero, abs(z)))
+        w = z if carrier == 1 else z ** root
+        d = _horner(den, w)
+        if not monomial and abs(d) < _POLE_GUARD:
+            raise PointRejected("pole proximity |base|=%.2e" % abs(d))
+        return _horner(num, w) / d
+
+    return value
+
+
 def _coeff_singularities(f):
     """The poles of one coefficient, each root once.
 
@@ -502,16 +532,21 @@ def residual_check(ode, s, n_points=8):
             "solution contains an unevaluated integral; exclude it "
             "from pointwise residual checks")
     _check_evaluable(s)
-    a_expr = ratfunc_to_expr(ode.A)
-    b_expr = ratfunc_to_expr(ode.B)
+    try:
+        a_at = _coefficient(ode.A)
+        b_at = _coefficient(ode.B)
+    except OverflowError:
+        # a coefficient beyond double range fails at every point
+        raise SamplingFailed("only 0 of %d sample points were admissible"
+                             % n_points) from None
     bad = _singular_points(ode)
     points = []
     residuals = []
     for z, guard in _candidate_points(bad, ode.is_fractional):
         try:
             yv, dv, ddv = _jet(s, z)
-            av = _ev(a_expr, z)
-            bv = _ev(b_expr, z)
+            av = a_at(z)
+            bv = b_at(z)
         except (PointRejected, EvalDiverged, OverflowError,
                 ZeroDivisionError):
             continue

@@ -12,13 +12,19 @@ from fractions import Fraction
 from math import lcm, log2
 from typing import Union
 
-from .errors import CoefficientOverflow, ParseError, UnsupportedEquation
+from .errors import (
+    CoefficientOverflow,
+    DegreeOverflow,
+    ParseError,
+    UnsupportedEquation,
+)
 from .exactalg import (
     COEFF_BITS,
     GaussRat,
     GenRatFunc,
     Poly,
     RatFunc,
+    degree_cap,
 )
 
 Scalar = Union[Fraction, GaussRat]
@@ -218,9 +224,12 @@ def _check_power_size(v, e):
     (e*log2(m) - 2*(e//2) - 1)/2 bits. A power that passes is at most a
     few times the cap long, and power() then checks the result itself.
     """
-    re, im = (v.re, v.im) if isinstance(v, GaussRat) else (v, Fraction(0))
-    d = lcm(re.denominator, im.denominator)
-    m = int((re * d) ** 2 + (im * d) ** 2)
+    if isinstance(v, GaussRat):
+        d = lcm(v.re.denominator, v.im.denominator)
+        m = int((v.re * d) ** 2 + (v.im * d) ** 2)
+    else:
+        d = v.denominator
+        m = v.numerator ** 2
     shared = e // 2 if d % 2 == 0 else 0
     bits = max(e * (d.bit_length() - 1) - shared,
                (e * (m.bit_length() - 1) - 2 * shared - 1) // 2)
@@ -418,17 +427,19 @@ class _TokenStream:
             self.pos += 1
         return tok
 
-    def accept(self, kind, value=None):
-        tok = self.peek()
-        if tok[0] == kind and (value is None or tok[1] == value):
-            return self.next()
-        return None
+    def accept(self, kind):
+        tok = self.tokens[self.pos]
+        if tok[0] != kind:
+            return None
+        if kind != "end":
+            self.pos += 1
+        return tok
 
     def expect(self, kind, what=None):
-        tok = self.peek()
-        if tok[0] != kind:
-            raise ParseError("expected %s" % (what or kind), tok[2])
-        return self.next()
+        tok = self.accept(kind)
+        if tok is None:
+            raise ParseError("expected %s" % (what or kind), self.peek()[2])
+        return tok
 
     def fail(self, message):
         raise ParseError(message, self.peek()[2])
@@ -436,49 +447,258 @@ class _TokenStream:
 
 # ---------------------------------------------------------------------------
 # ODE parsing: expressions evaluate to affine forms in y and its derivatives
+#
+# A coefficient accumulates as a sparse polynomial: a dict from each
+# exponent of x (an int, or a Fraction for x^(p/q)) to its nonzero
+# rational coefficient, so x^(-n) and x^(p/q) are single terms. Sums,
+# products, quotients by a single term and integer powers keep that form
+# and cost only rational arithmetic on the terms. A quotient by two or
+# more terms is built once, with one gcd, as the reduced RatFunc (or
+# GenRatFunc, when an exponent is fractional) and from then on uses the
+# kernel's arithmetic. A term dict never leaves the kernel's caps: the
+# degree of the RatFunc or GenRatFunc it denotes, and the bit length of
+# each coefficient.
+
+
+def _check_degree(exponents):
+    """Refuse terms whose RatFunc or GenRatFunc form is past degree_cap()."""
+    hi = max(exponents)
+    lo = min(exponents)
+    degree = (hi if hi > 0 else 0) - (lo if lo < 0 else 0)
+    carrier = lcm(*[e.denominator for e in exponents])
+    if carrier > 1:
+        degree = int(degree * carrier)
+    if degree > degree_cap():
+        raise DegreeOverflow(degree, degree_cap())
+
+
+def _fit(c):
+    """c, refused when its numerator or denominator alone is longer than
+    COEFF_BITS, so that the kernel's layout would refuse it too."""
+    bits = c.bit_length() if type(c) is int else max(
+        c.numerator.bit_length(), c.denominator.bit_length())
+    if bits > COEFF_BITS:
+        raise CoefficientOverflow(bits, COEFF_BITS)
+    return c
+
+
+def _checked(terms):
+    """terms without zero coefficients, refused past the kernel's caps."""
+    out = {e: _fit(c) for e, c in terms.items() if c}
+    if out:
+        _check_degree(out)
+    return out
+
+
+def _is_one(v):
+    return type(v) is dict and len(v) == 1 and v.get(0) == 1
+
+
+def _in_carrier(v, carrier, low):
+    """The Poly in t = x^(1/carrier) of the terms of v times x^(-low)."""
+    return Poly.from_pairs([(int((e - low) * carrier), c)
+                            for e, c in v.items()])
+
+
+def _ratio(a, b):
+    """a / b for term dicts, b nonzero, as a RatFunc or GenRatFunc.
+
+    Both become polynomials in x^(1/L), L the lcm of the exponent
+    denominators, after dividing by the lowest power of x in either.
+    A single-term b then shares no factor with a, so only a quotient by
+    two or more terms costs a gcd.
+    """
+    exponents = [*a, *b]
+    carrier = lcm(*(e.denominator for e in exponents))
+    low = min(exponents)
+    num = _in_carrier(a, carrier, low)
+    den = _in_carrier(b, carrier, low)
+    fn = RatFunc.from_coprime(num, den) if len(b) == 1 else RatFunc(num, den)
+    return GenRatFunc(fn, carrier) if carrier > 1 else fn
+
+
+def _exact(v):
+    """The RatFunc or GenRatFunc a coefficient denotes."""
+    if type(v) is not dict:
+        return v
+    return _ratio(v, {0: 1}) if v else RatFunc.const(0)
+
+
+def _neg(v):
+    """-v for a coefficient or a _LinForm."""
+    if type(v) is dict:
+        return {e: -c for e, c in v.items()}
+    return -v
+
+
+def _add(a, b):
+    if not a:
+        return b
+    if not b:
+        return a
+    if type(a) is dict and type(b) is dict:
+        out = dict(a)
+        for e, c in b.items():
+            if e in out:
+                c = _fit(out.pop(e) + c)
+            if c:
+                out[e] = c
+        # more terms than degree_cap() + 1 imply a degree past the cap;
+        # the degree itself is checked where the sum is next used
+        if len(out) > degree_cap() + 1:
+            _check_degree(out)
+        return out
+    return _exact(a) + _exact(b)
+
+
+def _times_term(v, k, c, over=False):
+    """The terms of v times c * x^k, or over c * x^k, for a nonzero c.
+
+    Only a shift of the exponents can move the degree; a sum keeps the
+    check it was due.
+    """
+    if over:
+        out = {e + k: _fit(Fraction(d, c)) for e, d in v.items()}
+    elif c == 1:
+        out = {e + k: d for e, d in v.items()}
+    else:
+        out = {e + k: _fit(d * c) for e, d in v.items()}
+    if k:
+        _check_degree(out)
+    return out
+
+
+def _mul(a, b):
+    if not a or not b:
+        return {}
+    if type(a) is dict and type(b) is dict:
+        if len(b) > len(a):
+            a, b = b, a
+        if len(b) == 1:
+            (k, c), = b.items()
+            return _times_term(a, k, c)
+        out = {}
+        for ea, ca in a.items():
+            for eb, cb in b.items():
+                e = ea + eb
+                out[e] = out.get(e, 0) + ca * cb
+        return _checked(out)
+    if _is_one(a):
+        return b
+    if _is_one(b):
+        return a
+    return _exact(a) * _exact(b)
+
+
+def _div(a, b):
+    """a / b for a nonzero b."""
+    if not a or _is_one(b):
+        return a
+    if type(a) is dict and type(b) is dict:
+        if len(b) == 1:
+            (k, c), = b.items()
+            return _times_term(a, -k, c, over=True)
+        return _ratio(a, b)
+    return _exact(a) / _exact(b)
+
+
+def _power(v, e):
+    """v**e for an integer e, with v nonzero when e < 0.
+
+    A single term is refused by _check_power_size and the degree cap
+    before its power is computed; a sum of terms goes through
+    Poly.__pow__, which stops at the first intermediate past a cap; a
+    RatFunc or GenRatFunc is already reduced.
+    """
+    if type(v) is not dict:
+        return v ** e
+    if e == 0:
+        return {0: 1}
+    if not v:
+        return v
+    if len(v) == 1:
+        (k, c), = v.items()
+        if e < 0:
+            k, c, e = -k, Fraction(1, c), -e
+        _check_degree((k * e,))
+        if c == 1:
+            return {k * e: 1}
+        _check_power_size(c, e)
+        return {k * e: _fit(c ** e)}
+    if e < 0:
+        return _div({0: 1}, _power(v, -e))
+    carrier = lcm(*(k.denominator for k in v))
+    low = min(v)
+    p = _in_carrier(v, carrier, low) ** e
+    return _checked({low * e + (Fraction(i, carrier) if carrier > 1 else i): c
+                     for i, c in enumerate(p.coeffs)})
 
 
 class _LinForm:
-    """c_free + sum_k c_k * y^(k), coefficients generalized rationals."""
+    """c_free + sum_k c_k * y^(k) with at least one y term.
+
+    Each coefficient is a term dict or, past a quotient by several terms,
+    a RatFunc or GenRatFunc. An expression without y is its coefficient
+    alone.
+    """
 
     __slots__ = ("free", "ys")
 
-    def __init__(self, free=None, ys=None):
-        self.free = RatFunc.const(0) if free is None else free
-        self.ys = ys or {}
-
-    @property
-    def is_pure(self):
-        return not self.ys
-
-    def __add__(self, other):
-        ys = dict(self.ys)
-        for k, c in other.ys.items():
-            ys[k] = ys[k] + c if k in ys else c
-        return _LinForm(self.free + other.free, ys)
+    def __init__(self, free, ys):
+        self.free = free
+        self.ys = ys
 
     def __neg__(self):
-        return _LinForm(-self.free, {k: -c for k, c in self.ys.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
+        return _LinForm(_neg(self.free),
+                        {k: _neg(c) for k, c in self.ys.items()})
 
     def scaled(self, g):
-        return _LinForm(self.free * g, {k: c * g for k, c in self.ys.items()})
+        return _LinForm(_mul(self.free, g),
+                        {k: _mul(c, g) for k, c in self.ys.items()})
+
+    def divided(self, g):
+        return _LinForm(_div(self.free, g),
+                        {k: _div(c, g) for k, c in self.ys.items()})
+
+
+def _plus(a, b):
+    """a + b for coefficients or _LinForms."""
+    if type(a) is not _LinForm:
+        if type(b) is not _LinForm:
+            return _add(a, b)
+        a, b = b, a
+    if type(b) is not _LinForm:
+        return _LinForm(_add(a.free, b), a.ys)
+    ys = dict(a.ys)
+    for k, c in b.ys.items():
+        ys[k] = _add(ys[k], c) if k in ys else c
+    return _LinForm(_add(a.free, b.free), ys)
+
+
+def _times(a, b):
+    """a * b for coefficients or _LinForms, linear in y."""
+    if type(a) is not _LinForm:
+        return b.scaled(a) if type(b) is _LinForm else _mul(a, b)
+    if type(b) is not _LinForm:
+        return a.scaled(b)
+    raise UnsupportedEquation("nonlinear term: product of y factors")
 
 
 def _parse_rational_exponent(ts):
+    """The exponent after '^': an int, or a Fraction when parenthesized."""
     if ts.accept("("):
         sign = -1 if ts.accept("-") else 1
         p = int(ts.expect("num", "an integer exponent")[1])
         q = 1
         if ts.accept("/"):
-            q = int(ts.expect("num", "an integer denominator")[1])
+            tok = ts.expect("num", "an integer denominator")
+            q = int(tok[1])
+            if not q:
+                raise ParseError("zero denominator in an exponent", tok[2])
         ts.expect(")", "')'")
         return Fraction(sign * p, q)
     sign = -1 if ts.accept("-") else 1
-    p = int(ts.expect("num", "an integer exponent")[1])
-    return Fraction(sign * p)
+    return sign * int(ts.expect("num", "an integer exponent")[1])
 
 
 class _OdeParser:
@@ -488,8 +708,7 @@ class _OdeParser:
     def parse(self):
         lhs = self.expr()
         if self.ts.accept("="):
-            rhs = self.expr()
-            form = lhs - rhs
+            form = _plus(lhs, _neg(self.expr()))
         else:
             form = lhs
         tok = self.ts.peek()
@@ -498,66 +717,65 @@ class _OdeParser:
         return form
 
     def expr(self):
+        ts = self.ts
         sign = 1
-        while True:
-            if self.ts.accept("-", "-"):
+        kind = ts.peek()[0]
+        while kind == "-" or kind == "+":
+            ts.next()
+            if kind == "-":
                 sign = -sign
-            elif self.ts.accept("+", "+"):
-                pass
-            else:
-                break
+            kind = ts.peek()[0]
         acc = self.term()
         if sign < 0:
-            acc = -acc
+            acc = _neg(acc)
         while True:
-            if self.ts.accept("+"):
-                acc = acc + self.term()
-            elif self.ts.accept("-"):
-                acc = acc - self.term()
+            kind = ts.peek()[0]
+            if kind == "+":
+                ts.next()
+                acc = _plus(acc, self.term())
+            elif kind == "-":
+                ts.next()
+                acc = _plus(acc, _neg(self.term()))
             else:
                 return acc
 
     def term(self):
+        ts = self.ts
         acc = self.factor()
         while True:
-            if self.ts.accept("*"):
+            kind = ts.peek()[0]
+            if kind == "*":
+                ts.next()
+                acc = _times(acc, self.factor())
+            elif kind == "/":
+                ts.next()
                 rhs = self.factor()
-                acc = self._mul(acc, rhs)
-            elif self.ts.accept("/"):
-                rhs = self.factor()
-                if not rhs.is_pure:
-                    self.ts.fail("cannot divide by an expression containing y")
-                if rhs.free.is_zero:
-                    self.ts.fail("division by zero")
-                acc = acc.scaled(1 / rhs.free)
+                if type(rhs) is _LinForm:
+                    ts.fail("cannot divide by an expression containing y")
+                if not rhs:
+                    ts.fail("division by zero")
+                acc = (acc.divided(rhs) if type(acc) is _LinForm
+                       else _div(acc, rhs))
             else:
                 return acc
 
-    def _mul(self, a, b):
-        if a.is_pure:
-            return b.scaled(a.free)
-        if b.is_pure:
-            return a.scaled(b.free)
-        raise UnsupportedEquation("nonlinear term: product of y factors")
-
     def factor(self):
-        tok = self.ts.peek()
-        base_is_x = tok[0] == "name" and tok[1] == "x"
+        start = self.ts.peek()
         base = self.base()
         if self.ts.accept("^"):
             e = _parse_rational_exponent(self.ts)
-            if not base.is_pure:
+            if type(base) is _LinForm:
                 if e == 1:
                     return base
                 raise UnsupportedEquation(
                     "nonlinear term: y raised to power %s" % e)
             if e.denominator == 1:
-                if e < 0 and base.free.is_zero:
+                if e < 0 and not base:
                     self.ts.fail("division by zero")
-                return _LinForm(base.free ** e.numerator)
-            if base_is_x:
-                return _LinForm(GenRatFunc.x_power(e.numerator,
-                                                   e.denominator))
+                return _power(base, e.numerator)
+            if start[0] == "name" and start[1] == "x":
+                _check_degree((e,))
+                return {e: 1}
             raise UnsupportedEquation(
                 "fractional power of a non-x base is outside the rational "
                 "coefficient class")
@@ -578,40 +796,38 @@ class _OdeParser:
             ts.expect(")", "')'")
             return inner
         if kind == "num":
-            return _LinForm(RatFunc.const(int(val)))
+            n = _fit(int(val))
+            return {0: n} if n else {}
         if kind == "name":
             if val == "x":
-                return _LinForm(RatFunc.x())
+                return {1: 1}
             if val == "y":
                 order = 0
                 while ts.accept("prime"):
                     order += 1
-                return _LinForm(ys={order: RatFunc.const(1)})
+                return _LinForm({}, {order: {0: 1}})
             raise ParseError("unknown symbol %r in an ODE" % val, pos)
         if kind == "-":
-            return -self.base()
+            return _neg(self.base())
         raise ParseError("expected a number, x, y or parenthesis", pos)
 
 
 def parse_ode(text):
     """Parse a second-order linear ODE into its (A, B) coefficient pair."""
     form = _OdeParser(text).parse()
-    if not form.ys:
+    if type(form) is not _LinForm:
         raise UnsupportedEquation("no y term: not an ODE")
     top = max(form.ys)
     if top != 2:
         raise UnsupportedEquation("order %d equation; only order 2 is "
                                   "supported" % top)
     lead = form.ys[2]
-    if lead.is_zero:
+    if not lead:
         raise UnsupportedEquation("the y'' coefficient vanishes identically")
-    if not form.free.is_zero:
+    if form.free:
         raise UnsupportedEquation("inhomogeneous equation")
-    a = form.ys.get(1)
-    b = form.ys.get(0)
-    a = (a / lead) if a is not None else RatFunc.const(0)
-    b = (b / lead) if b is not None else RatFunc.const(0)
-    return LinearODE(a, b)
+    return LinearODE(*(_exact(_div(form.ys.get(k, {}), lead))
+                       for k in (1, 0)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,15 @@
 """Command line behavior: verbs, exit codes, JSON schema stability."""
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
 import time
 
 import pytest
 
+import hyperode
 from hyperode import cli, equivalence
 from hyperode.cli import (
     CorpusEntry,
@@ -248,6 +252,20 @@ class TestBoundedInput:
         assert code == 1
         assert payload["error"]["type"] == "invalid_input"
 
+    @pytest.mark.parametrize("argv", [
+        ["solve", "y'' + x^(1/0)*y = 0"],
+        ["classify", "y'' + 2^(1/0)*y = 0"],
+        ["verify", "y'' + x^(1/0)*y = 0", "x"],
+        ["verify", "y'' = 0", "2^(1/0)"],
+    ])
+    def test_zero_exponent_denominator_is_an_input_error(self, capsys,
+                                                         argv):
+        code = main(["--json"] + argv)
+        out = json.loads(capsys.readouterr().out)
+        assert code == 1
+        assert out["error"]["type"] == "invalid_input"
+        assert "zero denominator in an exponent" in out["error"]["message"]
+
     def test_overflow_while_solving_exits_one(self, monkeypatch):
         def overflow(ode):
             raise CoefficientOverflow(5000, 4096)
@@ -274,6 +292,18 @@ class TestBoundedInput:
         payload, code = cmd_solve("y'' + x*%sx*y = 0" % ("-" * 3000))
         assert code == 1
         assert payload["error"]["type"] == "invalid_input"
+
+
+def test_module_entry_point_runs_the_cli():
+    src = pathlib.Path(hyperode.__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(src), env.get("PYTHONPATH")) if p)
+    run = subprocess.run(
+        [sys.executable, "-m", "hyperode", "--json", "solve", "y'' + x*y = 0"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout)["witness"]["class"] == "0F1"
 
 
 class TestCorpus:

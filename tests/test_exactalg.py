@@ -307,6 +307,16 @@ class TestRatFunc:
             return
         assert RatFunc(n * g, d * g) == RatFunc(n, d)
 
+    @given(st.lists(small_rationals, min_size=1, max_size=4),
+           st.lists(small_rationals, min_size=1, max_size=4))
+    @settings(max_examples=60)
+    def test_from_coprime_equals_the_reducing_constructor(self, cn, cd):
+        n, d = Poly(cn), Poly(cd)
+        if d.is_zero or poly_gcd(n, d).degree > 0:
+            return
+        f = RatFunc.from_coprime(n, d)
+        assert (f.num, f.den) == (RatFunc(n, d).num, RatFunc(n, d).den)
+
     def test_pole_order_and_residue(self):
         x = RatFunc.x()
         f = 3 / (x - 2) ** 2 + 5 / (x - 2) + x + 1

@@ -21,10 +21,11 @@ from hypothesis import strategies as st
 from hyperode import numverify
 from hyperode.equivalence import solve_equivalence
 from hyperode.errors import EvalDiverged, PointRejected, SamplingFailed
-from hyperode.exactalg import GaussRat
+from hyperode.exactalg import GaussRat, GenRatFunc, Poly, RatFunc
 from hyperode.numverify import (
     EvalPoint,
     ResidualReport,
+    _coefficient,
     _jet,
     _singular_points,
     eval_expr,
@@ -50,6 +51,7 @@ from hyperode.odeio import (
     parse_ode,
     parse_solution,
     power,
+    ratfunc_to_expr,
 )
 from hyperode.solutions import assemble
 from test_odeio import exprs
@@ -347,6 +349,58 @@ class TestSingularPoints:
         assert len(got) == 3
         for r in exact:
             assert min(abs(r - g) for g in got) < 1e-10
+
+
+def _tree_value(f, z):
+    """The coefficient as the expression tree the oracle once evaluated."""
+    try:
+        return eval_expr(ratfunc_to_expr(f), z)
+    except PointRejected:
+        return None
+
+
+def _horner_value(f, z):
+    try:
+        return _coefficient(f)(z)
+    except PointRejected:
+        return None
+
+
+class TestCoefficients:
+    X1 = RatFunc.x()
+    COEFFICIENTS = [
+        RatFunc.const(F(-7, 3)),
+        (X1 ** 2 + 1) / 4,
+        3 / X1 ** 3,
+        (X1 - 2) / (X1 ** 2 - X1 / 3),
+        (X1 + GaussRat(1, 2)) / (X1 ** 2 + 1),
+        GenRatFunc(RatFunc(Poly((F(1), F(0), F(2)))), 3),
+        GenRatFunc(1 / RatFunc(Poly((F(0), F(0), F(1)))), 3),
+        GenRatFunc(RatFunc(Poly((F(1), F(1))), Poly((F(-1, 4), F(0), F(1)))),
+                   2),
+    ]
+    POINTS = [0.7 + 0.2j, -1.3 + 0.4j, 2.5 - 1j, 1e-10 + 0j, 1e-4 + 1e-4j,
+              0.5 + 1e-12j, 1j, 1 / 3 + 1e-11j, 0.25 + 1e-12j]
+
+    @pytest.mark.parametrize("f", COEFFICIENTS)
+    def test_matches_the_expression_tree(self, f):
+        for z in self.POINTS:
+            want, got = _tree_value(f, z), _horner_value(f, z)
+            assert (want is None) == (got is None), z
+            if want is not None:
+                assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+    def test_power_of_x_is_guarded_at_x_only(self):
+        # |z^3| is far below the pole guard, |z| is not
+        assert _horner_value(3 / self.X1 ** 3, 1e-4 + 1e-4j) is not None
+        assert _horner_value(3 / self.X1 ** 3, 1e-10 + 0j) is None
+
+    @pytest.mark.parametrize("ode", [
+        "y'' + 7^(1400)*y = 0", "y'' + 7^(1400)/(x - 1)*y' = 0",
+        "y'' + 1/(x - 7^(1400))*y' = 0"])
+    def test_coefficient_beyond_double_range_admits_no_point(self, ode):
+        with pytest.raises(SamplingFailed, match="only 0 of 8"):
+            residual_check(parse_ode(ode), parse_solution("x"), 8)
 
 
 class TestResidualCheck:

@@ -1,6 +1,7 @@
 """Parsing, printing, and differentiation of equations and solutions."""
 
 import cmath
+import time
 from fractions import Fraction as F
 
 import mpmath
@@ -10,10 +11,11 @@ from hypothesis import strategies as st
 
 from hyperode.errors import (
     CoefficientOverflow,
+    DegreeOverflow,
     ParseError,
     UnsupportedEquation,
 )
-from hyperode.exactalg import GaussRat, Poly, RatFunc
+from hyperode.exactalg import GaussRat, GenRatFunc, Poly, RatFunc
 from hyperode import odeio
 from hyperode.odeio import (
     X,
@@ -117,6 +119,12 @@ class TestParseOde:
         with pytest.raises(UnsupportedEquation):
             parse_ode("y'' + y = x")
 
+    @pytest.mark.parametrize("text", ["y'' + x + y = 0",
+                                      "y'' + y' + 1 - y' + y = 0"])
+    def test_free_term_between_y_terms(self, text):
+        with pytest.raises(UnsupportedEquation, match="inhomogeneous"):
+            parse_ode(text)
+
     def test_vanishing_lead(self):
         with pytest.raises(UnsupportedEquation):
             parse_ode("0*y'' + y' + y = 0")
@@ -155,6 +163,117 @@ class TestParseOde:
     def test_power_just_under_the_cap(self, base, exponent):
         ode = parse_ode("y'' + %d^(%d)*y = 0" % (base, exponent))
         assert ode.B == rf([base ** exponent])
+
+
+    @pytest.mark.parametrize("text", ["y'' + x^(1/0)*y = 0",
+                                      "y'' + 2^(1/0)*y = 0"])
+    def test_zero_exponent_denominator_is_a_parse_error(self, text):
+        with pytest.raises(ParseError) as exc:
+            parse_ode(text)
+        assert exc.value.position == 11
+
+
+def coefficient_texts(depth=3):
+    """(text, value) pairs: a coefficient text and its value built
+    independently with RatFunc and GenRatFunc arithmetic, or the
+    exception that arithmetic raises.
+
+    Leaves are small integers, x and x^(p/q); nodes are + - * /, integer
+    powers and parentheses. Exponents and depth stay small enough that
+    no intermediate of the reference nears the degree cap.
+    """
+    leaf = st.one_of(
+        st.integers(0, 12).map(lambda n: (str(n), RatFunc.const(n))),
+        st.just(("x", RatFunc.x())),
+        st.tuples(st.integers(-2, 2), st.integers(1, 2)).map(
+            lambda pq: ("x^(%d/%d)" % pq, GenRatFunc.x_power(*pq))),
+    )
+    if depth == 0:
+        return leaf
+    sub = coefficient_texts(depth - 1)
+
+    def apply(op, a, b):
+        if isinstance(a, Exception):
+            return a
+        if isinstance(b, Exception):
+            return b
+        try:
+            return op(a, b)
+        except ZeroDivisionError as e:
+            return e
+
+    def binary(draw_op):
+        sign, op = draw_op[0]
+        (ta, va), (tb, vb) = draw_op[1], draw_op[2]
+        return "(%s)%s(%s)" % (ta, sign, tb), apply(op, va, vb)
+
+    ops = st.sampled_from([
+        ("+", lambda a, b: a + b), ("-", lambda a, b: a - b),
+        ("*", lambda a, b: a * b), ("/", lambda a, b: a / b)])
+    return st.one_of(
+        leaf,
+        st.tuples(ops, sub, sub).map(binary),
+        st.tuples(sub, st.integers(-2, 2)).map(
+            lambda p: ("(%s)^(%d)" % (p[0][0], p[1]),
+                       apply(lambda a, n: a ** n, p[0][1], p[1]))),
+        sub.map(lambda p: ("-(%s)" % p[0], apply(lambda a, _: -a, p[1], 0))),
+    )
+
+
+_HALF = GenRatFunc.x_power(1, 2)
+
+
+class TestCoefficientAccumulation:
+    @given(coefficient_texts(), coefficient_texts())
+    @example(("(x^(1/2)+1)^(2)", (_HALF + 1) ** 2),
+             ("(x^(-1/2)-x)^(-2)", (1 / _HALF - RatFunc.x()) ** -2))
+    @example(("(x+1)/(x^(1/2))", (RatFunc.x() + 1) / _HALF),
+             ("(x^2-1)/(2*x-2)", RatFunc(Poly((F(1, 2), F(1, 2))))))
+    @settings(max_examples=300, deadline=None)
+    def test_parse_matches_exact_arithmetic(self, a, b):
+        text = "y'' + (%s)*y' + (%s)*y = 0" % (a[0], b[0])
+        if isinstance(a[1], Exception) or isinstance(b[1], Exception):
+            with pytest.raises(ParseError):
+                parse_ode(text)
+            return
+        ode = parse_ode(text)
+        for got, want in ((ode.A, a[1]), (ode.B, b[1])):
+            assert type(got) is type(want)
+            assert got == want
+
+    @given(coefficient_texts(2), coefficient_texts(2), coefficient_texts(2))
+    @settings(max_examples=150, deadline=None)
+    def test_lead_coefficient_divides_out(self, lead, a, b):
+        text = "(%s)*y'' + (%s)*y' + (%s)*y = 0" % (lead[0], a[0], b[0])
+        if any(isinstance(v, Exception) for _, v in (lead, a, b)):
+            with pytest.raises(ParseError):
+                parse_ode(text)
+            return
+        if lead[1].is_zero:
+            with pytest.raises(UnsupportedEquation):
+                parse_ode(text)
+            return
+        ode = parse_ode(text)
+        for got, want in ((ode.A, a[1] / lead[1]), (ode.B, b[1] / lead[1])):
+            assert type(got) is type(want)
+            assert got == want
+
+    @pytest.mark.parametrize("coefficient, error", [
+        ("7^(100000000)", CoefficientOverflow),
+        ("(x+1)^(100000)", DegreeOverflow),
+        ("x^(-99999999999)", DegreeOverflow),
+    ])
+    def test_huge_power_is_refused_at_once(self, coefficient, error):
+        start = time.perf_counter()
+        with pytest.raises(error):
+            parse_ode("y'' + %s*y = 0" % coefficient)
+        assert time.perf_counter() - start < 1.0
+
+    def test_rational_base_is_reduced_before_its_power(self):
+        start = time.perf_counter()
+        ode = parse_ode("y'' + ((x+1)/(x+1))^(3000)*y = 0")
+        assert time.perf_counter() - start < 1.0
+        assert ode.B == rf([1])
 
 
 class TestPowerCap:
