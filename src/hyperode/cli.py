@@ -108,13 +108,13 @@ def cmd_solve(ode_text, verify=False, n_points=8):
         return _error_payload("invalid_input", e), 1
     try:
         w = solve_equivalence(ode)
+        pair = assemble(w)
     except _NO_WITNESS as e:
         return _error_payload("no_equivalence", e), 2
     except DegreeOverflow as e:
         return _error_payload("degree_overflow", e), 1
     except CoefficientOverflow as e:
         return _error_payload("coefficient_overflow", e), 1
-    pair = assemble(w)
     residuals = None
     if verify:
         try:
@@ -266,9 +266,6 @@ def cmd_corpus(path=None, verify=False):
 
 
 def _human_solve(payload):
-    if "error" in payload:
-        return ["error (%s): %s" % (payload["error"]["type"],
-                                    payload["error"]["message"])]
     w = payload["witness"]
     sol = payload["solutions"]
     lines = [
@@ -298,9 +295,6 @@ def _human_solve(payload):
 
 
 def _human_classify(payload):
-    if "error" in payload:
-        return ["error (%s): %s" % (payload["error"]["type"],
-                                    payload["error"]["message"])]
     pr = payload["profile"]
     lines = [
         "k = %s" % payload["k"],
@@ -319,9 +313,6 @@ def _human_classify(payload):
 
 
 def _human_verify(payload):
-    if "error" in payload:
-        return ["error (%s): %s" % (payload["error"]["type"],
-                                    payload["error"]["message"])]
     rep = payload["residual_report"]
     return [
         "max residual: %.3e over %d points" % (rep["max_residual"],
@@ -331,9 +322,6 @@ def _human_verify(payload):
 
 
 def _human_corpus(payload):
-    if "error" in payload:
-        return ["error (%s): %s" % (payload["error"]["type"],
-                                    payload["error"]["message"])]
     lines = []
     for row in payload["entries"]:
         bits = ["%-26s %s" % (row["id"], row["status"])]
@@ -421,6 +409,9 @@ def main(argv=None):
     payload, code = _run(args)
     if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
+    elif "error" in payload:
+        print("error (%s): %s" % (payload["error"]["type"],
+                                  payload["error"]["message"]))
     else:
         print("\n".join(_RENDER[args.verb](payload)))
     return code

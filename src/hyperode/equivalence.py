@@ -75,56 +75,34 @@ from .odeio import (
 # model (seed) equations
 
 
-@dataclass(frozen=True)
-class SeedEquation:
-    """One of the three model equations, parameters left free.
-
-    instantiate() plugs concrete parameter values into the coefficient
-    templates and returns the LinearODE. The full model has regular points
-    {0, 1, infinity}; the two confluent models have a regular point at 0
-    and an irregular point at infinity.
-    """
-
-    class_kind: str
-
-    @property
-    def parameter_names(self):
-        return {"2F1": ("a", "b", "c"),
-                "1F1": ("a", "c"),
-                "0F1": ("c",)}[self.class_kind]
-
-    def instantiate(self, params):
-        missing = [n for n in self.parameter_names if n not in params]
-        if missing:
-            raise ValueError("missing parameters %s for %s"
-                             % (missing, self.class_kind))
-        if self.class_kind == "2F1":
-            a, b, c = params["a"], params["b"], params["c"]
-            den = RatFunc(Poly((Fraction(0), Fraction(-1), Fraction(1))))
-            return LinearODE(
-                RatFunc(Poly((-c, a + b + 1))) / den,
-                RatFunc(Poly.const(a * b)) / den)
-        if self.class_kind == "1F1":
-            a, c = params["a"], params["c"]
-            den = RatFunc(Poly((Fraction(0), Fraction(1))))
-            return LinearODE(
-                RatFunc(Poly((c, Fraction(-1)))) / den,
-                RatFunc(Poly.const(-a)) / den)
-        if self.class_kind == "0F1":
-            c = params["c"]
-            den = RatFunc(Poly((Fraction(0), Fraction(1))))
-            return LinearODE(
-                RatFunc(Poly.const(c)) / den,
-                RatFunc(Poly.const(Fraction(-1))) / den)
-        raise ValueError("unknown class kind %r" % self.class_kind)
-
-
-SEEDS = {kind: SeedEquation(kind) for kind in ("2F1", "1F1", "0F1")}
+_PARAMETER_NAMES = {"2F1": ("a", "b", "c"), "1F1": ("a", "c"), "0F1": ("c",)}
 
 
 def seed_ode(class_kind, params):
-    """The model equation of a class with concrete parameter values."""
-    return SEEDS[class_kind].instantiate(params)
+    """The model equation of a class with concrete parameter values.
+
+    The full model has regular points {0, 1, infinity}; the two confluent
+    models have a regular point at 0 and an irregular point at infinity.
+    """
+    missing = [n for n in _PARAMETER_NAMES[class_kind] if n not in params]
+    if missing:
+        raise ValueError("missing parameters %s for %s"
+                         % (missing, class_kind))
+    if class_kind == "2F1":
+        a, b, c = params["a"], params["b"], params["c"]
+        den = RatFunc(Poly((Fraction(0), Fraction(-1), Fraction(1))))
+        return LinearODE(
+            RatFunc(Poly((-c, a + b + 1))) / den,
+            RatFunc(Poly.const(a * b)) / den)
+    den = RatFunc(Poly((Fraction(0), Fraction(1))))
+    if class_kind == "1F1":
+        a, c = params["a"], params["c"]
+        return LinearODE(
+            RatFunc(Poly((c, Fraction(-1)))) / den,
+            RatFunc(Poly.const(-a)) / den)
+    return LinearODE(
+        RatFunc(Poly.const(params["c"])) / den,
+        RatFunc(Poly.const(Fraction(-1))) / den)
 
 
 def seed_invariant(class_kind, params):
@@ -136,30 +114,18 @@ def seed_invariant(class_kind, params):
 # exponent differences
 
 
-@dataclass(frozen=True)
-class ExponentDifferences:
-    """Local exponent differences of the full model's normal form.
+def parameters_from_differences(at_zero, at_one, at_infinity):
+    """Full-model parameters from the local exponent differences.
 
-    The three values sit at the regular points 0, 1 and infinity and
-    determine the parameters up to the sign symmetries:
+    The three differences sit at the regular points 0, 1 and infinity:
 
         at_zero = 1 - c,  at_one = a + b - c,  at_infinity = a - b
+
+    and nonnegative differences give a >= b.
     """
-
-    at_zero: Fraction
-    at_one: Fraction
-    at_infinity: Fraction
-
-    @classmethod
-    def of_parameters(cls, a, b, c):
-        return cls(1 - c, a + b - c, a - b)
-
-    def parameters(self):
-        """Invert to (a, b, c); nonnegative differences give a >= b."""
-        c = 1 - self.at_zero
-        a = (1 - self.at_zero + self.at_one + self.at_infinity) / 2
-        b = (1 - self.at_zero + self.at_one - self.at_infinity) / 2
-        return {"a": a, "b": b, "c": c}
+    return {"a": (1 - at_zero + at_one + at_infinity) / 2,
+            "b": (1 - at_zero + at_one - at_infinity) / 2,
+            "c": 1 - at_zero}
 
 
 def double_pole_coefficient(i0, point):
@@ -317,7 +283,6 @@ class EquivalenceWitness:
         self.k = Fraction(k)
         self.mobius = mobius
         self.params = dict(params)
-        self.input_ode = input_ode
         self.seed = seed_ode(class_kind, self.params)
         arg, pulled = _pull_back(self.seed, mobius, self.k)
         gpp = (pulled.A - input_ode.A) / 2
@@ -398,8 +363,8 @@ def resolve_2F1(i0, pr):
                 tuple(_sort_point(p) for p in slots))
 
     for t0, t1, tinf in sorted(assignments, key=order_key):
-        shape = ExponentDifferences(diff_of(t0), diff_of(t1), diff_of(tinf))
-        params = shape.parameters()
+        params = parameters_from_differences(diff_of(t0), diff_of(t1),
+                                             diff_of(tinf))
         if params["a"] < params["b"]:
             raise WitnessRejected(
                 "negative exponent difference at infinity: %r" % (params,))
@@ -539,13 +504,11 @@ _RESOLVERS = {"2F1": resolve_2F1, "1F1": resolve_1F1, "0F1": resolve_0F1}
 class Reduction:
     """An equation reduced to the data the resolvers match against.
 
-    normal_form holds the invariant I of the input, k the power pulled
-    out of it, i0 the reduced invariant, profile its singularity
-    fingerprint and candidates the model classes that fingerprint admits,
-    in the order they are tried.
+    k is the power pulled out of the input's invariant, i0 the reduced
+    invariant, profile its singularity fingerprint and candidates the
+    model classes that fingerprint admits, in the order they are tried.
     """
 
-    normal_form: object
     k: Fraction
     i0: object
     profile: object
@@ -554,11 +517,11 @@ class Reduction:
 
 def reduce_ode(ode):
     """Normal form, power minimization, fingerprint and class candidates."""
-    nf = to_normal_form(ode)
-    k, j0 = minimize_power_exponents(shifted_invariant(nf.I))
+    i = to_normal_form(ode).I
+    k, j0 = minimize_power_exponents(shifted_invariant(i))
     i0 = invariant_from_shifted(j0)
     pr = profile(i0)
-    return Reduction(nf, k, i0, pr, tuple(classify(pr)))
+    return Reduction(k, i0, pr, tuple(classify(pr)))
 
 
 def solve_equivalence(ode):

@@ -122,34 +122,15 @@ class Mobius:
 
 @dataclass(frozen=True)
 class NormalizedODE:
-    """Invariant plus the data needed to undo the normalization.
-
-    gauge_log_derivative is -A/2: the logarithmic derivative of the
-    multiplier that carries solutions of u'' = I u back to solutions of
-    the original equation.
-    """
+    """The normal form u'' = I u of an equation, held by its invariant."""
 
     I: object
-    gauge_log_derivative: object
-
-
-@dataclass(frozen=True)
-class GenInvariant:
-    """A shifted invariant with fractional exponents made polynomial.
-
-    carrier is a reduced rational function in s = x^(1/N) where N is the
-    minimal base_exponent_denominator (N = 1 for ordinary inputs).
-    """
-
-    base_exponent_denominator: int
-    carrier: RatFunc
 
 
 def to_normal_form(ode):
-    """Invariant and gauge data of a linear ODE; exact in all fields."""
+    """Invariant of a linear ODE; exact in all fields."""
     a, b = ode.A, ode.B
-    i = a.deriv() / 2 + a * a * Fraction(1, 4) - b
-    return NormalizedODE(i, -a / 2)
+    return NormalizedODE(a.deriv() / 2 + a * a * Fraction(1, 4) - b)
 
 
 def schwarzian(f):
@@ -206,15 +187,10 @@ def transform_invariant(i0, f):
 
 
 def shifted_invariant(i):
-    """J = x^2 I + 1/4 as a GenInvariant with minimal carrier."""
-    if isinstance(i, GenInvariant):
-        return i
+    """J = x^2 I + 1/4, a RatFunc or a GenRatFunc with minimal carrier."""
     if not isinstance(i, (RatFunc, GenRatFunc)):
         raise TypeError("expected an invariant, got %r" % (i,))
-    j = _X_SQUARED * i + Fraction(1, 4)
-    if isinstance(j, GenRatFunc):
-        return GenInvariant(j.carrier, j.fn)
-    return GenInvariant(1, j)
+    return _X_SQUARED * i + Fraction(1, 4)
 
 
 def minimize_power_exponents(j1):
@@ -225,8 +201,8 @@ def minimize_power_exponents(j1):
     whose J0 has the smaller denominator degree, ties going to positive.
     Constant J1 returns k = 1.
     """
-    carrier_fn = j1.carrier
-    n = j1.base_exponent_denominator
+    carrier_fn, n = ((j1.fn, j1.carrier) if isinstance(j1, GenRatFunc)
+                     else (j1, 1))
     g = carrier_fn.exponent_gcd()
     if g == 0:
         # constant shifted invariant; no power transformation needed

@@ -379,9 +379,9 @@ def _tokenize(text):
             tokens.append(("prime", "'", i))
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             if j < n and text[j] == ".":
                 raise ParseError("decimal literals are not supported; "

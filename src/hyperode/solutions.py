@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .equivalence import exp_integral_expr, seed_ode
-from .exactalg import GaussRat, RatFunc, integrate_ratfunc
+from .exactalg import GaussRat
 from .odeio import (
     ONE,
     Add,
@@ -129,7 +129,7 @@ def repair_degenerate(params, pair):
                             True, "legendre")
     base = pair.y1 if c >= 1 else pair.y2
     second = integral_fallback(base, seed_ode("2F1", params).A)
-    return SolutionPair(base, second, not has_integral(second), "integral")
+    return SolutionPair(base, second, False, "integral")
 
 
 def integral_fallback(y1, coeff_a):
@@ -137,61 +137,11 @@ def integral_fallback(y1, coeff_a):
 
     The inner integral always closes into powers and exponentials of
     rational functions (or an explicit integral when its poles are not
-    rational). The outer one is evaluated only when the whole integrand
-    is itself a rational function with a rational antiderivative.
+    rational). The outer one is left unevaluated, since the solver's y1
+    is always a series.
     """
     wronskian = exp_integral_expr(-coeff_a)
-    integrand = mul(wronskian, power(y1, -2))
-    f = _expr_as_ratfunc(integrand)
-    if f is not None:
-        closed = _rational_antiderivative(f)
-        if closed is not None:
-            return mul(y1, closed)
-    return mul(y1, Intg(integrand))
-
-
-def _rational_antiderivative(f):
-    result = integrate_ratfunc(f)
-    if not result.exact or result.logarithms:
-        return None
-    parts = []
-    if not result.polynomial_part.is_zero:
-        parts.append(ratfunc_to_expr(RatFunc(result.polynomial_part)))
-    if not result.rational_part.is_zero:
-        parts.append(ratfunc_to_expr(result.rational_part))
-    if not parts:
-        return None
-    return add(*parts)
-
-
-def _expr_as_ratfunc(e):
-    """Exact rational-function reading of an expression, or None."""
-    if isinstance(e, Num):
-        return RatFunc.const(e.value)
-    if isinstance(e, Sym):
-        return RatFunc.x()
-    if isinstance(e, Add):
-        out = RatFunc.const(0)
-        for t in e.terms:
-            f = _expr_as_ratfunc(t)
-            if f is None:
-                return None
-            out = out + f
-        return out
-    if isinstance(e, Mul):
-        out = RatFunc.const(1)
-        for t in e.factors:
-            f = _expr_as_ratfunc(t)
-            if f is None:
-                return None
-            out = out * f
-        return out
-    if isinstance(e, Pow) and e.exponent.denominator == 1:
-        f = _expr_as_ratfunc(e.base)
-        if f is None or f.is_zero:
-            return None
-        return f ** e.exponent.numerator
-    return None
+    return mul(y1, Intg(mul(wronskian, power(y1, -2))))
 
 
 def substitute_argument(e, arg, darg):
@@ -225,10 +175,6 @@ def substitute_argument(e, arg, darg):
     raise TypeError("not a solution expression: %r" % (e,))
 
 
-def _argument_exprs(f):
-    return ratfunc_to_expr(f), ratfunc_to_expr(f.deriv())
-
-
 def assemble(witness):
     """Solutions of the original equation from a verified witness.
 
@@ -243,9 +189,11 @@ def assemble(witness):
             c = witness.params["c"]
             base = pair.y1 if c >= 1 else pair.y2
             second = integral_fallback(base, witness.seed.A)
-            pair = SolutionPair(base, second, not has_integral(second),
-                                "integral")
-    arg_expr, darg_expr = _argument_exprs(witness.argument)
+            pair = SolutionPair(base, second, False, "integral")
+    arg_expr = ratfunc_to_expr(witness.argument)
+    # only an unevaluated integral changes variables with the derivative
+    darg_expr = (None if pair.integral_free
+                 else ratfunc_to_expr(witness.argument.deriv()))
     y1 = mul(witness.gauge, substitute_argument(pair.y1, arg_expr, darg_expr))
     y2 = mul(witness.gauge, substitute_argument(pair.y2, arg_expr, darg_expr))
     free = not (has_integral(y1) or has_integral(y2))

@@ -6,8 +6,11 @@ import pathlib
 import subprocess
 import sys
 import time
+from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import hyperode
 from hyperode import cli, equivalence
@@ -22,6 +25,7 @@ from hyperode.cli import (
 )
 from hyperode.errors import CoefficientOverflow
 from hyperode.exactalg import degree_cap, set_degree_cap
+from hyperode.invariants import Mobius
 from hyperode.odeio import parse_ode
 
 WORKED_ODE = ("y'' = ((1/3*x^2 - 3*x^4 - 8/3)/(x^5 - x))*y'"
@@ -292,6 +296,58 @@ class TestBoundedInput:
         payload, code = cmd_solve("y'' + x*%sx*y = 0" % ("-" * 3000))
         assert code == 1
         assert payload["error"]["type"] == "invalid_input"
+
+    def test_overflow_while_assembling_exits_one(self):
+        # the witness is found; substituting -x/9 into x^2001 overflows
+        payload, code = cmd_solve("y'' + (-2000)/(x)*y' + (1/9)/(x)*y = 0")
+        assert code == 1
+        assert payload["error"]["type"] == "coefficient_overflow"
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "y'' + 3\u00b2*y = 0"],
+        ["classify", "y'' + 3\u00b2*y = 0"],
+        ["verify", "y'' + 3\u00b2*y = 0", "x"],
+    ])
+    def test_superscript_digit_is_a_parse_error(self, capsys, argv):
+        code = main(argv)
+        assert code == 1
+        assert capsys.readouterr().out == (
+            "error (invalid_input): unexpected character '\u00b2' "
+            "(at offset 7)\n")
+        code = main(["--json"] + argv)
+        out = json.loads(capsys.readouterr().out)
+        assert code == 1
+        assert out["error"]["type"] == "invalid_input"
+
+
+_KIND_PARAMETERS = {"2F1": ("a", "b", "c"), "1F1": ("a", "c"), "0F1": ("c",)}
+_HALF_INTEGERS = st.integers(-4000, 4000).map(lambda n: F(n, 2))
+
+
+@st.composite
+def _degenerate_models(draw):
+    """A model with integer or half-integer parameters, pushed through a
+    Mobius map with entries in [-6, 6] and a power k in 1..3."""
+    kind = draw(st.sampled_from(sorted(_KIND_PARAMETERS)))
+    params = {n: draw(_HALF_INTEGERS) for n in _KIND_PARAMETERS[kind]}
+    entries = draw(st.tuples(*[st.integers(-6, 6)] * 4).filter(
+        lambda m: m[0] * m[3] - m[1] * m[2]))
+    return kind, params, entries, draw(st.integers(1, 3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_degenerate_models())
+@example(("2F1", {"a": F(70), "b": F(1), "c": F(1)}, (1, 0, 0, 1), 1))
+@example(("0F1", {"c": F(80)}, (1, 0, 0, 1), 1))
+@example(("0F1", {"c": F(-2000)}, (-1, 0, 0, 9), 1))
+def test_degenerate_models_never_raise(model):
+    kind, params, entries, k = model
+    ode = equivalence.transformed_seed_ode(
+        kind, params, Mobius.from_ints(*entries), k)
+    text = "y'' + (%s)*y' + (%s)*y = 0" % (ode.A, ode.B)
+    assert parse_ode(text) == ode
+    _, code = cmd_solve(text)
+    assert code in (0, 1, 2)
 
 
 def test_module_entry_point_runs_the_cli():

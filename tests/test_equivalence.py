@@ -23,11 +23,10 @@ from hyperode.errors import (
 from hyperode.exactalg import GaussRat, Poly, RatFunc
 from hyperode.equivalence import (
     EquivalenceWitness,
-    ExponentDifferences,
-    SEEDS,
     double_pole_coefficient,
     exponent_difference_at,
     mobius_from_three_points,
+    parameters_from_differences,
     resolve_0F1,
     resolve_1F1,
     resolve_2F1,
@@ -58,6 +57,14 @@ def _seed_invariant_2F1_reference(a, b, c):
             + RatFunc.const((mu * mu - 1) / 4) / ((x - 1) * (x - 1))
             + RatFunc.const((1 + kap * kap - lam * lam - mu * mu) / 4)
             / (x * (x - 1)))
+
+
+PARAMETER_NAMES = {"2F1": ("a", "b", "c"), "1F1": ("a", "c"), "0F1": ("c",)}
+
+
+def _differences(a, b, c):
+    """Exponent differences of the full model at 0, 1 and infinity."""
+    return 1 - c, a + b - c, a - b
 
 
 WORKED_ODE = ("y'' = ((1/3*x^2 - 3*x^4 - 8/3)/(x^5 - x))*y'"
@@ -115,15 +122,19 @@ class TestSeedEquations:
         assert got == want
 
     def test_parameter_names(self):
-        assert SEEDS["2F1"].parameter_names == ("a", "b", "c")
-        assert SEEDS["1F1"].parameter_names == ("a", "c")
-        assert SEEDS["0F1"].parameter_names == ("c",)
+        for kind, names in PARAMETER_NAMES.items():
+            full = {n: F(1, 3) for n in names}
+            seed_ode(kind, full)
+            for name in names:
+                with pytest.raises(ValueError, match="'%s'" % name):
+                    seed_ode(kind, {n: v for n, v in full.items()
+                                    if n != name})
 
 
 class TestExponentDifferences:
     def test_parameter_round_trip(self):
-        shape = ExponentDifferences.of_parameters(F(1, 4), F(-1, 12), F(-1, 3))
-        back = shape.parameters()
+        back = parameters_from_differences(
+            *_differences(F(1, 4), F(-1, 12), F(-1, 3)))
         assert back == {"a": F(1, 4), "b": F(-1, 12), "c": F(-1, 3)}
 
     def test_ordinary_double_root_gives_one(self):
@@ -227,11 +238,9 @@ class TestResolve2F1:
         w = ws[0]
         assert w.mobius == Mobius.identity()
         assert w.params == {"a": F(0), "b": F(-1), "c": F(-1)}
-        shape = ExponentDifferences.of_parameters(F(1), F(2), F(3))
-        got = ExponentDifferences.of_parameters(**w.params)
-        assert abs(shape.at_zero) == abs(got.at_zero)
-        assert abs(shape.at_one) == abs(got.at_one)
-        assert abs(shape.at_infinity) == abs(got.at_infinity)
+        shape = _differences(F(1), F(2), F(3))
+        got = _differences(**w.params)
+        assert [abs(d) for d in shape] == [abs(d) for d in got]
 
     def test_ordering_prefers_larger_differences(self):
         ws = list(resolve_2F1(WORKED_I0, profile(WORKED_I0)))
@@ -462,7 +471,7 @@ class TestRoundTrips:
         kinds = ("2F1", "1F1", "0F1")
         for trial in range(45):
             kind = kinds[trial % 3]
-            names = SEEDS[kind].parameter_names
+            names = PARAMETER_NAMES[kind]
             params = {n: F(rng.randint(-12, 12), rng.randint(1, 4))
                       for n in names}
             while True:

@@ -155,6 +155,14 @@ class TestParseOde:
         with pytest.raises(ParseError):
             parse_ode("y'' + z*y = 0")
 
+    def test_only_decimal_digits_are_digits(self):
+        # a superscript is a digit to str.isdigit but not to int()
+        with pytest.raises(ParseError) as exc:
+            parse_ode("y'' + 3\u00b2*y = 0")
+        assert exc.value.position == 7
+        # decimal digits of every script still read
+        assert parse_ode("y'' + \u0663*y = 0") == parse_ode("y'' + 3*y = 0")
+
     def test_division_by_y_rejected(self):
         with pytest.raises(ParseError):
             parse_ode("y'' + 1/y = 0")

@@ -8,7 +8,7 @@ import pytest
 
 from hyperode.exactalg import GaussRat, Poly, RatFunc
 from hyperode.equivalence import (
-    ExponentDifferences,
+    parameters_from_differences,
     seed_invariant,
     seed_ode,
     solve_equivalence,
@@ -172,10 +172,10 @@ class TestAutomorphisms:
         # exponent differences
         for triple in ((F(1, 3), F(1, 5), F(2, 7)), (F(0), F(1, 2), F(3))):
             before = seed_invariant(
-                "2F1", ExponentDifferences(*triple).parameters())
+                "2F1", parameters_from_differences(*triple))
             for m, perm in SYMMETRIES.values():
-                after = seed_invariant("2F1", ExponentDifferences(
-                    *_permute(perm, triple)).parameters())
+                after = seed_invariant("2F1", parameters_from_differences(
+                    *_permute(perm, triple)))
                 assert transform_invariant(before, m) == after
 
 
@@ -305,16 +305,17 @@ class TestRepairDegenerate:
 
 class TestIntegralFallback:
     def test_trivial_equation(self):
-        assert integral_fallback(X, RatFunc.const(F(0))) == num(F(-1))
+        out = integral_fallback(X, RatFunc.const(F(0)))
+        assert print_solution(out) == "x*Int(1/x^2, x)"
 
     def test_rational_wronskian_factor(self):
         out = integral_fallback(ONE, rf([2], [0, 1]))
-        assert print_solution(out) == "-1/x"
+        assert print_solution(out) == "Int(1/x^2, x)"
 
     def test_sign_of_the_inner_exponential(self):
         # A = -2/x integrates to x^2 under the minus sign convention
         out = integral_fallback(ONE, rf([-2], [0, 1]))
-        assert print_solution(out) == "x^3/3"
+        assert print_solution(out) == "Int(x^2, x)"
 
     def test_nonrational_base_keeps_the_integral(self):
         y1 = hyp("2F1", (F(1, 2), F(1, 2)), (F(1),), X)
