@@ -610,22 +610,37 @@ class Poly:
         return g
 
     def taylor_at(self, r, count):
-        """First `count` Taylor coefficients of p around x = r."""
-        rem = list(self.coeffs)
+        """First `count` Taylor coefficients of p around x = r.
+
+        The shift runs over Z or Z[i]. With p = P/den, r = u/q and
+        n = deg p, q^n P(u/q + t/q) is R(u + t) for the integer polynomial
+        R(s) = sum of a_j q^(n-j) s^j, so the k-th coefficient is
+        e_k / (q^(n-k) den), where e_k comes from the k-th synthetic
+        division of R by s - u.
+        """
+        n = len(self.re) - 1
+        ur, ui, q = _scalar_parts(r)
+        qpow = [1]
+        for _ in range(n):
+            qpow.append(qpow[-1] * q)
+        re = [a * qpow[n - j] for j, a in enumerate(self.re)]
+        im = [a * qpow[n - j] for j, a in enumerate(self.im)]
+        if ui and not im:
+            im = [0] * len(re)
         out = []
-        for _ in range(count):
-            if not rem:
-                out.append(Fraction(0))
-                continue
-            acc = rem[-1]
-            new = [acc]
-            for c in reversed(rem[:-1]):
-                acc = acc * r + c
-                new.append(acc)
-            new.reverse()
-            out.append(new[0])
-            rem = new[1:]
-        return out
+        for k in range(min(count, n + 1)):
+            # one Horner pass leaves R's k-th shifted coefficient in slot k
+            if im:
+                for j in range(n - 1, k - 1, -1):
+                    x, y = re[j + 1], im[j + 1]
+                    re[j] += x * ur - y * ui
+                    im[j] += x * ui + y * ur
+                out.append(_scalar(re[k], im[k], qpow[n - k] * self.den))
+            else:
+                for j in range(n - 1, k - 1, -1):
+                    re[j] += re[j + 1] * ur
+                out.append(Fraction(re[k], qpow[n - k] * self.den))
+        return out + [Fraction(0)] * (count - len(out))
 
     def has_gauss(self):
         return bool(self.im)
@@ -785,7 +800,14 @@ def squarefree_decomposition(p):
 
 
 class RatFunc:
-    """Reduced rational function num/den with a monic denominator."""
+    """Reduced rational function num/den with a monic denominator.
+
+    The constructor reduces arbitrary input by one gcd. The operators take
+    reduced operands to a reduced result directly, by Henrici's rules
+    (Knuth, TAOCP vol. 2, 4.5.1): they divide out only the small gcds the
+    result can still share, skip the gcd where coprimality is provable,
+    and build the result with from_coprime.
+    """
 
     __slots__ = ("num", "den")
 
@@ -814,11 +836,11 @@ class RatFunc:
 
     @classmethod
     def const(cls, c):
-        return cls(Poly.const(c))
+        return cls.from_coprime(Poly.const(c), _ONE)
 
     @classmethod
     def x(cls):
-        return cls(Poly.x())
+        return cls.from_coprime(Poly.x(), _ONE)
 
     @classmethod
     def from_coprime(cls, num, den):
@@ -840,12 +862,25 @@ class RatFunc:
     def is_zero(self):
         return self.num.is_zero
 
+    def _add(self, other, sign):
+        """self + sign*other: cancels only the gcd of the denominators."""
+        a, b, c, d = self.num, self.den, other.num, other.den
+        g = poly_gcd(b, d) if b.degree > 0 and d.degree > 0 else _ONE
+        if g.degree <= 0:
+            return RatFunc.from_coprime((a * d)._combine(c * b, sign), b * d)
+        b, dg = b // g, d // g
+        t = (a * dg)._combine(c * b, sign)
+        # t is coprime to b/g and d/g, so only a factor of g can cancel
+        g2 = poly_gcd(t, g)
+        if g2.degree > 0:
+            t, d = t // g2, d // g2
+        return RatFunc.from_coprime(t, b * d)
+
     def __add__(self, other):
         other = _as_ratfunc(other)
         if other is NotImplemented:
             return NotImplemented
-        return RatFunc(self.num * other.den + other.num * self.den,
-                       self.den * other.den)
+        return self._add(other, 1)
 
     __radd__ = __add__
 
@@ -853,23 +888,35 @@ class RatFunc:
         other = _as_ratfunc(other)
         if other is NotImplemented:
             return NotImplemented
-        return RatFunc(self.num * other.den - other.num * self.den,
-                       self.den * other.den)
+        return self._add(other, -1)
 
     def __rsub__(self, other):
         other = _as_ratfunc(other)
         if other is NotImplemented:
             return NotImplemented
-        return other - self
+        return other._add(self, -1)
 
     def __neg__(self):
-        return RatFunc(-self.num, self.den)
+        return RatFunc.from_coprime(-self.num, self.den)
+
+    def _mul(self, c, d):
+        """self * c/d for coprime c, d: cancels across the diagonals only."""
+        a, b = self.num, self.den
+        if a.degree > 0 and d.degree > 0:
+            g = poly_gcd(a, d)
+            if g.degree > 0:
+                a, d = a // g, d // g
+        if c.degree > 0 and b.degree > 0:
+            g = poly_gcd(c, b)
+            if g.degree > 0:
+                c, b = c // g, b // g
+        return RatFunc.from_coprime(a * c, b * d)
 
     def __mul__(self, other):
         other = _as_ratfunc(other)
         if other is NotImplemented:
             return NotImplemented
-        return RatFunc(self.num * other.num, self.den * other.den)
+        return self._mul(other.num, other.den)
 
     __rmul__ = __mul__
 
@@ -879,7 +926,7 @@ class RatFunc:
             return NotImplemented
         if other.is_zero:
             raise ZeroDivisionError("division by zero rational function")
-        return RatFunc(self.num * other.den, self.den * other.num)
+        return self._mul(other.den, other.num)
 
     def __rtruediv__(self, other):
         other = _as_ratfunc(other)
@@ -890,9 +937,12 @@ class RatFunc:
     def __pow__(self, exp):
         if not isinstance(exp, int):
             return NotImplemented
-        if exp < 0:
-            return (RatFunc.const(1) / self) ** (-exp)
-        return RatFunc(self.num ** exp, self.den ** exp)
+        # powers of coprime polynomials stay coprime
+        if exp >= 0:
+            return RatFunc.from_coprime(self.num ** exp, self.den ** exp)
+        if self.is_zero:
+            raise ZeroDivisionError("division by zero rational function")
+        return RatFunc.from_coprime(self.den ** -exp, self.num ** -exp)
 
     def __eq__(self, other):
         other = _as_ratfunc(other)
@@ -907,9 +957,21 @@ class RatFunc:
         return not self.num.is_zero
 
     def deriv(self):
-        return RatFunc(self.num.deriv() * self.den
-                       - self.num * self.den.deriv(),
-                       self.den * self.den)
+        """(a/b)' = (a'(b/g) - a(b'/g)) / (b(b/g)) with g = gcd(b, b').
+
+        In characteristic 0, b'/g shares no factor with b, so the result
+        is reduced.
+        """
+        a, b = self.num, self.den
+        if b.degree <= 0:
+            return RatFunc.from_coprime(a.deriv(), _ONE)
+        db = b.deriv()
+        g = poly_gcd(b, db) if b.degree > 1 else _ONE
+        if g.degree > 0:
+            s, db = b // g, db // g
+        else:
+            s = b
+        return RatFunc.from_coprime(a.deriv() * s - a * db, b * s)
 
     def eval(self, v):
         dv = self.den.eval(v)
@@ -923,34 +985,33 @@ class RatFunc:
         return self.eval(v)
 
     def compose(self, other):
-        """self(other(x)) for a rational argument, by homogenization."""
+        """self(other(x)) for a rational argument, by homogenization.
+
+        Coprime num and den homogenize to coprime binary forms, and a
+        reduced argument n/m never makes n and m vanish together, so the
+        composed parts are coprime. Only a constant argument at a pole
+        makes the denominator 0.
+        """
         other = _as_ratfunc(other)
         d = max(self.num.degree, self.den.degree, 0)
-        pn, pd = other.num, other.den
-        powers_n = [Poly.const(1)]
-        powers_d = [Poly.const(1)]
+        mpow = [_ONE]
         for _ in range(d):
-            powers_n.append(powers_n[-1] * pn)
-            powers_d.append(powers_d[-1] * pd)
-        num = Poly()
-        for e in range(self.num.degree + 1):
-            c = self.num.coeff(e)
-            if c:
-                num = num + powers_n[e] * powers_d[d - e] * c
-        den = Poly()
-        for e in range(self.den.degree + 1):
-            c = self.den.coeff(e)
-            if c:
-                den = den + powers_n[e] * powers_d[d - e] * c
-        return RatFunc(num, den)
+            mpow.append(mpow[-1] * other.den)
+        num = _homogenized(self.num, other.num, mpow, d)
+        den = _homogenized(self.den, other.num, mpow, d)
+        if den.is_zero:
+            raise ZeroDivisionError("rational function with zero denominator")
+        return RatFunc.from_coprime(num, den)
+
+    # x -> x^k carries a Bezout identity both ways, so both keep coprimality
 
     def substitute_power(self, k):
-        return RatFunc(self.num.substitute_power(k),
-                       self.den.substitute_power(k))
+        return RatFunc.from_coprime(self.num.substitute_power(k),
+                                    self.den.substitute_power(k))
 
     def compress_power(self, k):
-        return RatFunc(self.num.compress_power(k),
-                       self.den.compress_power(k))
+        return RatFunc.from_coprime(self.num.compress_power(k),
+                                    self.den.compress_power(k))
 
     def exponent_gcd(self):
         return gcd(self.num.exponent_gcd(), self.den.exponent_gcd())
@@ -974,11 +1035,25 @@ class RatFunc:
         return "%s/(%s)" % (ns, ds)
 
 
+def _homogenized(p, n, mpow, d):
+    """sum of p_e n^e m^(d-e) by Horner's rule in n, given mpow[j] = m^j."""
+    if p.is_zero:
+        return p
+    top = p.degree
+    acc = Poly.const(p.lc)
+    for e in range(top - 1, -1, -1):
+        acc = acc * n
+        c = p.coeff(e)
+        if c:
+            acc = acc + mpow[top - e] * c
+    return acc * mpow[d - top] if d > top else acc
+
+
 def _as_ratfunc(other):
     if isinstance(other, RatFunc):
         return other
     if isinstance(other, Poly):
-        return RatFunc(other)
+        return RatFunc.from_coprime(other, _ONE)
     if isinstance(other, (int, Fraction, GaussRat)):
         return RatFunc.const(other)
     return NotImplemented
@@ -1021,9 +1096,10 @@ class GenRatFunc:
     def x_power(cls, num, den):
         """x^(num/den): a RatFunc when den divides num."""
         if num < 0:
-            return cls(RatFunc(Poly.const(1),
-                               Poly.from_pairs([(-num, Fraction(1))])), den)
-        return cls(RatFunc(Poly.from_pairs([(num, Fraction(1))])), den)
+            return cls(RatFunc.from_coprime(
+                _ONE, Poly.from_pairs([(-num, Fraction(1))])), den)
+        return cls(RatFunc.from_coprime(
+            Poly.from_pairs([(num, Fraction(1))]), _ONE), den)
 
     def _binop(self, other, op):
         if isinstance(other, GenRatFunc):
@@ -1075,8 +1151,9 @@ class GenRatFunc:
     def deriv(self):
         """d/dx of fn(x^(1/L)): chain rule through the carrier."""
         # d sigma / dx = (1/L) sigma^(1-L)
-        chain = RatFunc(Poly.const(Fraction(1, self.carrier)),
-                        Poly.from_pairs([(self.carrier - 1, Fraction(1))]))
+        chain = RatFunc.from_coprime(
+            Poly.const(Fraction(1, self.carrier)),
+            Poly.from_pairs([(self.carrier - 1, Fraction(1))]))
         return GenRatFunc(self.fn.deriv() * chain, self.carrier)
 
     def __repr__(self):

@@ -114,6 +114,33 @@ class TestPoly:
         p = base ** 3 + 5 * base + Poly.const(7)
         assert p.taylor_at(F(2), 4) == [F(7), F(5), F(0), F(1)]
 
+    @given(st.lists(st.tuples(small_rationals, small_rationals), max_size=7),
+           small_rationals, small_rationals, st.booleans(),
+           st.integers(0, 9))
+    @settings(max_examples=80)
+    def test_taylor_at_matches_the_scalar_loop(self, pairs, rr, ri, gauss,
+                                               count):
+        p = Poly([GaussRat(a, b) if gauss else a for a, b in pairs])
+        r = GaussRat(rr, ri) if gauss else rr
+        # the Taylor shift by synthetic division on exact scalars
+        rem = list(p.coeffs)
+        expected = []
+        for _ in range(count):
+            if not rem:
+                expected.append(F(0))
+                continue
+            acc = rem[-1]
+            new = [acc]
+            for c in reversed(rem[:-1]):
+                acc = acc * r + c
+                new.append(acc)
+            new.reverse()
+            expected.append(new[0])
+            rem = new[1:]
+        got = p.taylor_at(r, count)
+        assert got == expected
+        assert [type(c) for c in got] == [type(c) for c in expected]
+
     def test_power_spreading(self):
         p = poly_of([1, 2, 3])
         s = p.substitute_power(3)
@@ -316,6 +343,22 @@ class TestRatFunc:
             return
         f = RatFunc.from_coprime(n, d)
         assert (f.num, f.den) == (RatFunc(n, d).num, RatFunc(n, d).den)
+
+    def test_product_caps_the_result_not_the_unreduced_product(self):
+        x = RatFunc.x()
+        f = (x ** 40 + 1) / x ** 40
+        assert f * x ** 40 == x ** 40 + 1
+        assert x ** 40 * f == x ** 40 + 1
+        assert f / (1 / x ** 40) == x ** 40 + 1
+
+    def test_sum_caps_the_result_not_the_common_denominator(self):
+        # the unreduced common denominator x^80 passes the cap of 64
+        x = RatFunc.x()
+        f = (x ** 40 + 1) / x ** 40
+        g = 1 / x ** 40
+        assert f - g == 1
+        assert g + g == 2 / x ** 40
+        assert (f + g).den == Poly.from_pairs([(40, F(1))])
 
     def test_pole_order_and_residue(self):
         x = RatFunc.x()

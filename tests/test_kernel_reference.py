@@ -3,13 +3,14 @@
 Polynomials with large heights over QQ and over QQ_I are built once as
 hyperode Polys and once as sympy Polys; every kernel operation must give
 the same coefficients on both sides. sympy is a test-only dependency and
-the module skips without it.
+the module skips without it. The RatFunc operators are checked against
+the kernel's own reducing constructor on their unreduced results.
 """
 
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 sympy = pytest.importorskip("sympy")
@@ -195,3 +196,157 @@ def test_degree_overflow_at_the_cap():
         x.substitute_power(degree_cap() + 1)
     with pytest.raises(DegreeOverflow):
         Poly.from_pairs([(degree_cap() + 1, F(1))])
+
+
+# ---------------------------------------------------------------------------
+# RatFunc operators against the reducing constructor: each operator reduces
+# by Henrici's rules or proves the gcd unneeded, so its result must equal,
+# field by field, RatFunc(num, den) on the unreduced num and den.
+
+# The reducing constructor's gcd over Z[i] slows sharply with height and
+# degree, so Gaussian operands are kept lower than rational ones.
+medium_rationals = st.builds(
+    F, st.integers(-10 ** 6, 10 ** 6), st.integers(1, 10 ** 4))
+low_rationals = st.builds(F, st.integers(-100, 100), st.integers(1, 20))
+
+
+def small_polys(gauss, min_size=1, max_size=3):
+    if gauss:
+        parts = st.tuples(low_rationals,
+                          st.one_of(st.just(F(0)), low_rationals))
+    else:
+        parts = st.tuples(medium_rationals, st.just(F(0)))
+    return st.lists(parts, min_size=min_size, max_size=max_size).map(hyper)
+
+
+def nonzero_poly(p):
+    return not p.is_zero
+
+
+@st.composite
+def related_ratfuncs(draw, gauss, count):
+    """Reduced RatFuncs whose parts share planted factors.
+
+    Each operand is zero, a constant, or r*s^i*t^j / (u*s^k*t^l) over two
+    factors s, t common to all operands, so numerators meet denominators
+    and denominators meet each other.
+    """
+    size = 2 if gauss else 3
+    shared = [draw(small_polys(gauss, min_size=2, max_size=size))
+              for _ in range(2)]
+    out = []
+    for _ in range(count):
+        kind = draw(st.sampled_from(("zero", "const", "ratio", "ratio",
+                                     "ratio", "ratio")))
+        if kind == "zero":
+            out.append(RatFunc(Poly()))
+            continue
+        num = draw(small_polys(gauss, max_size=1 if kind == "const" else 3)
+                   .filter(nonzero_poly))
+        if kind == "const":
+            out.append(RatFunc(num))
+            continue
+        den = draw(small_polys(gauss).filter(nonzero_poly))
+        for s in shared:
+            if not s.is_zero:
+                num = num * s ** draw(st.integers(0, 1))
+                den = den * s ** draw(st.integers(0, 2))
+        out.append(RatFunc(num, den))
+    return out
+
+
+def arguments(gauss):
+    """Small reduced arguments for compose, constants included."""
+    return st.builds(RatFunc, small_polys(gauss),
+                     small_polys(gauss).filter(nonzero_poly))
+
+
+def homogenized(p, n, m, d):
+    """sum of p_e * n^e * m^(d-e): the numerator or denominator of a compose."""
+    out = Poly()
+    for e, c in enumerate(p.coeffs):
+        out = out + n ** e * m ** (d - e) * c
+    return out
+
+
+def _compose(f, g, k, e):
+    d = max(f.num.degree, f.den.degree, 0)
+    return (lambda: f.compose(g), homogenized(f.num, g.num, g.den, d),
+            homogenized(f.den, g.num, g.den, d))
+
+
+def _power(f, g, k, e):
+    if e < 0:
+        assume(not f.is_zero)
+        return lambda: f ** e, f.den ** -e, f.num ** -e
+    return lambda: f ** e, f.num ** e, f.den ** e
+
+
+def _divide(f, g, k, e):
+    assume(not g.is_zero)
+    return lambda: f / g, f.num * g.den, f.den * g.num
+
+
+def _compress(f, g, k, e):
+    # a value with support in k*Z, reduced by the constructor
+    h = RatFunc(f.num.substitute_power(k), f.den.substitute_power(k))
+    return (lambda: h.compress_power(k), h.num.compress_power(k),
+            h.den.compress_power(k))
+
+
+# name -> (f, g, k, e) -> (operator call, unreduced num, unreduced den)
+SHORTCUTS = {
+    "add": lambda f, g, k, e: (lambda: f + g, f.num * g.den + g.num * f.den,
+                               f.den * g.den),
+    "sub": lambda f, g, k, e: (lambda: f - g, f.num * g.den - g.num * f.den,
+                               f.den * g.den),
+    "mul": lambda f, g, k, e: (lambda: f * g, f.num * g.num, f.den * g.den),
+    "div": _divide,
+    "deriv": lambda f, g, k, e: (
+        f.deriv, f.num.deriv() * f.den - f.num * f.den.deriv(),
+        f.den * f.den),
+    "pow": _power,
+    "neg": lambda f, g, k, e: (lambda: -f, -f.num, f.den),
+    "compose": _compose,
+    "substitute_power": lambda f, g, k, e: (
+        lambda: f.substitute_power(k), f.num.substitute_power(k),
+        f.den.substitute_power(k)),
+    "compress_power": _compress,
+}
+
+
+def ratfunc_fields(f):
+    return (f.num.re, f.num.im, f.num.den, f.den.re, f.den.im, f.den.den)
+
+
+@pytest.mark.parametrize("op", sorted(SHORTCUTS))
+@settings(max_examples=50, deadline=None)
+@given(fields, st.data())
+def test_operator_equals_the_reducing_constructor(op, gauss, data):
+    f, g, h = data.draw(related_ratfuncs(gauss, 3))
+    if op in ("add", "sub") and data.draw(st.booleans()):
+        # g = h - f (or f - h), so the sum cancels back to h: a factor of
+        # gcd(f.den, g.den) divides the new numerator
+        t = h.num * f.den - f.num * h.den
+        g = RatFunc(t if op == "add" else -t, h.den * f.den)
+    if op == "compose":
+        # keeps the composed degree within the degree cap
+        g = data.draw(arguments(gauss))
+    k = data.draw(st.integers(1, 3))
+    e = data.draw(st.integers(-2, 2))
+    call, num, den = SHORTCUTS[op](f, g, k, e)
+    if den.is_zero:
+        with pytest.raises(ZeroDivisionError):
+            call()
+        return
+    assert ratfunc_fields(call()) == ratfunc_fields(RatFunc(num, den))
+
+
+def test_compose_at_a_pole_raises():
+    x = RatFunc.x()
+    i = GaussRat(0, 1)
+    with pytest.raises(ZeroDivisionError):
+        (1 / (x - 2)).compose(2)
+    with pytest.raises(ZeroDivisionError):
+        ((x + 1) / (x ** 2 + 1)).compose(RatFunc.const(i))
+    assert ((x + 1) / (x ** 2 + 1)).compose(2) == F(3, 5)
