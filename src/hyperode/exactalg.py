@@ -21,6 +21,12 @@ a real scalar is always a Fraction (GaussRat(a, 0) is Fraction(a)), and
 a GenRatFunc whose carrier reduces to 1 is built as the RatFunc it
 equals. No caller converts a result back.
 
+Rational roots come from Loos's p-adic method (SIAM J. Comput. 12,
+1983): the roots of the square-free part modulo a small prime, lifted by
+Newton steps until the lifted value determines the rational root. No
+integer is ever factored, so the cost does not depend on how the
+coefficients factor.
+
 Two guards bound every polynomial: its degree may not exceed
 degree_cap() (DegreeOverflow), and no numerator or denominator may be
 longer than COEFF_BITS bits (CoefficientOverflow).
@@ -28,7 +34,6 @@ longer than COEFF_BITS bits (CoefficientOverflow).
 
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-import random
 
 from .errors import CoefficientOverflow, DegreeOverflow
 
@@ -1161,90 +1166,7 @@ class GenRatFunc:
 
 
 # ---------------------------------------------------------------------------
-# integer and rational number theory
-
-
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def _is_probable_prime(n):
-    if n < 2:
-        return False
-    for p in _MR_BASES:
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _pollard_rho(n):
-    if n % 2 == 0:
-        return 2
-    rng = random.Random(n)
-    while True:
-        c = rng.randrange(1, n)
-        x = y = rng.randrange(2, n)
-        d = 1
-        while d == 1:
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = gcd(abs(x - y), n)
-        if d != n:
-            return d
-
-
-def factorize(n):
-    """Prime factorization of a positive integer as {prime: exponent}."""
-    if n < 1:
-        raise ValueError("factorize needs a positive integer")
-    out = {}
-    for p in (2, 3, 5, 7):
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-    d = 11
-    while d * d <= n and d <= 10000:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 2
-    stack = [n] if n > 1 else []
-    while stack:
-        m = stack.pop()
-        if m == 1:
-            continue
-        if _is_probable_prime(m):
-            out[m] = out.get(m, 0) + 1
-            continue
-        f = _pollard_rho(m)
-        stack.append(f)
-        stack.append(m // f)
-    return out
-
-
-def divisors(n):
-    """Sorted positive divisors of a nonzero integer."""
-    facs = factorize(abs(n))
-    out = [1]
-    for p, e in facs.items():
-        powers = [p ** k for k in range(1, e + 1)]
-        out = [d * q for d in out for q in [1] + powers]
-    return sorted(set(out))
+# square roots in Q and Q(i)
 
 
 def rational_sqrt(q):
@@ -1294,27 +1216,57 @@ def gauss_sqrt(z):
 # factoring over Q and Q(i)
 
 
-def _rational_root_candidates(a0, an):
-    """Candidate rational roots p/q of a primitive integer polynomial."""
-    ps = divisors(a0)
-    qs = divisors(an)
-    seen = set()
-    for q in qs:
-        for p in ps:
-            if gcd(p, q) != 1:
-                continue
-            f = Fraction(p, q)
-            if f not in seen:
-                seen.add(f)
-                yield f
-                yield -f
+def _eval_mod(cs, r, m):
+    """The integer polynomial cs (low degree first) at r, modulo m."""
+    v = 0
+    for c in reversed(cs):
+        v = (v * r + c) % m
+    return v
+
+
+def _lifted_roots(work):
+    """At most deg(work) rationals among which are all rational roots of work.
+
+    Loos's p-adic method (SIAM J. Comput. 12, 1983). A rational root of
+    work is a root of f, the primitive square-free part of its real part.
+    For a root r of f, lc(f)*r is an integer of absolute value at most
+    |lc| + max|a_i| (Cauchy's bound). At the smallest odd prime p that
+    does not divide lc and at which every root of f mod p is simple, each
+    rational root reduces to one of those roots mod p, and Newton steps
+    lift that root uniquely to a modulus m past twice the bound, where
+    the symmetric residue of lc*r is lc*r itself.
+    """
+    real = _poly(work.re, (), 1)
+    f = _primitive((real // poly_gcd(real, real.deriv())).re)
+    df = [k * c for k, c in enumerate(f)][1:]
+    lc = f[-1]
+    bound = 2 * (lc + max(map(abs, f)))
+    p = 1
+    while True:
+        p += 2
+        if not lc % p or any(p % q == 0 for q in range(3, isqrt(p) + 1, 2)):
+            continue
+        fp = [c % p for c in f]
+        found = [r for r in range(p) if not _eval_mod(fp, r, p)]
+        if all(_eval_mod(df, r, p) for r in found):
+            break
+    out = []
+    for r in found:
+        m = p
+        while m <= bound:
+            m *= m
+            r = (r - _eval_mod(f, r, m) * pow(_eval_mod(df, r, m), -1, m)) % m
+        s = lc * r % m
+        out.append(Fraction(s - m if 2 * s > m else s, lc))
+    return out
 
 
 def factor_rational_roots(p):
     """Split off rational roots: p = unit * prod (x - r)^m * rem.
 
     Returns (unit, {root: multiplicity}, rem) with rem monic and free of
-    rational roots. The unit is the leading coefficient of p.
+    rational roots. The unit is the leading coefficient of p. Each
+    candidate from _lifted_roots is tested by exact evaluation.
     """
     if p.is_zero:
         raise ValueError("cannot factor the zero polynomial")
@@ -1323,39 +1275,17 @@ def factor_rational_roots(p):
     roots = {}
     # root at zero first
     nz = 0
-    while nz < len(work.coeffs) and not work.coeffs[nz]:
+    while not work.coeff(nz):
         nz += 1
     if nz:
         roots[Fraction(0)] = nz
         work = Poly(work.coeffs[nz:])
     if work.degree < 1:
         return unit, roots, work
-    # roots 1 and -1 by direct deflation, so the divisibility filters
-    # below can assume nonzero values at both points
-    for r in (Fraction(1), Fraction(-1)):
-        while True:
-            if work(r) != 0:
-                break
-            roots[r] = roots.get(r, 0) + 1
-            work = work // Poly((-r, Fraction(1)))
-        if work.degree < 1:
-            return unit, roots, work
-    ints = _primitive(work.re)
-    p1 = sum(ints)
-    pm1 = sum(c if k % 2 == 0 else -c for k, c in enumerate(ints))
-    for cand in _rational_root_candidates(ints[0], ints[-1]):
-        if cand.numerator in (1, -1) and cand.denominator == 1:
-            continue
-        pn, qn = cand.numerator, cand.denominator
-        if (qn - pn) != 0 and p1 % (qn - pn) != 0:
-            continue
-        if (qn + pn) != 0 and pm1 % (qn + pn) != 0:
-            continue
+    for cand in _lifted_roots(work):
         while work.degree >= 1 and work(cand) == 0:
             roots[cand] = roots.get(cand, 0) + 1
             work = work // Poly((-cand, Fraction(1)))
-        if work.degree < 1:
-            break
     return unit, roots, work
 
 

@@ -3,11 +3,15 @@
 The package only ever needs the Schwarzian of Mobius maps and powers, and
 pulls equations back along one map family; these general versions are
 written straight from the definitions so the tests have an independent
-route to the same values.
+route to the same values. The package finds rational roots by p-adic
+lifting; the reference enumerates the candidates of the rational root
+theorem instead.
 """
 
 from fractions import Fraction
+from math import isqrt, lcm
 
+from hyperode.exactalg import GaussRat, Poly
 from hyperode.odeio import LinearODE
 
 
@@ -30,3 +34,37 @@ def pullback_ode(i0, f):
     if d1.is_zero:
         raise ValueError("constant substitution")
     return LinearODE(-(d1.deriv() / d1), -(d1 * d1 * i0.compose(f)))
+
+
+def _divisors(n):
+    """Positive divisors of a nonzero integer, by trial division."""
+    n = abs(n)
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return sorted(set(small + [n // d for d in small]))
+
+
+def rational_roots_reference(p):
+    """factor_rational_roots by the rational root theorem.
+
+    A rational root of p is a root of its real part. Written as an integer
+    polynomial with its powers of x divided out, that part has every
+    nonzero rational root of the form +-a/b, with a dividing its lowest
+    coefficient and b its leading one. Each candidate, and 0, is tested by
+    exact evaluation and divided out as often as it is a root. Trial
+    division limits this to small heights.
+    """
+    unit = p.lc
+    work = p.monic()
+    real = [c.re if isinstance(c, GaussRat) else c for c in work.coeffs]
+    scale = lcm(*(c.denominator for c in real))
+    nonzero = [int(c * scale) for c in real if c]
+    candidates = {Fraction(0)}
+    for a in _divisors(nonzero[0]):
+        for b in _divisors(nonzero[-1]):
+            candidates.update((Fraction(a, b), Fraction(-a, b)))
+    roots = {}
+    for r in sorted(candidates):
+        while work.degree >= 1 and work(r) == 0:
+            roots[r] = roots.get(r, 0) + 1
+            work = work // Poly((-r, Fraction(1)))
+    return unit, roots, work

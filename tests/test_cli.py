@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction as F
+from math import isqrt
 
 import pytest
 from hypothesis import example, given, settings
@@ -224,7 +225,39 @@ class TestVerify:
         assert payload["passes"] is False
 
 
+def _quadratic_with_smooth_discriminant(top):
+    """x^2 - x + M with 1 - 4M divisible by every odd prime up to top.
+
+    Modulo each of those primes the quadratic has a double root, so a
+    root search that wants simple roots mod p must pass all of them.
+    """
+    q = 1
+    for p in range(3, top + 1, 2):
+        if all(p % d for d in range(3, isqrt(p) + 1, 2)):
+            q *= p
+    k = 1 if q % 4 == 3 else 3
+    return "x^2 - x + %d" % ((1 + k * q) // 4)
+
+
 class TestBoundedInput:
+    @pytest.mark.parametrize("denominator, seconds", [
+        # the product of the primes next to 10^18 and 3*10^18
+        ("x^3 - 3000000000000000046000000000000000111", 1.0),
+        # lcm(1, ..., 59), which has thousands of divisors
+        ("x^3 - 9690712164777231700912800", 1.0),
+        # a 4078-bit constant, just under the coefficient cap
+        (_quadratic_with_smooth_discriminant(2879), 3.0),
+    ], ids=["two-large-primes", "many-divisors", "smooth-discriminant"])
+    def test_large_constant_in_a_denominator_ends_in_time(
+            self, capsys, denominator, seconds):
+        start = time.perf_counter()
+        code = main(["--json", "solve", "y'' + 1/(%s)*y = 0" % denominator])
+        elapsed = time.perf_counter() - start
+        out = json.loads(capsys.readouterr().out)
+        assert code == 2
+        assert out["error"]["type"] == "no_equivalence"
+        assert elapsed < seconds
+
     @pytest.mark.parametrize("exponent", [10000, 100000])
     def test_huge_power_is_an_input_error(self, capsys, exponent):
         start = time.perf_counter()

@@ -15,9 +15,7 @@ from hyperode.exactalg import (
     Poly,
     RatFunc,
     degree_cap,
-    divisors,
     factor_rational_roots,
-    factorize,
     gauss_sqrt,
     integrate_ratfunc,
     laurent_coefficients,
@@ -261,12 +259,24 @@ class TestGcdAndFactoring:
         assert rebuilt == p.monic()
         assert sorted(m for _, m in parts) == [1, 2, 3]
 
-    def test_factorize_and_divisors(self):
-        assert factorize(360) == {2: 3, 3: 2, 5: 1}
-        assert divisors(12) == [1, 2, 3, 4, 6, 12]
-        # a product of two four-digit primes goes through the rho path
-        n = 7919 * 9973
-        assert factorize(n) == {7919: 1, 9973: 1}
+    def test_root_beyond_any_trial_division(self):
+        # both the numerator and the denominator of the root are large
+        n = 10 ** 20 + 39
+        x = Poly.x()
+        unit, roots, rem = factor_rational_roots(x ** 3 - F(8 * n ** 3, 27))
+        assert unit == 1
+        assert roots == {F(2 * n, 3): 1}
+        assert rem == x ** 2 + F(2 * n, 3) * x + F(4 * n * n, 9)
+
+    def test_gaussian_polynomial_whose_real_part_vanishes_at_zero(self):
+        # (x - i)(x - 2) = x^2 - (2 + i) x + 2i: the real part x^2 - 2x
+        # has constant 0 although the polynomial's constant is 2i
+        x = Poly.x()
+        i = GaussRat(0, 1)
+        unit, roots, rem = factor_rational_roots((x - i) * (x - 2))
+        assert unit == 1
+        assert roots == {F(2): 1}
+        assert rem == x - i
 
     def test_rational_sqrt(self):
         assert rational_sqrt(F(9, 4)) == F(3, 2)

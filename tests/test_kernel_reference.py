@@ -4,7 +4,8 @@ Polynomials with large heights over QQ and over QQ_I are built once as
 hyperode Polys and once as sympy Polys; every kernel operation must give
 the same coefficients on both sides. sympy is a test-only dependency and
 the module skips without it. The RatFunc operators are checked against
-the kernel's own reducing constructor on their unreduced results.
+the kernel's own reducing constructor on their unreduced results, and
+the rational roots against the rational root theorem.
 """
 
 from fractions import Fraction as F
@@ -21,8 +22,10 @@ from hyperode.exactalg import (  # noqa: E402
     Poly,
     RatFunc,
     degree_cap,
+    factor_rational_roots,
     poly_gcd,
 )
+from reference import rational_roots_reference  # noqa: E402
 
 X = sympy.Symbol("x")
 
@@ -350,3 +353,35 @@ def test_compose_at_a_pole_raises():
     with pytest.raises(ZeroDivisionError):
         ((x + 1) / (x ** 2 + 1)).compose(RatFunc.const(i))
     assert ((x + 1) / (x ** 2 + 1)).compose(2) == F(3, 5)
+
+
+# ---------------------------------------------------------------------------
+# Rational roots against the rational root theorem. Heights stay small so
+# that the reference's candidates, all ratios of divisors, stay few.
+
+# monic factors without a rational root, low degree first
+ROOTLESS = ((1,), (-2, 0, 1), (3, 1, 1), (-5, 0, 0, 1), (1, 0, 0, 0, 1))
+root_values = st.fractions(min_value=-6, max_value=6, max_denominator=3)
+nonzero_parts = st.integers(-4, 4).filter(bool)
+
+
+@st.composite
+def planted_root_polys(draw, gauss):
+    """unit * prod (x - r)^m * cofactor, with Gaussian roots when gauss."""
+    x = Poly.x()
+    unit = F(draw(nonzero_parts), draw(st.integers(1, 3)))
+    if gauss:
+        unit = GaussRat(unit, draw(st.integers(-3, 3)))
+    p = Poly.const(unit) * Poly(draw(st.sampled_from(ROOTLESS)))
+    for _ in range(draw(st.integers(0, 3))):
+        p = p * (x - draw(root_values)) ** draw(st.integers(1, 3))
+    for _ in range(draw(st.integers(0, 2)) if gauss else 0):
+        z = GaussRat(draw(root_values), draw(nonzero_parts))
+        p = p * (x - z) ** draw(st.integers(1, 2))
+    return p
+
+
+@settings(max_examples=100, deadline=None)
+@given(fields.flatmap(planted_root_polys))
+def test_rational_roots_equal_the_rational_root_theorem(p):
+    assert factor_rational_roots(p) == rational_roots_reference(p)
