@@ -11,10 +11,11 @@ tuple for the imaginary parts (empty over Q), and one positive common
 denominator. The denominator and all numerators together have gcd 1, so
 the layout is canonical and equality and hashing compare integer tuples.
 A product is an integer convolution followed by one gcd pass, division is
-pseudo-division over Z or Z[i], and the gcd over Q is a primitive
-remainder sequence on the stored numerators (content and primitive part,
-von zur Gathen and Gerhard, Modern Computer Algebra, ch. 6). Fractions
-and GaussRats appear only where a caller reads a coefficient.
+pseudo-division over Z or Z[i], the gcd over Q is a primitive remainder
+sequence on the stored numerators (von zur Gathen and Gerhard, Modern
+Computer Algebra, ch. 6) and the gcd over Q(i) a subresultant one over
+Z[i]. Fractions and GaussRats appear only where a caller reads a
+coefficient, and a polynomial is evaluated at exact points only.
 
 The value types above Poly have one form each, fixed when they are built:
 a real scalar is always a Fraction (GaussRat(a, 0) is Fraction(a)), and
@@ -22,14 +23,14 @@ a GenRatFunc whose carrier reduces to 1 is built as the RatFunc it
 equals. No caller converts a result back.
 
 Rational roots come from Loos's p-adic method (SIAM J. Comput. 12,
-1983): the roots of the square-free part modulo a small prime, lifted by
-Newton steps until the lifted value determines the rational root. No
-integer is ever factored, so the cost does not depend on how the
-coefficients factor.
+1983): the roots of the square-free part modulo the first prime that
+keeps it square-free, lifted by Newton steps until the lifted value
+determines the rational root. No integer is ever factored.
 
 Two guards bound every polynomial: its degree may not exceed
 degree_cap() (DegreeOverflow), and no numerator or denominator may be
-longer than COEFF_BITS bits (CoefficientOverflow).
+longer than COEFF_BITS bits (CoefficientOverflow). A scalar power is the
+power of a constant Poly, so the cap refuses its first long intermediate.
 """
 
 from fractions import Fraction
@@ -132,16 +133,9 @@ class GaussRat:
         if not isinstance(exp, int):
             return NotImplemented
         if exp < 0:
-            return (1 / self) ** (-exp)
-        out = Fraction(1)
-        base = self
-        while exp:
-            if exp & 1:
-                out = out * base
-            exp >>= 1
-            if exp:
-                base = base * base
-        return out
+            return (1 / self) ** -exp
+        # Poly.__pow__ refuses the first intermediate past COEFF_BITS
+        return (Poly.const(self) ** exp).coeff(0)
 
     def __eq__(self, other):
         return (isinstance(other, GaussRat) and self.re == other.re
@@ -521,48 +515,20 @@ class Poly:
         return self.eval(v)
 
     def eval(self, v):
-        if isinstance(v, (float, complex)):
-            if not self.re:
-                return 0.0
-            den = self.den
-            if self.im:
-                cs = [complex(r / den, i / den)
-                      for r, i in zip(self.re, self.im)]
-            else:
-                cs = [r / den for r in self.re]
-            acc = cs[-1]
-            for c in reversed(cs[:-1]):
-                acc = acc * v + c
-            return acc
+        """p(v) at an exact point (int, Fraction or GaussRat)."""
+        # homogeneous Horner: q^deg * p((ur + ui*i)/q) lies in Z[i]
+        ur, ui, q = _scalar_parts(v)
         if not self.re:
             return Fraction(0)
-        if isinstance(v, GaussRat):
-            cs = self.coeffs
-            acc = cs[-1]
-            for c in reversed(cs[:-1]):
-                acc = acc * v + c
-            return acc
-        # homogeneous Horner: q^deg * p(u/q) is an integer combination
-        u, q = v.numerator, v.denominator
-        acc_re = self.re[-1]
-        acc_im = self.im[-1] if self.im else 0
+        re, im = self.re, self.im
+        acc_re, acc_im = re[-1], im[-1] if im else 0
         qk = 1
-        for k in range(len(self.re) - 2, -1, -1):
-            qk *= q
-            acc_re = acc_re * u + self.re[k] * qk
-            if self.im:
-                acc_im = acc_im * u + self.im[k] * qk
-        return _scalar(acc_re, acc_im, self.den * qk)
-
-    def compose(self, other):
-        """self(other(x)) for a polynomial argument."""
-        if self.is_zero:
-            return self
-        re, im, den = self.re, self.im or (0,) * len(self.re), self.den
-        acc = _poly(re[-1:], im[-1:], den)
         for k in range(len(re) - 2, -1, -1):
-            acc = acc * other + _poly((re[k],), (im[k],), den)
-        return acc
+            qk *= q
+            acc_re, acc_im = (acc_re * ur - acc_im * ui + re[k] * qk,
+                              acc_re * ui + acc_im * ur
+                              + (im[k] * qk if im else 0))
+        return _scalar(acc_re, acc_im, self.den * qk)
 
     def deriv(self):
         if len(self.re) <= 1:
@@ -737,43 +703,60 @@ def poly_gcd(p, q):
     return _poly(b, (), b[-1])
 
 
-def _gauss_int_gcd(ar, ai, br, bi):
-    """A gcd in Z[i] of the Gaussian integers ar + ai*i and br + bi*i."""
-    while br or bi:
-        # a - q*b with q the Gaussian integer nearest a/b = a*conj(b)/n
-        n = br * br + bi * bi
-        xr, xi = ar * br + ai * bi, ai * br - ar * bi
-        qr, qi = (2 * xr + n) // (2 * n), (2 * xi + n) // (2 * n)
-        ar, ai, br, bi = (br, bi, ar - qr * br + qi * bi,
-                          ai - qr * bi - qi * br)
-    return ar, ai
+def _gauss_pow(a, n, out=(1, 0)):
+    """out * a**n for Gaussian integers given as (re, im) pairs."""
+    for _ in range(n):
+        out = out[0] * a[0] - out[1] * a[1], out[0] * a[1] + out[1] * a[0]
+    return out
 
 
-def _gauss_primitive(re, im):
-    """re + im*i divided by a gcd in Z[i] of its coefficients."""
-    gr = gi = 0
-    for x, y in zip(re, im):
-        gr, gi = _gauss_int_gcd(gr, gi, x, y)
-    n = gr * gr + gi * gi
-    return ([(x * gr + y * gi) // n for x, y in zip(re, im)],
-            [(y * gr - x * gi) // n for x, y in zip(re, im)])
+def _gauss_quo(a, d):
+    """a / d for Gaussian integers given as (re, im) pairs, d dividing a."""
+    n = d[0] * d[0] + d[1] * d[1]
+    return ((a[0] * d[0] + a[1] * d[1]) // n,
+            (a[1] * d[0] - a[0] * d[1]) // n)
 
 
 def _gauss_gcd(p, q):
-    """Monic gcd of polynomials over Q(i), by a primitive PRS over Z[i]."""
-    ar, ai = p.re, _padded(p.im, len(p.re))
-    br, bi = q.re, _padded(q.im, len(q.re))
-    if len(ar) < len(br):
-        ar, ai, br, bi = br, bi, ar, ai
+    """Monic gcd of polynomials over Q(i), by a subresultant PRS over Z[i].
+
+    Brown and Traub (J. ACM 18, 1971; Knuth 4.6.1, Algorithm C): the
+    pseudo-remainder r by v's own leading numerator c comes from steps
+    r <- c*r - lead(r)*x^j*v, and it divides exactly by g*h^delta, which
+    leaves a subresultant, so coefficients grow linearly and no content
+    is taken.
+    """
+    ur, ui = p.re, _padded(p.im, len(p.re))
+    vr, vi = q.re, _padded(q.im, len(q.re))
+    if len(ur) < len(vr):
+        ur, ui, vr, vi = vr, vi, ur, ui
+    g = h = (1, 0)
     while True:
-        rr, ri = _gauss_divmod(ar, ai, *_real_lead(br, bi)[:2])[2:4]
-        n = len(rr)
+        n = len(vr) - 1
+        cr, ci = vr[-1], vi[-1]
+        rr, ri = list(ur), list(ui)
+        for k in range(len(rr) - 1, n - 1, -1):
+            x, y = rr[k], ri[k]
+            rr, ri = _lin(rr, cr, ri, -ci), _lin(rr, ci, ri, cr)
+            for j in range(n + 1):
+                rr[k - n + j] -= x * vr[j] - y * vi[j]
+                ri[k - n + j] -= x * vi[j] + y * vr[j]
         while n and not rr[n - 1] and not ri[n - 1]:
             n -= 1
         if not n:
-            return _poly(br, bi, 1).monic()
-        ar, ai = br, bi
-        br, bi = _gauss_primitive(rr[:n], ri[:n])
+            # one conjugate multiply makes v monic; _poly divides the rest
+            return _poly(_lin(vr, cr, vi, ci), _lin(vr, -ci, vi, cr),
+                         cr * cr + ci * ci)
+        if n == 1:
+            return _ONE
+        delta = len(ur) - len(vr)
+        d = _gauss_pow(h, delta, g)
+        quo = [_gauss_quo(c, d) for c in zip(rr[:n], ri[:n])]
+        ur, ui = vr, vi
+        vr, vi = [c[0] for c in quo], [c[1] for c in quo]
+        g = cr, ci
+        if delta:
+            h = _gauss_quo(_gauss_pow(g, delta), _gauss_pow(h, delta - 1))
 
 
 def squarefree_decomposition(p):
@@ -980,8 +963,6 @@ class RatFunc:
 
     def eval(self, v):
         dv = self.den.eval(v)
-        if isinstance(v, (float, complex)):
-            return self.num.eval(v) / dv
         if not dv:
             raise ZeroDivisionError("evaluation at a pole")
         return self.num.eval(v) / dv
@@ -1224,17 +1205,37 @@ def _eval_mod(cs, r, m):
     return v
 
 
+def _squarefree_mod(f, df, p):
+    """Whether gcd(f, f') is constant in GF(p)[x], p not dividing lc(f).
+
+    Euclid's algorithm modulo p, the test of sympy's gf_sqf_p.
+    """
+    a, b = [c % p for c in f], [c % p for c in df]
+    while True:
+        while b and not b[-1]:
+            b.pop()
+        if not b:
+            return len(a) == 1
+        inv = pow(b[-1], -1, p)
+        while len(a) >= len(b):
+            c = a.pop() * inv % p
+            for j in range(1, len(b)):
+                a[-j] = (a[-j] - c * b[-1 - j]) % p
+        a, b = b, a
+
+
 def _lifted_roots(work):
     """At most deg(work) rationals among which are all rational roots of work.
 
     Loos's p-adic method (SIAM J. Comput. 12, 1983). A rational root of
     work is a root of f, the primitive square-free part of its real part.
     For a root r of f, lc(f)*r is an integer of absolute value at most
-    |lc| + max|a_i| (Cauchy's bound). At the smallest odd prime p that
-    does not divide lc and at which every root of f mod p is simple, each
-    rational root reduces to one of those roots mod p, and Newton steps
-    lift that root uniquely to a modulus m past twice the bound, where
-    the symmetric residue of lc*r is lc*r itself.
+    |lc| + max|a_i| (Cauchy's bound). The prime p is the smallest odd
+    one that does not divide lc and at which f mod p is square-free, a
+    test of one gcd in GF(p)[x]; only its residues are swept. Each
+    rational root reduces to one of the roots of f mod p, all simple,
+    and Newton steps lift that root uniquely to a modulus m past twice
+    the bound, where the symmetric residue of lc*r is lc*r itself.
     """
     real = _poly(work.re, (), 1)
     f = _primitive((real // poly_gcd(real, real.deriv())).re)
@@ -1244,12 +1245,11 @@ def _lifted_roots(work):
     p = 1
     while True:
         p += 2
-        if not lc % p or any(p % q == 0 for q in range(3, isqrt(p) + 1, 2)):
-            continue
-        fp = [c % p for c in f]
-        found = [r for r in range(p) if not _eval_mod(fp, r, p)]
-        if all(_eval_mod(df, r, p) for r in found):
+        if lc % p and all(p % q for q in range(3, isqrt(p) + 1, 2)) \
+                and _squarefree_mod(f, df, p):
             break
+    fp = [c % p for c in f]
+    found = [r for r in range(p) if not _eval_mod(fp, r, p)]
     out = []
     for r in found:
         m = p

@@ -1,16 +1,17 @@
-"""Normal form, the invariant, Schwarzians, and power minimization.
+"""Normal form, the invariant, Mobius maps and power minimization.
 
-Core identities implemented here, writing A and B for the coefficients of
-y'' + A y' + B y = 0:
+Writing A and B for the coefficients of y'' + A y' + B y = 0:
 
     I  = A'/2 + A^2/4 - B                  (the normal-form invariant)
-    I1 = F'^2 * (I0 o F) + S(F')           (change of independent variable)
-    S  = 3 F''^2 / (4 F'^2) - F''' / (2 F')
+    I1 = F'^2 * (I0 o F) + S(F)            (change of independent variable)
     J  = x^2 * I + 1/4                     (the shifted invariant)
 
-S vanishes exactly on fractional linear maps, and for F = x^k it collapses
-to (k^2 - 1) / (4 x^2), which is what makes the shifted invariant the right
-object for detecting power substitutions.
+with S(F) the Schwarzian of F. S vanishes on fractional linear maps, so
+transform_invariant applies I1 = M'^2 * I0(M). For F = x^k it is
+(k^2 - 1) / (4 x^2), which turns the law into J1(x) = k^2 * J0(x^k): a
+power substitution shows in the exponents of J, and
+minimize_power_exponents reads it off. Equations are pulled back along
+M(x^k) by equivalence._pull_back alone.
 """
 
 from dataclasses import dataclass
@@ -133,57 +134,14 @@ def to_normal_form(ode):
     return NormalizedODE(a.deriv() / 2 + a * a * Fraction(1, 4) - b)
 
 
-def schwarzian(f):
-    """Schwarzian term for the two structured map families.
+def transform_invariant(i0, mobius):
+    """Push an invariant through a fractional linear change of variables.
 
-    Accepts a Mobius (identically zero) or a rational power exponent k
-    (giving (k^2-1)/(4x^2)).
+    The Schwarzian of a Mobius map is zero, so I1 = M'^2 * I0(M) exactly.
     """
-    if isinstance(f, Mobius):
-        return RatFunc.const(0)
-    k = Fraction(f)
-    if not k:
-        raise ValueError("zero power is degenerate")
-    return RatFunc(Poly.const((k * k - 1) / 4),
-                   Poly.from_pairs([(2, Fraction(1))]))
-
-
-def apply_power_to_ratfunc(f, k):
-    """f(x^k) for a rational function f and rational k != 0.
-
-    Returns a RatFunc when the result is one, else a GenRatFunc carried
-    on x^(1/q) with q the denominator of k.
-    """
-    k = Fraction(k)
-    if not k:
-        raise ValueError("zero power substitution")
-    p, q = k.numerator, k.denominator
-    if p > 0:
-        composed = f.substitute_power(p)
-    else:
-        inner = RatFunc(Poly.const(1), Poly.from_pairs([(-p, Fraction(1))]))
-        composed = f.compose(inner)
-    return GenRatFunc(composed, q)
-
-
-def transform_invariant(i0, f):
-    """Push an invariant through a change of variables.
-
-    f is a Mobius or a rational power exponent. Implements
-    I1 = F'^2 * I0(F) + S(F') exactly.
-    """
-    if isinstance(f, Mobius):
-        m = f.as_ratfunc()
-        d1 = m.deriv()
-        return d1 * d1 * i0.compose(m)
-    k = Fraction(f)
-    if not k:
-        raise ValueError("zero power is degenerate")
-    p, q = k.numerator, k.denominator
-    shifted = apply_power_to_ratfunc(i0, k)
-    # F'^2 = k^2 x^(2k-2)
-    xfac = GenRatFunc.x_power(2 * (p - q), q)
-    return shifted * xfac * (k * k) + schwarzian(k)
+    m = mobius.as_ratfunc()
+    d1 = m.deriv()
+    return d1 * d1 * i0.compose(m)
 
 
 def shifted_invariant(i):

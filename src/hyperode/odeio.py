@@ -4,7 +4,8 @@ The ODE grammar accepts both "y'' + A*y' + B*y = 0" and "y'' = RHS"
 shapes; internally everything becomes the reduced coefficient pair
 (A, B) of y'' + A y' + B y = 0. Solution expressions are immutable
 trees built through the smart constructors below, which do just enough
-folding to keep printed output tidy and round-trippable.
+folding to keep printed output tidy and round-trippable. A number raised
+to an integer power is folded by Poly.__pow__, under the kernel's caps.
 """
 
 from dataclasses import dataclass
@@ -211,32 +212,6 @@ def neg(e):
     return mul(num(-1), e)
 
 
-def _check_power_size(v, e):
-    """Refuse v**e, for e >= 0, before computing it when it cannot fit.
-
-    The cap is the kernel's: COEFF_BITS bits for each integer of the
-    value over its least common denominator. With v = (a + b*i)/d so
-    written, v**e is (a + b*i)**e / d**e, and the two can share only a
-    power of 2, at most 2**(e//2) when d is even (a + b*i is then not
-    divisible by 2 = -i*(1 + i)**2). So the denominator keeps at least
-    e*log2(d) - e//2 bits; and the numerators, whose squares sum to
-    m**e / 4**(e//2) or more with m = a*a + b*b, the longer one at least
-    (e*log2(m) - 2*(e//2) - 1)/2 bits. A power that passes is at most a
-    few times the cap long, and power() then checks the result itself.
-    """
-    if isinstance(v, GaussRat):
-        d = lcm(v.re.denominator, v.im.denominator)
-        m = int((v.re * d) ** 2 + (v.im * d) ** 2)
-    else:
-        d = v.denominator
-        m = v.numerator ** 2
-    shared = e // 2 if d % 2 == 0 else 0
-    bits = max(e * (d.bit_length() - 1) - shared,
-               (e * (m.bit_length() - 1) - 2 * shared - 1) // 2)
-    if bits > COEFF_BITS:
-        raise CoefficientOverflow(bits, COEFF_BITS)
-
-
 def power(base, exponent):
     if isinstance(exponent, int):
         exponent = Fraction(exponent)
@@ -250,10 +225,8 @@ def power(base, exponent):
         if e < 0 and v:
             v, e = 1 / v, -e
         if e >= 0:
-            _check_power_size(v, e)
-            w = v ** e
-            Poly.const(w)  # the kernel's cap on the result itself
-            return num(w)
+            # Poly.__pow__ refuses the first intermediate past the cap
+            return num((Poly.const(v) ** e).coeff(0))
     if isinstance(base, Pow) and exponent.denominator == 1:
         return power(base.base, base.exponent * exponent)
     if isinstance(base, Mul) and exponent.denominator == 1:
@@ -605,8 +578,8 @@ def _div(a, b):
 def _power(v, e):
     """v**e for an integer e, with v nonzero when e < 0.
 
-    A single term is refused by _check_power_size and the degree cap
-    before its power is computed; a sum of terms goes through
+    A single term is refused by the degree cap before its power is
+    computed; its coefficient, like a sum of terms, goes through
     Poly.__pow__, which stops at the first intermediate past a cap; a
     RatFunc or GenRatFunc is already reduced.
     """
@@ -623,8 +596,7 @@ def _power(v, e):
         _check_degree((k * e,))
         if c == 1:
             return {k * e: 1}
-        _check_power_size(c, e)
-        return {k * e: _fit(c ** e)}
+        return {k * e: (Poly.const(c) ** e).coeff(0)}
     if e < 0:
         return _div({0: 1}, _power(v, -e))
     carrier = lcm(*(k.denominator for k in v))

@@ -1,17 +1,19 @@
 """Textbook formulas the tests check the package's shortcuts against.
 
-The package only ever needs the Schwarzian of Mobius maps and powers, and
-pulls equations back along one map family; these general versions are
-written straight from the definitions so the tests have an independent
-route to the same values. The package finds rational roots by p-adic
-lifting; the reference enumerates the candidates of the rational root
-theorem instead.
+The package applies the transformation law only to Mobius maps
+(transform_invariant), reads power substitutions off the exponents of
+the shifted invariant (minimize_power_exponents) and pulls equations
+back along M(x^k) alone; these general versions are written straight
+from the definitions so the tests have an independent route to the same
+values. The package finds rational roots by p-adic lifting; the
+reference enumerates the candidates of the rational root theorem
+instead.
 """
 
 from fractions import Fraction
 from math import isqrt, lcm
 
-from hyperode.exactalg import GaussRat, Poly
+from hyperode.exactalg import GaussRat, GenRatFunc, Poly, RatFunc
 from hyperode.odeio import LinearODE
 
 
@@ -25,15 +27,28 @@ def general_schwarzian(f):
     return (d2 * d2) / (d1 * d1) * Fraction(3, 4) - d3 / d1 / 2
 
 
-def pullback_ode(i0, f):
-    """The ODE satisfied by y(x) = u(F(x)) when u'' = I0 u, F rational.
+def at_power(f, k):
+    """f(x^k) for a RatFunc f and a rational k != 0, by composition.
 
-    to_normal_form(pullback_ode(I0, F)).I == transform_invariant(I0, F).
+    A RatFunc when k is an integer, else a GenRatFunc on x^(1/q) with q
+    the denominator of k.
+    """
+    k = Fraction(k)
+    return GenRatFunc(f.compose(RatFunc.x() ** k.numerator), k.denominator)
+
+
+def pullback_ode(i0, f):
+    """The ODE satisfied by y(x) = u(F(x)) when u'' = I0 u.
+
+    F is a RatFunc, or a GenRatFunc such as x^(p/q). The normal form of
+    the result has the invariant F'^2 * I0(F) + S(F), S the Schwarzian.
     """
     d1 = f.deriv()
     if d1.is_zero:
         raise ValueError("constant substitution")
-    return LinearODE(-(d1.deriv() / d1), -(d1 * d1 * i0.compose(f)))
+    composed = (GenRatFunc(i0.compose(f.fn), f.carrier)
+                if isinstance(f, GenRatFunc) else i0.compose(f))
+    return LinearODE(-(d1.deriv() / d1), -(d1 * d1 * composed))
 
 
 def _divisors(n):

@@ -225,16 +225,21 @@ class TestVerify:
         assert payload["passes"] is False
 
 
+def _odd_prime_product(top):
+    q = 1
+    for p in range(3, top + 1, 2):
+        if all(p % d for d in range(3, isqrt(p) + 1, 2)):
+            q *= p
+    return q
+
+
 def _quadratic_with_smooth_discriminant(top):
     """x^2 - x + M with 1 - 4M divisible by every odd prime up to top.
 
     Modulo each of those primes the quadratic has a double root, so a
     root search that wants simple roots mod p must pass all of them.
     """
-    q = 1
-    for p in range(3, top + 1, 2):
-        if all(p % d for d in range(3, isqrt(p) + 1, 2)):
-            q *= p
+    q = _odd_prime_product(top)
     k = 1 if q % 4 == 3 else 3
     return "x^2 - x + %d" % ((1 + k * q) // 4)
 
@@ -247,7 +252,11 @@ class TestBoundedInput:
         ("x^3 - 9690712164777231700912800", 1.0),
         # a 4078-bit constant, just under the coefficient cap
         (_quadratic_with_smooth_discriminant(2879), 3.0),
-    ], ids=["two-large-primes", "many-divisors", "smooth-discriminant"])
+        # 0 is a double root modulo each odd prime up to 2879, and each of
+        # those primes must be passed at degree 63
+        ("x^63 + x^2 + %d" % _odd_prime_product(2879), 1.0),
+    ], ids=["two-large-primes", "many-divisors", "smooth-discriminant",
+            "degree-63-double-root-mod-p"])
     def test_large_constant_in_a_denominator_ends_in_time(
             self, capsys, denominator, seconds):
         start = time.perf_counter()

@@ -1,7 +1,13 @@
 """Exact arithmetic layer: scalars, polynomials, rational functions."""
 
+import os
+import random
+import subprocess
+import sys
+import time
 from fractions import Fraction as F
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -66,6 +72,26 @@ class TestGaussRat:
         assert i ** 2 == -1
         assert i ** -1 == -i
         assert (1 + i) ** 2 == 2 * i
+        assert i ** 10 ** 1000 == 1
+
+    def test_pow_stops_at_the_coefficient_cap(self):
+        # a unit of norm 1 that is no root of unity: its powers grow
+        # without bound, so the cap must refuse an early intermediate
+        code = ("import time\n"
+                "from fractions import Fraction as F\n"
+                "from hyperode.errors import CoefficientOverflow\n"
+                "from hyperode.exactalg import GaussRat\n"
+                "start = time.perf_counter()\n"
+                "try:\n"
+                "    GaussRat(F(3, 5), F(4, 5)) ** 10 ** 12\n"
+                "except CoefficientOverflow:\n"
+                "    print(time.perf_counter() - start)\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        run = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert run.returncode == 0, run.stderr
+        assert float(run.stdout) < 1.0
 
     @given(st.tuples(small_rationals, small_rationals).filter(
         lambda p: p[0] != 0 or p[1] != 0))
@@ -96,15 +122,21 @@ class TestPoly:
     def test_compose(self):
         p = poly_of([-1, 0, 1])  # x^2 - 1
         q = poly_of([1, 1])      # x + 1
-        assert p.compose(q) == poly_of([0, 2, 1])
+        assert RatFunc(p).compose(q) == RatFunc(poly_of([0, 2, 1]))
 
     def test_derivative_finite_difference_oracle(self):
         p = poly_of([F(1, 3), -2, 0, F(5, 7), 1])
         d = p.deriv()
-        h = 1e-7
-        for v in (0.3, 1.2, -0.8):
+        h = F(1, 10 ** 6)
+        for v in (F(3, 10), F(6, 5), F(-4, 5)):
             approx = (p.eval(v + h) - p.eval(v - h)) / (2 * h)
-            assert abs(float(d.eval(v)) - approx) < 1e-5
+            assert abs(d.eval(v) - approx) < F(1, 10 ** 9)
+
+    def test_eval_refuses_a_float(self):
+        with pytest.raises(TypeError):
+            poly_of([1, 1]).eval(0.5)
+        with pytest.raises(TypeError):
+            RatFunc.x().eval(0.5j)
 
     def test_taylor_at(self):
         # (x-2)^3 + 5(x-2) + 7 expanded around 2
@@ -207,6 +239,25 @@ class TestGcdAndFactoring:
 
     def test_gcd_coprime(self):
         assert poly_gcd(poly_of([1, 1]), poly_of([3, 1])).degree == 0
+
+    def test_gauss_gcd_of_large_products_in_bounded_time(self):
+        # degree-12 products over Q(i) sharing a quadratic factor, with
+        # numerators up to 10^6 and denominators up to 10^4
+        rng = random.Random(1)
+
+        def draw(degree):
+            return Poly([GaussRat(F(rng.randint(-10 ** 6, 10 ** 6),
+                                    rng.randint(1, 10 ** 4)),
+                                  F(rng.randint(-10 ** 6, 10 ** 6),
+                                    rng.randint(1, 10 ** 4)))
+                         for _ in range(degree + 1)])
+
+        shared = draw(2)
+        a, b = draw(10) * shared, draw(10) * shared
+        start = time.perf_counter()
+        g = poly_gcd(a, b)
+        assert time.perf_counter() - start < 1.0
+        assert g == shared.monic()
 
     @given(st.lists(small_rationals, min_size=1, max_size=4),
            st.lists(small_rationals, min_size=1, max_size=4),
@@ -329,10 +380,10 @@ class TestRatFunc:
         x = RatFunc.x()
         f = (x ** 2 - 1) / (x ** 3 + 2)
         d = f.deriv()
-        h = 1e-7
-        for v in (0.4, 1.7):
+        h = F(1, 10 ** 6)
+        for v in (F(2, 5), F(17, 10)):
             approx = (f.eval(v + h) - f.eval(v - h)) / (2 * h)
-            assert abs(float(d.eval(v)) - approx) < 1e-4
+            assert abs(d.eval(v) - approx) < F(1, 10 ** 9)
 
     @given(st.lists(small_rationals, min_size=1, max_size=4),
            st.lists(small_rationals, min_size=2, max_size=4),

@@ -11,17 +11,15 @@ from hyperode.invariants import (
     INF,
     Mobius,
     apply_gauge,
-    apply_power_to_ratfunc,
     invariant_from_shifted,
     minimize_power_exponents,
-    schwarzian,
     shifted_invariant,
     to_normal_form,
     transform_invariant,
 )
 from hyperode.odeio import LinearODE, parse_ode
 
-from reference import general_schwarzian, pullback_ode
+from reference import at_power, general_schwarzian, pullback_ode
 
 
 def rf(nums, dens=(1,)):
@@ -134,15 +132,27 @@ class TestNormalForm:
         assert transformed == base
 
 
+def pulled_back_invariant(i0, f):
+    """The invariant of the equation of u(F(x)), u'' = I0 u."""
+    return to_normal_form(pullback_ode(i0, f)).I
+
+
 class TestSchwarzian:
+    # the normal form of a pullback of u'' = 0 along F is S(F)
+
     def test_mobius_is_zero(self):
-        assert schwarzian(Mobius.from_ints(3, 1, 2, 5)).is_zero
+        m = Mobius.from_ints(3, 1, 2, 5).as_ratfunc()
+        assert general_schwarzian(m).is_zero
+        assert pulled_back_invariant(RatFunc.const(0), m).is_zero
 
     def test_power_three(self):
-        assert schwarzian(3) == rf([2], [0, 0, 1])
+        assert general_schwarzian(X ** 3) == rf([2], [0, 0, 1])
+        assert pulled_back_invariant(RatFunc.const(0), X ** 3) == \
+            rf([2], [0, 0, 1])
 
     def test_power_identity(self):
-        assert schwarzian(1).is_zero
+        assert general_schwarzian(X).is_zero
+        assert pulled_back_invariant(RatFunc.const(0), X).is_zero
 
     @given(mobius_strategy())
     @settings(max_examples=100)
@@ -164,12 +174,14 @@ class TestTransformInvariant:
 
     def test_power_square_of_simple_pole(self):
         # I0 = 1/x under x -> x^2: 4x^2/x^2 + 3/(4x^2) = 4 + 3/(4x^2)
-        out = transform_invariant(rf([1], [0, 1]), 2)
+        i0 = rf([1], [0, 1])
+        out = pulled_back_invariant(i0, X ** 2)
         assert out == rf([4]) + rf([F(3, 4)], [0, 0, 1])
-        # independent oracle: explicit variable change then normal form
-        ode = pullback_ode(rf([1], [0, 1]),
-                           RatFunc(Poly.from_pairs([(2, F(1))])))
-        assert to_normal_form(ode).I == out
+        # the shifted invariant takes the power as J1(x) = k^2 J0(x^k)
+        assert shifted_invariant(out) == \
+            shifted_invariant(i0).substitute_power(2) * 4
+        assert minimize_power_exponents(shifted_invariant(out)) == \
+            (2, shifted_invariant(i0))
 
     def test_seed_reproduction_on_worked_example(self):
         # the model-equation invariant with differences (4/3, 1/3, 1/2),
@@ -200,13 +212,16 @@ class TestTransformInvariant:
     @given(random_ratfuncs(2), st.integers(min_value=2, max_value=4))
     @settings(max_examples=30)
     def test_power_consistency_with_pullback(self, i0, k):
-        direct = transform_invariant(i0, k)
-        f = RatFunc(Poly.from_pairs([(k, F(1))]))
-        via_ode = to_normal_form(pullback_ode(i0, f)).I
-        assert direct == via_ode
+        j1 = shifted_invariant(pulled_back_invariant(i0, X ** k))
+        assert j1 == at_power(shifted_invariant(i0), k) * (k * k)
+        # the minimizer finds the planted power, or a multiple of it when
+        # the exponents of J0 share a factor too
+        found, j0 = minimize_power_exponents(j1)
+        assert (found / k).denominator == 1
+        assert at_power(j0, found) * (found * found) == j1
 
     def test_fractional_power(self):
-        out = transform_invariant(rf([1], [0, 1]), F(3, 2))
+        out = pulled_back_invariant(rf([1], [0, 1]), GenRatFunc.x_power(3, 2))
         # (9/4) x^(2k-2) x^(-3/2) + (5/16)/x^2 = (9/4) x^(-1/2) + (5/16)/x^2
         assert isinstance(out, GenRatFunc)
         assert out.carrier == 2
@@ -285,10 +300,9 @@ class TestMinimizePower:
     @given(random_ratfuncs(2), st.sampled_from([1, 2, 3]))
     @settings(max_examples=60)
     def test_reconstruction_identity(self, j0_seed, k_plant):
-        planted = apply_power_to_ratfunc(j0_seed, k_plant) \
-            * (k_plant * k_plant)
+        planted = at_power(j0_seed, k_plant) * (k_plant * k_plant)
         k, j0 = minimize_power_exponents(planted)
-        recon = apply_power_to_ratfunc(j0, k) * (k * k)
+        recon = at_power(j0, k) * (k * k)
         assert recon == planted
 
 
