@@ -35,12 +35,11 @@ from .errors import (
     WitnessRejected,
 )
 from .exactalg import (
+    DEGREE_CAP,
     GaussRat,
     GenRatFunc,
     Poly,
     RatFunc,
-    degree_cap,
-    set_degree_cap,
 )
 from .odeio import (
     LinearODE,
@@ -81,12 +80,11 @@ __all__ = [
     "PointRejected",
     "SamplingFailed",
     "WitnessRejected",
+    "DEGREE_CAP",
     "GaussRat",
     "GenRatFunc",
     "Poly",
     "RatFunc",
-    "degree_cap",
-    "set_degree_cap",
     "LinearODE",
     "differentiate_expr",
     "format_exact",

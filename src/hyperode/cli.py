@@ -13,6 +13,7 @@ gate failed, corpus expectations missed).
 """
 
 import argparse
+import contextvars
 import json
 import sys
 import time
@@ -30,7 +31,7 @@ from .errors import (
     UnsupportedEquation,
     UnsupportedParameterField,
 )
-from .exactalg import COEFF_BITS, set_degree_cap
+from .exactalg import COEFF_BITS, DEGREE_CAP
 from .numverify import residual_check
 from .odeio import format_exact, has_integral, parse_ode, parse_solution, \
     print_solution, ratfunc_to_expr
@@ -391,10 +392,10 @@ _RENDER = {
 
 def _run(args):
     if args.max_degree is not None:
-        try:
-            set_degree_cap(args.max_degree)
-        except ValueError as e:
-            return _error_payload("invalid_input", e), 1
+        if args.max_degree < 1:
+            return _error_payload(
+                "invalid_input", "degree cap must be positive"), 1
+        DEGREE_CAP.set(args.max_degree)
     if args.verb == "solve":
         return cmd_solve(args.ode, verify=args.verify, n_points=args.points)
     if args.verb == "classify":
@@ -406,7 +407,8 @@ def _run(args):
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    payload, code = _run(args)
+    # a copied context scopes --max-degree to this one command
+    payload, code = contextvars.copy_context().run(_run, args)
     if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
     elif "error" in payload:

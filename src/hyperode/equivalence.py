@@ -238,17 +238,11 @@ def exp_integral_expr(f):
             Poly.from_pairs([(carrier - 1, Fraction(carrier))]))
     if f.is_zero:
         return ONE
-    fallback = Exp(Intg(ratfunc_to_expr(f, var)))
-    if f.den.has_gauss():
-        return fallback
-    result = integrate_ratfunc(f)
-    if not result.exact:
-        return fallback
-    factors = []
-    for g, c in result.logarithms:
-        if isinstance(c, GaussRat):
-            return fallback
-        factors.append(power(poly_to_expr(g, var), c))
+    result = None if f.den.has_gauss() else integrate_ratfunc(f)
+    if (result is None or not result.exact
+            or any(isinstance(c, GaussRat) for _, c in result.logarithms)):
+        return Exp(Intg(ratfunc_to_expr(f, var)))
+    factors = [power(poly_to_expr(g, var), c) for g, c in result.logarithms]
     arg_terms = []
     if not result.polynomial_part.is_zero:
         arg_terms.append(poly_to_expr(result.polynomial_part, var))

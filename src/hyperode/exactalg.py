@@ -27,34 +27,26 @@ Rational roots come from Loos's p-adic method (SIAM J. Comput. 12,
 keeps it square-free, lifted by Newton steps until the lifted value
 determines the rational root. No integer is ever factored.
 
-Two guards bound every polynomial: its degree may not exceed
-degree_cap() (DegreeOverflow), and no numerator or denominator may be
-longer than COEFF_BITS bits (CoefficientOverflow). A scalar power is the
-power of a constant Poly, so the cap refuses its first long intermediate.
+Two guards bound every polynomial: its degree may not exceed the value
+of the context variable DEGREE_CAP (DegreeOverflow), and no numerator or
+denominator may be longer than COEFF_BITS bits (CoefficientOverflow). A
+scalar power is the power of a constant Poly, so the cap refuses its
+first long intermediate.
 """
 
+from contextvars import ContextVar
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
 from .errors import CoefficientOverflow, DegreeOverflow
 
-_degree_cap = 64
+# Cap on the degree of any Poly. A caller scopes a different value with
+# DEGREE_CAP.set() inside contextvars.copy_context().run(...).
+DEGREE_CAP = ContextVar("DEGREE_CAP", default=64)
 
 # Cap on the bit length of any numerator or denominator a Poly stores.
 COEFF_BITS = 4096
 _COEFF_LIMIT = 1 << COEFF_BITS
-
-
-def set_degree_cap(n):
-    """Set the global cap on intermediate polynomial degrees."""
-    global _degree_cap
-    if n < 1:
-        raise ValueError("degree cap must be positive")
-    _degree_cap = int(n)
-
-
-def degree_cap():
-    return _degree_cap
 
 
 class GaussRat:
@@ -149,12 +141,6 @@ class GaussRat:
 
     def __repr__(self):
         return "GaussRat(%s, %s)" % (self.re, self.im)
-
-    def __str__(self):
-        if self.re == 0:
-            return "%s*i" % (self.im,)
-        sign = "+" if self.im > 0 else "-"
-        return "%s%s%s*i" % (self.re, sign, abs(self.im))
 
 
 def _parts(c):
@@ -314,8 +300,9 @@ def _poly(re, im, den):
     if not n:
         p.re, p.im, p.den = (), (), 1
         return p
-    if n > _degree_cap + 1:
-        raise DegreeOverflow(n - 1, _degree_cap)
+    cap = DEGREE_CAP.get()
+    if n > cap + 1:
+        raise DegreeOverflow(n - 1, cap)
     if n != len(re):
         re = re[:n]
     g = gcd(den, *re, *im)
@@ -368,8 +355,9 @@ class Poly:
         if not pairs:
             return cls()
         top = max(e for e, _ in pairs)
-        if top > _degree_cap:
-            raise DegreeOverflow(top, _degree_cap)
+        cap = DEGREE_CAP.get()
+        if top > cap:
+            raise DegreeOverflow(top, cap)
         cs = [0] * (top + 1)
         for e, c in pairs:
             cs[e] = cs[e] + c if cs[e] else c
@@ -552,8 +540,9 @@ class Poly:
         if k == 1 or self.is_zero:
             return self
         top = self.degree * k
-        if top > _degree_cap:
-            raise DegreeOverflow(top, _degree_cap)
+        cap = DEGREE_CAP.get()
+        if top > cap:
+            raise DegreeOverflow(top, cap)
         re = [0] * (top + 1)
         re[::k] = self.re
         im = ()
@@ -619,9 +608,6 @@ class Poly:
     def __repr__(self):
         return "Poly(%r)" % (self.coeffs,)
 
-    def __str__(self):
-        return format_poly(self, "x")
-
 
 # Polys are never mutated after construction, so one instance can serve.
 _ONE = _poly((1,), (), 1)
@@ -633,32 +619,6 @@ def _as_poly(other):
     if isinstance(other, (int, Fraction, GaussRat)):
         return Poly.const(other)
     return NotImplemented
-
-
-def format_poly(p, var):
-    if p.is_zero:
-        return "0"
-    parts = []
-    for e in range(p.degree, -1, -1):
-        c = p.coeff(e)
-        if not c:
-            continue
-        if isinstance(c, GaussRat):
-            coef = "(%s)" % c
-            sign = "+"
-        else:
-            sign = "+" if c >= 0 else "-"
-            coef = str(abs(c))
-        if e == 0:
-            term = coef
-        else:
-            xpow = var if e == 1 else "%s^%d" % (var, e)
-            term = xpow if coef == "1" else "%s*%s" % (coef, xpow)
-        if not parts:
-            parts.append(term if sign == "+" else "-" + term)
-        else:
-            parts.append(" %s %s" % (sign, term))
-    return "".join(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -1008,18 +968,6 @@ class RatFunc:
     def __repr__(self):
         return "RatFunc(%r, %r)" % (self.num, self.den)
 
-    def __str__(self):
-        return self.to_str("x")
-
-    def to_str(self, var):
-        ns = format_poly(self.num, var)
-        if self.den.degree == 0:
-            return ns
-        ds = format_poly(self.den, var)
-        if self.num.degree > 0:
-            ns = "(%s)" % ns
-        return "%s/(%s)" % (ns, ds)
-
 
 def _homogenized(p, n, mpow, d):
     """sum of p_e n^e m^(d-e) by Horner's rule in n, given mpow[j] = m^j."""
@@ -1235,7 +1183,8 @@ def _lifted_roots(work):
     test of one gcd in GF(p)[x]; only its residues are swept. Each
     rational root reduces to one of the roots of f mod p, all simple,
     and Newton steps lift that root uniquely to a modulus m past twice
-    the bound, where the symmetric residue of lc*r is lc*r itself.
+    the bound, where the symmetric residue of lc*r is lc*r itself. A
+    residue past the bound is no root and is dropped.
     """
     real = _poly(work.re, (), 1)
     f = _primitive((real // poly_gcd(real, real.deriv())).re)
@@ -1257,7 +1206,10 @@ def _lifted_roots(work):
             m *= m
             r = (r - _eval_mod(f, r, m) * pow(_eval_mod(df, r, m), -1, m)) % m
         s = lc * r % m
-        out.append(Fraction(s - m if 2 * s > m else s, lc))
+        if 2 * s > m:
+            s -= m
+        if 2 * abs(s) <= bound:
+            out.append(Fraction(s, lc))
     return out
 
 

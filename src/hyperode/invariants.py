@@ -60,36 +60,11 @@ class Mobius:
         return self.a * self.d - self.b * self.c
 
     @classmethod
-    def identity(cls):
-        return cls(Fraction(1), Fraction(0), Fraction(0), Fraction(1))
-
-    @classmethod
     def from_ints(cls, a, b, c, d):
         return cls(Fraction(a), Fraction(b), Fraction(c), Fraction(d))
 
     def as_ratfunc(self):
         return RatFunc(Poly((self.b, self.a)), Poly((self.d, self.c)))
-
-    def apply(self, v):
-        """Image of a point of the projective line (INF allowed)."""
-        if v is INF:
-            if not self.c:
-                return INF
-            return self.a / self.c
-        den = self.c * v + self.d
-        if not den:
-            return INF
-        return (self.a * v + self.b) / den
-
-    def inverse(self):
-        return Mobius(self.d, -self.b, -self.c, self.a)
-
-    def compose(self, other):
-        """self o other as maps."""
-        return Mobius(self.a * other.a + self.b * other.c,
-                      self.a * other.b + self.b * other.d,
-                      self.c * other.a + self.d * other.c,
-                      self.c * other.b + self.d * other.d)
 
     def canonical(self):
         """Scale-normalized representative of the same map.
@@ -116,9 +91,6 @@ class Mobius:
         if lead < 0:
             ints = [-v for v in ints]
         return Mobius(*(Fraction(v) for v in ints))
-
-    def __str__(self):
-        return self.as_ratfunc().to_str("x")
 
 
 @dataclass(frozen=True)

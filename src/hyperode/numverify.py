@@ -157,51 +157,16 @@ def _legendre_value(kind, degree, z):
 def eval_expr(s, z):
     """Evaluate a solution expression at a complex point.
 
-    All powers and the exp node take principal branches. Free constants
-    C1 and C2 evaluate to 1, so a combined pair evaluates to the sum of
-    its members. Points too close to a pole or branch point of a power
-    raise PointRejected; unevaluated integrals have no pointwise value
-    and raise ValueError.
+    The value is the first entry of the jet _jet computes, so it comes
+    from the same rules the residual check uses. All powers and the exp
+    node take principal branches. Free constants C1 and C2 evaluate to
+    1. Points too close to a pole or branch point of a power raise
+    PointRejected; unevaluated integrals have no pointwise value and
+    raise ValueError. The derivative rules run too, so a point where
+    only they fail is refused as well, such as a Legendre argument at
+    +1 or -1 (PointRejected).
     """
-    return _ev(s, complex(z))
-
-
-def _ev(e, z):
-    if isinstance(e, Num):
-        return complex(e.value)
-    if isinstance(e, Sym):
-        return z
-    if isinstance(e, Const):
-        return complex(1.0, 0.0)
-    if isinstance(e, Add):
-        return sum(_ev(t, z) for t in e.terms)
-    if isinstance(e, Mul):
-        out = complex(1.0, 0.0)
-        for f in e.factors:
-            out *= _ev(f, z)
-        return out
-    if isinstance(e, Pow):
-        b = _ev(e.base, z)
-        ex = e.exponent
-        if ex.denominator == 1:
-            n = int(ex)
-            if n >= 0:
-                return b ** n
-            if abs(b) < _POLE_GUARD:
-                raise PointRejected("pole proximity |base|=%.2e" % abs(b))
-            return b ** n
-        if abs(b) < _POLE_GUARD:
-            raise PointRejected("branch point proximity |base|=%.2e" % abs(b))
-        return b ** complex(float(ex), 0.0)
-    if isinstance(e, Exp):
-        return cmath.exp(_ev(e.arg, z))
-    if isinstance(e, Hyp):
-        return eval_pfq(e.kind, e.upper, e.lower, _ev(e.arg, z))
-    if isinstance(e, Leg):
-        return _legendre_value(e.kind, e.degree, _ev(e.arg, z))
-    if isinstance(e, Intg):
-        raise ValueError("unevaluated integral has no pointwise value")
-    raise TypeError("not a solution expression: %r" % (e,))
+    return _jet(s, complex(z))[0]
 
 
 def _nodes(e):
@@ -267,8 +232,9 @@ def _jet(e, z):
     One pass of order-2 Taylor arithmetic: each node combines the jets
     of its children by the sum, product and chain rules. A series needs
     only itself and its two contiguous shifts at the argument's value, a
-    Legendre function its degrees v, v+1 and v+2. The guards are those
-    of eval_expr, plus the pole of the Legendre rule at z^2 = 1; a
+    Legendre function its degrees v, v+1 and v+2. A power refuses a
+    point within _POLE_GUARD of its pole or branch point, and the
+    Legendre rule one within _POLE_GUARD of its pole at z^2 = 1; a
     constant argument, whose derivatives vanish, skips the shifts.
     Expects a tree that has passed _check_evaluable.
     """
@@ -428,10 +394,9 @@ def _coefficient(f):
 
     f(x) = fn(x^(1/L)), L = 1 for a RatFunc, is evaluated by Horner's
     rule on the numerator and denominator of fn, converted to complex
-    once. The guards are those of the tree ratfunc_to_expr builds for f:
-    PointRejected within _POLE_GUARD of x = 0 when L > 1 (a branch
-    point) or when the denominator is a power of x, and where the value
-    of any other denominator is that small.
+    once. PointRejected marks a point within _POLE_GUARD of x = 0 when
+    L > 1 (a branch point) or when the denominator is a power of x, and
+    a point where the value of any other denominator is that small.
     """
     fn, carrier = (f.fn, f.carrier) if isinstance(f, GenRatFunc) else (f, 1)
     num = [complex(c) for c in fn.num.coeffs]

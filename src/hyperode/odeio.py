@@ -21,11 +21,11 @@ from .errors import (
 )
 from .exactalg import (
     COEFF_BITS,
+    DEGREE_CAP,
     GaussRat,
     GenRatFunc,
     Poly,
     RatFunc,
-    degree_cap,
 )
 
 Scalar = Union[Fraction, GaussRat]
@@ -434,15 +434,16 @@ class _TokenStream:
 
 
 def _check_degree(exponents):
-    """Refuse terms whose RatFunc or GenRatFunc form is past degree_cap()."""
+    """Refuse terms whose RatFunc or GenRatFunc form is past DEGREE_CAP."""
     hi = max(exponents)
     lo = min(exponents)
     degree = (hi if hi > 0 else 0) - (lo if lo < 0 else 0)
     carrier = lcm(*[e.denominator for e in exponents])
     if carrier > 1:
         degree = int(degree * carrier)
-    if degree > degree_cap():
-        raise DegreeOverflow(degree, degree_cap())
+    cap = DEGREE_CAP.get()
+    if degree > cap:
+        raise DegreeOverflow(degree, cap)
 
 
 def _fit(c):
@@ -516,9 +517,9 @@ def _add(a, b):
                 c = _fit(out.pop(e) + c)
             if c:
                 out[e] = c
-        # more terms than degree_cap() + 1 imply a degree past the cap;
+        # more terms than DEGREE_CAP + 1 imply a degree past the cap;
         # the degree itself is checked where the sum is next used
-        if len(out) > degree_cap() + 1:
+        if len(out) > DEGREE_CAP.get() + 1:
             _check_degree(out)
         return out
     return _exact(a) + _exact(b)
@@ -837,7 +838,10 @@ class _ExprParser:
             if self.ts.accept("*"):
                 acc = mul(acc, self.factor())
             elif self.ts.accept("/"):
-                acc = div(acc, self.factor())
+                d = self.factor()
+                if isinstance(d, Num) and not d.value:
+                    self.ts.fail("division by zero")
+                acc = div(acc, d)
             else:
                 return acc
 

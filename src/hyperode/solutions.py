@@ -49,10 +49,6 @@ class SolutionPair:
     derivation_note: str
     degenerate: bool = False
 
-    def combined(self):
-        """C1*y1 + C2*y2 as a single expression."""
-        return add(mul(self.y1, Const(1)), mul(self.y2, Const(2)))
-
     def to_json(self):
         return {
             "y1": print_solution(self.y1),

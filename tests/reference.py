@@ -7,14 +7,29 @@ back along M(x^k) alone; these general versions are written straight
 from the definitions so the tests have an independent route to the same
 values. The package finds rational roots by p-adic lifting; the
 reference enumerates the candidates of the rational root theorem
-instead.
+instead. The package evaluates solution trees by its own series and
+Legendre rules; mp_eval uses mpmath's instead.
 """
 
 from fractions import Fraction
 from math import isqrt, lcm
 
+import mpmath
+
 from hyperode.exactalg import GaussRat, GenRatFunc, Poly, RatFunc
-from hyperode.odeio import LinearODE
+from hyperode.invariants import INF, Mobius
+from hyperode.odeio import (
+    Add,
+    Const,
+    Exp,
+    Hyp,
+    Leg,
+    LinearODE,
+    Mul,
+    Num,
+    Pow,
+    Sym,
+)
 
 
 def general_schwarzian(f):
@@ -49,6 +64,70 @@ def pullback_ode(i0, f):
     composed = (GenRatFunc(i0.compose(f.fn), f.carrier)
                 if isinstance(f, GenRatFunc) else i0.compose(f))
     return LinearODE(-(d1.deriv() / d1), -(d1 * d1 * composed))
+
+
+def mobius_apply(m, v):
+    """Image of a point of the projective line under m (INF allowed)."""
+    if v is INF:
+        return m.a / m.c if m.c else INF
+    den = m.c * v + m.d
+    return (m.a * v + m.b) / den if den else INF
+
+
+def mobius_compose(m, n):
+    """m o n as maps: the product of their coefficient matrices."""
+    return Mobius(m.a * n.a + m.b * n.c, m.a * n.b + m.b * n.d,
+                  m.c * n.a + m.d * n.c, m.c * n.b + m.d * n.d)
+
+
+def mobius_inverse(m):
+    """The inverse map, from the adjugate matrix."""
+    return Mobius(m.d, -m.b, -m.c, m.a)
+
+
+def _mp(v):
+    """An exact scalar as an mpmath number."""
+    if isinstance(v, GaussRat):
+        return mpmath.mpc(_mp(v.re), _mp(v.im))
+    v = Fraction(v)
+    return mpmath.mpf(v.numerator) / v.denominator
+
+
+def mp_eval(e, z):
+    """Value of a solution tree at z by mpmath, at its working precision.
+
+    Powers take principal branches and the free constants C1 and C2 are
+    1, as in the package. Series use hyp2f1, hyp1f1 and hyp0f1, and
+    Legendre functions legenp and legenq of type 3 (analytic off the
+    real segment up to 1). Integrals have no value and raise ValueError.
+    """
+    if isinstance(e, Num):
+        return mpmath.mpc(_mp(e.value))
+    if isinstance(e, Sym):
+        return mpmath.mpc(z)
+    if isinstance(e, Const):
+        return mpmath.mpc(1)
+    if isinstance(e, Add):
+        return mpmath.fsum(mp_eval(t, z) for t in e.terms)
+    if isinstance(e, Mul):
+        return mpmath.fprod(mp_eval(f, z) for f in e.factors)
+    if isinstance(e, Pow):
+        b = mp_eval(e.base, z)
+        if e.exponent.denominator == 1:
+            return b ** int(e.exponent)
+        return mpmath.power(b, _mp(e.exponent))
+    if isinstance(e, Exp):
+        return mpmath.exp(mp_eval(e.arg, z))
+    if isinstance(e, Hyp):
+        w = mp_eval(e.arg, z)
+        params = [_mp(p) for p in e.upper + e.lower]
+        fn = {"2F1": mpmath.hyp2f1, "1F1": mpmath.hyp1f1,
+              "0F1": mpmath.hyp0f1}[e.kind]
+        return fn(*params, w)
+    if isinstance(e, Leg):
+        fn = mpmath.legenp if e.kind == "P" else mpmath.legenq
+        return fn(_mp(e.degree), 0, mp_eval(e.arg, z), type=3)
+    raise ValueError("no pointwise value for %r" % (e,))
 
 
 def _divisors(n):

@@ -243,7 +243,7 @@ class TestIdentityTransformFixedPoint:
         i_seed = seed_invariant_2F1(lam, mu, kap)
         if i_seed.is_zero:
             return
-        moved = transform_invariant(i_seed, Mobius.identity())
+        moved = transform_invariant(i_seed, Mobius.from_ints(1, 0, 0, 1))
         assert moved == i_seed
         assert profile(moved) == profile(i_seed)
 

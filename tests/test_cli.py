@@ -1,5 +1,6 @@
 """Command line behavior: verbs, exit codes, JSON schema stability."""
 
+import contextvars
 import json
 import os
 import pathlib
@@ -25,9 +26,9 @@ from hyperode.cli import (
     main,
 )
 from hyperode.errors import CoefficientOverflow
-from hyperode.exactalg import degree_cap, set_degree_cap
+from hyperode.exactalg import DEGREE_CAP
 from hyperode.invariants import Mobius
-from hyperode.odeio import parse_ode
+from hyperode.odeio import parse_ode, print_solution, ratfunc_to_expr
 
 WORKED_ODE = ("y'' = ((1/3*x^2 - 3*x^4 - 8/3)/(x^5 - x))*y'"
               " + (19/12/(x^6 - x^2))*y")
@@ -298,6 +299,14 @@ class TestBoundedInput:
         assert code == 1
         assert payload["error"]["type"] == "invalid_input"
 
+    @pytest.mark.parametrize("solution", ["x/0", "x/(2-2)"])
+    def test_division_by_zero_in_a_solution_is_an_input_error(
+            self, solution):
+        payload, code = cmd_verify("y'' = 0", solution)
+        assert code == 1
+        assert payload["error"]["type"] == "invalid_input"
+        assert "division by zero" in payload["error"]["message"]
+
     @pytest.mark.parametrize("argv", [
         ["solve", "y'' + x^(1/0)*y = 0"],
         ["classify", "y'' + 2^(1/0)*y = 0"],
@@ -386,7 +395,8 @@ def test_degenerate_models_never_raise(model):
     kind, params, entries, k = model
     ode = equivalence.transformed_seed_ode(
         kind, params, Mobius.from_ints(*entries), k)
-    text = "y'' + (%s)*y' + (%s)*y = 0" % (ode.A, ode.B)
+    text = "y'' + (%s)*y' + (%s)*y = 0" % tuple(
+        print_solution(ratfunc_to_expr(c)) for c in (ode.A, ode.B))
     assert parse_ode(text) == ode
     _, code = cmd_solve(text)
     assert code in (0, 1, 2)
@@ -486,23 +496,29 @@ class TestMain:
         capsys.readouterr()
 
     def test_max_degree_override(self, capsys):
-        before = degree_cap()
-        try:
-            code = main(["--max-degree", "4", "solve", WORKED_ODE])
-            assert code == 1
-        finally:
-            set_degree_cap(before)
+        assert main(["--max-degree", "4", "solve", WORKED_ODE]) == 1
+        # the cap held for that one command only
+        assert DEGREE_CAP.get() == 64
+        assert main(["solve", WORKED_ODE]) == 0
         capsys.readouterr()
+
+    def test_a_cap_set_in_one_context_is_not_seen_in_another(self):
+        def set_and_read(cap):
+            DEGREE_CAP.set(cap)
+            return DEGREE_CAP.get()
+
+        assert contextvars.copy_context().run(set_and_read, 4) == 4
+        assert contextvars.copy_context().run(DEGREE_CAP.get) == 64
+        assert DEGREE_CAP.get() == 64
 
     @pytest.mark.parametrize("cap", ["0", "-3"])
     def test_nonpositive_max_degree_is_an_input_error(self, capsys, cap):
-        before = degree_cap()
         code = main(["--json", "--max-degree", cap, "solve",
                      "y'' + x*y = 0"])
         out = json.loads(capsys.readouterr().out)
         assert code == 1
         assert out["error"]["type"] == "invalid_input"
-        assert degree_cap() == before
+        assert DEGREE_CAP.get() == 64
 
     def test_corpus_verb_prints_summary(self, capsys):
         code = main(["corpus"])

@@ -6,7 +6,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction as F
-from math import gcd
+from math import gcd, isqrt, prod
 from pathlib import Path
 
 import pytest
@@ -16,11 +16,12 @@ from hypothesis import strategies as st
 from hyperode.errors import CoefficientOverflow, DegreeOverflow
 from hyperode.exactalg import (
     COEFF_BITS,
+    DEGREE_CAP,
     GaussRat,
     GenRatFunc,
     Poly,
     RatFunc,
-    degree_cap,
+    _lifted_roots,
     factor_rational_roots,
     gauss_sqrt,
     integrate_ratfunc,
@@ -29,7 +30,6 @@ from hyperode.exactalg import (
     poly_gcd,
     rational_sqrt,
     residue_at,
-    set_degree_cap,
     split_quadratic_gauss,
     squarefree_decomposition,
 )
@@ -179,21 +179,19 @@ class TestPoly:
         assert s.exponent_gcd() == 3
 
     def test_degree_cap(self):
-        old = degree_cap()
+        token = DEGREE_CAP.set(8)
         try:
-            set_degree_cap(8)
             with pytest.raises(DegreeOverflow):
                 poly_of([0, 1]) ** 9
         finally:
-            set_degree_cap(old)
+            DEGREE_CAP.reset(token)
 
     def test_power_builds_nothing_past_its_result(self):
-        old = degree_cap()
+        token = DEGREE_CAP.set(8)
         try:
-            set_degree_cap(8)
             assert poly_of([0, 1]) ** 8 == Poly.from_pairs([(8, F(1))])
         finally:
-            set_degree_cap(old)
+            DEGREE_CAP.reset(token)
         assert Poly.const(2) ** (COEFF_BITS - 1) == \
             Poly.const(2 ** (COEFF_BITS - 1))
         assert GaussRat(1, 1) ** 3 == GaussRat(-2, 2)
@@ -318,6 +316,16 @@ class TestGcdAndFactoring:
         assert unit == 1
         assert roots == {F(2 * n, 3): 1}
         assert rem == x ** 2 + F(2 * n, 3) * x + F(4 * n * n, 9)
+
+    def test_no_candidate_past_cauchys_bound(self):
+        # 0 is a double root of x^63 + x^2 + q modulo each odd prime up to
+        # 2879, so the lifting runs at a prime past 2879 and its residues
+        # lift to candidates of about 8000 bits; the polynomial is monic,
+        # so every rational root r has |r| <= 1 + q
+        q = prod(p for p in range(3, 2880, 2)
+                 if all(p % d for d in range(3, isqrt(p) + 1, 2)))
+        f = Poly.from_pairs([(63, F(1)), (2, F(1)), (0, F(q))])
+        assert all(abs(r) <= 1 + q for r in _lifted_roots(f))
 
     def test_gaussian_polynomial_whose_real_part_vanishes_at_zero(self):
         # (x - i)(x - 2) = x^2 - (2 + i) x + 2i: the real part x^2 - 2x

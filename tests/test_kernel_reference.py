@@ -18,10 +18,10 @@ sympy = pytest.importorskip("sympy")
 
 from hyperode.errors import DegreeOverflow  # noqa: E402
 from hyperode.exactalg import (  # noqa: E402
+    DEGREE_CAP,
     GaussRat,
     Poly,
     RatFunc,
-    degree_cap,
     factor_rational_roots,
     poly_gcd,
 )
@@ -190,16 +190,17 @@ def test_rational_coefficients_are_fractions(a, b):
 
 def test_degree_overflow_at_the_cap():
     x = Poly.x()
-    top = Poly.from_pairs([(degree_cap(), F(1))])
-    half = x ** (degree_cap() // 2)
+    cap = DEGREE_CAP.get()
+    top = Poly.from_pairs([(cap, F(1))])
+    half = x ** (cap // 2)
     assert half * half == top
-    assert x.substitute_power(degree_cap()) == top
+    assert x.substitute_power(cap) == top
     with pytest.raises(DegreeOverflow):
         top * x
     with pytest.raises(DegreeOverflow):
-        x.substitute_power(degree_cap() + 1)
+        x.substitute_power(cap + 1)
     with pytest.raises(DegreeOverflow):
-        Poly.from_pairs([(degree_cap() + 1, F(1))])
+        Poly.from_pairs([(cap + 1, F(1))])
 
 
 # ---------------------------------------------------------------------------

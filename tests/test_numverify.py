@@ -54,6 +54,7 @@ from hyperode.odeio import (
     ratfunc_to_expr,
 )
 from hyperode.solutions import assemble
+from reference import mp_eval
 from test_odeio import exprs
 
 WORKED_ODE = ("y'' = ((1/3*x^2 - 3*x^4 - 8/3)/(x^5 - x))*y'"
@@ -291,15 +292,29 @@ class TestJet:
         d2 = differentiate_expr(d1)
         try:
             got = _jet(s, z)
-            want = [eval_expr(e, z) for e in (s, d1, d2)]
         except (PointRejected, EvalDiverged, OverflowError,
                 ZeroDivisionError, ValueError):
             return
-        for g, w in zip(got, want):
-            if not (cmath.isfinite(g) and cmath.isfinite(w)):
-                return
+        if not all(cmath.isfinite(g) for g in got):
+            return
+        with mpmath.workdps(30):
+            want = [complex(mp_eval(e, z)) for e in (s, d1, d2)]
         for g, w in zip(got, want):
             assert abs(g - w) <= 1e-9 * max(abs(g), abs(w), 1.0)
+
+    @pytest.mark.parametrize("node, points", [
+        (Leg("P", F(-1, 2), add(mul(num(2), X), num(-1))),
+         (0.55, 0.6 + 0.1j, 0.42)),
+        (Leg("Q", F(3, 2), X), (2.5 + 0.0j, 1.8 + 0.9j, -2.2 + 1.1j)),
+    ])
+    def test_legendre_matches_the_reference(self, node, points):
+        d1 = differentiate_expr(node)
+        d2 = differentiate_expr(d1)
+        for z in points:
+            with mpmath.workdps(30):
+                want = [complex(mp_eval(e, z)) for e in (node, d1, d2)]
+            for g, w in zip(_jet(node, z), want):
+                assert abs(g - w) <= 1e-12 * max(1.0, abs(w))
 
     @pytest.mark.parametrize("node, ref", [
         (hyp("2F1", (F(1, 3), F(-1, 4)), (F(7, 5),),
