@@ -42,10 +42,8 @@ from .exactalg import (
     RatFunc,
     gauss_sqrt,
     integrate_ratfunc,
-    laurent_coefficients,
-    pole_order,
+    principal_part,
     rational_sqrt,
-    residue_at,
 )
 from .invariants import (
     INF,
@@ -143,12 +141,11 @@ def double_pole_coefficient(i0, point):
         if gap == 2:
             return i0.num.lc / i0.den.lc
         return Fraction(0)
-    order = pole_order(i0, point)
-    if order > 2:
-        raise ValueError("pole order %d at %s is irregular" % (order, point))
-    if order < 2:
-        return Fraction(0)
-    return laurent_coefficients(i0, point, 2, 1)[0]
+    part = principal_part(i0, point)
+    if len(part) > 2:
+        raise ValueError("pole order %d at %s is irregular"
+                         % (len(part), point))
+    return part[0] if len(part) == 2 else Fraction(0)
 
 
 def exponent_difference_at(i0, point):
@@ -424,11 +421,13 @@ def resolve_1F1(i0, pr):
     d = exponent_difference_at(i0, t_reg)
     if t_irr is INF:
         theta_sq = 4 * i0.num.lc / i0.den.lc
+        part = principal_part(i0, t_reg)
+        residue = part[-1] if part else Fraction(0)
 
         def linear_of(theta):
-            return residue_at(i0, t_reg) / theta
+            return residue / theta
     else:
-        lead, nxt = laurent_coefficients(i0, t_irr, 4, 2)
+        lead, nxt = principal_part(i0, t_irr)[:2]
         if t_reg is INF:
             theta_sq = 4 * lead
 
@@ -467,9 +466,10 @@ def resolve_0F1(i0, pr):
     t_irr, t_reg = spots
     d = exponent_difference_at(i0, t_reg)
     if t_irr is INF:
-        theta = residue_at(i0, t_reg)
+        part = principal_part(i0, t_reg)
+        theta = part[-1] if part else Fraction(0)
     else:
-        lead = laurent_coefficients(i0, t_irr, 3, 1)[0]
+        lead = principal_part(i0, t_irr)[0]
         if t_reg is INF:
             theta = lead
         else:

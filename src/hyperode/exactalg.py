@@ -921,15 +921,6 @@ class RatFunc:
             s = b
         return RatFunc.from_coprime(a.deriv() * s - a * db, b * s)
 
-    def eval(self, v):
-        dv = self.den.eval(v)
-        if not dv:
-            raise ZeroDivisionError("evaluation at a pole")
-        return self.num.eval(v) / dv
-
-    def __call__(self, v):
-        return self.eval(v)
-
     def compose(self, other):
         """self(other(x)) for a rational argument, by homogenization.
 
@@ -961,9 +952,6 @@ class RatFunc:
 
     def exponent_gcd(self):
         return gcd(self.num.exponent_gcd(), self.den.exponent_gcd())
-
-    def has_gauss(self):
-        return self.num.has_gauss() or self.den.has_gauss()
 
     def __repr__(self):
         return "RatFunc(%r, %r)" % (self.num, self.den)
@@ -1259,66 +1247,29 @@ def split_quadratic_gauss(p):
     return (-b + w) / 2, (-b - w) / 2
 
 
-def laurent_coefficients(f, r, mult, count):
-    """Laurent coefficients of f at x = r.
+def principal_part(f, r):
+    """Principal part of f at x = r: [c_-m, ..., c_-1] for a pole of order m.
 
-    f must have a pole of order exactly `mult` at r (mult 0 is allowed for
-    a regular point). Returns `count` coefficients starting at the
-    (x - r)^(-mult) term.
+    Returns [] where f is finite. With f = num / ((x - r)^m * rest), the
+    coefficients are the first m Taylor coefficients of num / rest at r.
     """
-    num, den = f.num, f.den
     lin = Poly((-r, 1))
-    d1 = den
-    for _ in range(mult):
-        q, rem = divmod(d1, lin)
-        if not rem.is_zero:
-            raise ValueError("pole order at %s is smaller than %d"
-                             % (r, mult))
-        d1 = q
-    if not d1(r):
-        raise ValueError("pole order at %s exceeds %d" % (r, mult))
-    # f = num / ((x-r)^mult * d1); expand num/d1 around r
-    taylor_n = num.taylor_at(r, count + 1)
-    taylor_d = d1.taylor_at(r, count + 1)
-    inv = []
-    d0 = taylor_d[0]
-    for k in range(count):
-        if k == 0:
-            inv.append(1 / d0)
-            continue
-        acc = Fraction(0)
-        for j in range(1, k + 1):
-            acc = acc + taylor_d[j] * inv[k - j]
-        inv.append(-acc / d0)
-    out = []
-    for k in range(count):
-        acc = Fraction(0)
-        for j in range(k + 1):
-            acc = acc + taylor_n[j] * inv[k - j]
-        out.append(acc)
-    return out
-
-
-def residue_at(f, r):
-    """Residue of f at a pole r (any order, including regular points)."""
-    mult = pole_order(f, r)
-    if mult == 0:
-        return Fraction(0)
-    coeffs = laurent_coefficients(f, r, mult, mult)
-    return coeffs[mult - 1]
-
-
-def pole_order(f, r):
-    """Order of the pole of f at r (0 when f is finite there)."""
-    lin = Poly((-r, 1))
-    d = f.den
-    order = 0
+    rest = f.den
     while True:
-        q, rem = divmod(d, lin)
+        q, rem = divmod(rest, lin)
         if not rem.is_zero:
-            return order
-        order += 1
-        d = q
+            break
+        rest = q
+    order = f.den.degree - rest.degree
+    taylor_n = f.num.taylor_at(r, order)
+    taylor_d = rest.taylor_at(r, order)
+    out = []
+    for k in range(order):
+        acc = taylor_n[k]
+        for j in range(1, k + 1):
+            acc = acc - taylor_d[j] * out[k - j]
+        out.append(acc / taylor_d[0])
+    return out
 
 
 # ---------------------------------------------------------------------------

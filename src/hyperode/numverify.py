@@ -36,6 +36,7 @@ from .odeio import (
     format_exact,
     has_integral,
     series_shift,
+    walk,
 )
 
 _TERM_CAP = 10000
@@ -169,23 +170,6 @@ def eval_expr(s, z):
     return _jet(s, complex(z))[0]
 
 
-def _nodes(e):
-    """Every node of a solution tree, each parent before its children."""
-    yield e
-    if isinstance(e, Add):
-        children = e.terms
-    elif isinstance(e, Mul):
-        children = e.factors
-    elif isinstance(e, Pow):
-        children = (e.base,)
-    elif isinstance(e, (Exp, Hyp, Leg)):
-        children = (e.arg,)
-    else:
-        children = ()
-    for c in children:
-        yield from _nodes(c)
-
-
 def _check_evaluable(s):
     """Raise, before any point is tried, what would fail at every point.
 
@@ -195,12 +179,12 @@ def _check_evaluable(s):
     double range raises SamplingFailed, since no sample point could
     evaluate it.
     """
-    nodes = list(_nodes(s))
+    nodes = list(walk(s))
     for e in nodes:
         if isinstance(e, Hyp):
             shift = series_shift(e.kind, e.upper, e.lower)
             if shift is not None and any(
-                    isinstance(n, Sym) for n in _nodes(e.arg)):
+                    isinstance(n, Sym) for n in walk(e.arg)):
                 series_shift(e.kind, shift[1], shift[2])
     for e in nodes:
         if isinstance(e, Num):

@@ -222,11 +222,12 @@ def power(base, exponent):
     if isinstance(base, Num) and exponent.denominator == 1:
         v = base.value
         e = exponent.numerator
-        if e < 0 and v:
+        if e < 0:
+            if not v:
+                raise ZeroDivisionError("division by zero expression")
             v, e = 1 / v, -e
-        if e >= 0:
-            # Poly.__pow__ refuses the first intermediate past the cap
-            return num((Poly.const(v) ** e).coeff(0))
+        # Poly.__pow__ refuses the first intermediate past the cap
+        return num((Poly.const(v) ** e).coeff(0))
     if isinstance(base, Pow) and exponent.denominator == 1:
         return power(base.base, base.exponent * exponent)
     if isinstance(base, Mul) and exponent.denominator == 1:
@@ -234,20 +235,8 @@ def power(base, exponent):
     return Pow(base, exponent)
 
 
-def invert(e):
-    if isinstance(e, Num):
-        if not e.value:
-            raise ZeroDivisionError("division by zero expression")
-        return num(1 / e.value)
-    if isinstance(e, Pow):
-        return power(e.base, -e.exponent)
-    if isinstance(e, Mul):
-        return mul(*(invert(f) for f in e.factors))
-    return Pow(e, Fraction(-1))
-
-
 def div(a, b):
-    return mul(a, invert(b))
+    return mul(a, power(b, -1))
 
 
 def _lower_param_degenerate(lower):
@@ -278,19 +267,28 @@ def legendre(kind, degree, arg):
                arg)
 
 
+def walk(e):
+    """Every node of a solution tree, each parent before its children."""
+    yield e
+    if isinstance(e, Add):
+        children = e.terms
+    elif isinstance(e, Mul):
+        children = e.factors
+    elif isinstance(e, Pow):
+        children = (e.base,)
+    elif isinstance(e, (Exp, Hyp, Leg)):
+        children = (e.arg,)
+    elif isinstance(e, Intg):
+        children = (e.integrand,)
+    else:
+        children = ()
+    for c in children:
+        yield from walk(c)
+
+
 def has_integral(e):
     """True when the tree holds an unevaluated integral."""
-    if isinstance(e, Intg):
-        return True
-    if isinstance(e, Add):
-        return any(has_integral(t) for t in e.terms)
-    if isinstance(e, Mul):
-        return any(has_integral(t) for t in e.factors)
-    if isinstance(e, Pow):
-        return has_integral(e.base)
-    if isinstance(e, (Exp, Hyp, Leg)):
-        return has_integral(e.arg)
-    return False
+    return any(isinstance(n, Intg) for n in walk(e))
 
 
 def poly_to_expr(p, var=None):
@@ -838,10 +836,7 @@ class _ExprParser:
             if self.ts.accept("*"):
                 acc = mul(acc, self.factor())
             elif self.ts.accept("/"):
-                d = self.factor()
-                if isinstance(d, Num) and not d.value:
-                    self.ts.fail("division by zero")
-                acc = div(acc, d)
+                acc = div(acc, self.factor())
             else:
                 return acc
 
@@ -931,8 +926,16 @@ class _ExprParser:
 
 
 def parse_solution(text):
-    """Parse a printed solution expression back into a tree."""
-    return _ExprParser(text).parse()
+    """Parse a printed solution expression back into a tree.
+
+    A zero base under a negative integer power, written or produced by
+    merging powers of one base, is a ParseError at the current token.
+    """
+    parser = _ExprParser(text)
+    try:
+        return parser.parse()
+    except ZeroDivisionError:
+        parser.ts.fail("division by zero")
 
 
 # ---------------------------------------------------------------------------
@@ -1140,6 +1143,6 @@ def differentiate_expr(e):
         up = Leg(e.kind, v + 1, z)
         core = mul(num(v + 1),
                    add(up, neg(mul(z, e))),
-                   invert(add(power(z, 2), num(-1))))
+                   power(add(power(z, 2), num(-1)), -1))
         return mul(core, dz)
     raise TypeError("not a solution expression: %r" % (e,))

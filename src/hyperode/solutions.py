@@ -11,7 +11,7 @@ exponent difference is an integer does the reduction-of-order integral
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .equivalence import exp_integral_expr, seed_ode
+from .equivalence import exp_integral_expr
 from .exactalg import GaussRat
 from .odeio import (
     ONE,
@@ -87,17 +87,18 @@ def seed_solutions(class_kind, params):
     return SolutionPair(y1, y2, True, "g1", _is_integer(c))
 
 
-def repair_degenerate(params, pair):
-    """Replace a degenerate full-model pair by an integral-free one.
+def repair_degenerate(params):
+    """An integral-free pair for a degenerate full model, or None.
 
     Tries to move the integer exponent difference away from the origin:
     swap with the point at 1 (g2) when a+b is not an integer, else with
     the point at infinity (g3) when a-b is not an integer. With all three
     differences integers, the special case with vanishing differences at
-    0 and 1 admits a Legendre pair; anything else falls back to reduction
-    of order. The multiplicative factors attached to the g2/g3 branches
-    come from the gauge relating the transformed model to the original
-    one (validated against the residual oracle in the test suite).
+    0 and 1 admits a Legendre pair; anything else returns None, and the
+    caller falls back to reduction of order. The multiplicative factors
+    attached to the g2/g3 branches come from the gauge relating the
+    transformed model to the original one (validated against the residual
+    oracle in the test suite).
     """
     a, b, c = params["a"], params["b"], params["c"]
     if not _is_integer(a + b):
@@ -123,9 +124,7 @@ def repair_degenerate(params, pair):
         return SolutionPair(legendre("P", a - 1, arg),
                             legendre("Q", a - 1, arg),
                             True, "legendre")
-    base = pair.y1 if c >= 1 else pair.y2
-    second = integral_fallback(base, seed_ode("2F1", params).A)
-    return SolutionPair(base, second, False, "integral")
+    return None
 
 
 def integral_fallback(y1, coeff_a):
@@ -174,18 +173,17 @@ def substitute_argument(e, arg, darg):
 def assemble(witness):
     """Solutions of the original equation from a verified witness.
 
-    Takes the model pair (repaired first when degenerate), substitutes the
-    witness argument, and multiplies by the witness gauge.
+    Takes the model pair (repaired first when degenerate, else completed
+    by reduction of order), substitutes the witness argument, and
+    multiplies by the witness gauge.
     """
     pair = seed_solutions(witness.class_kind, witness.params)
+    if pair.degenerate and witness.class_kind == "2F1":
+        pair = repair_degenerate(witness.params) or pair
     if pair.degenerate:
-        if witness.class_kind == "2F1":
-            pair = repair_degenerate(witness.params, pair)
-        else:
-            c = witness.params["c"]
-            base = pair.y1 if c >= 1 else pair.y2
-            second = integral_fallback(base, witness.seed.A)
-            pair = SolutionPair(base, second, False, "integral")
+        base = pair.y1 if witness.params["c"] >= 1 else pair.y2
+        pair = SolutionPair(base, integral_fallback(base, witness.seed.A),
+                            False, "integral")
     arg_expr = ratfunc_to_expr(witness.argument)
     # only an unevaluated integral changes variables with the derivative
     darg_expr = (None if pair.integral_free

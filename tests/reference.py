@@ -85,6 +85,11 @@ def mobius_inverse(m):
     return Mobius(m.d, -m.b, -m.c, m.a)
 
 
+def ratfunc_at(f, v):
+    """f(v) at an exact point v that is not a pole of f."""
+    return f.num.eval(v) / f.den.eval(v)
+
+
 def _mp(v):
     """An exact scalar as an mpmath number."""
     if isinstance(v, GaussRat):

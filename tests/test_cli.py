@@ -299,7 +299,9 @@ class TestBoundedInput:
         assert code == 1
         assert payload["error"]["type"] == "invalid_input"
 
-    @pytest.mark.parametrize("solution", ["x/0", "x/(2-2)"])
+    @pytest.mark.parametrize("solution", [
+        "x/0", "x/(2-2)", "x*0^(-1)", "(0*x)^(-1)", "0^(-2)*x",
+        "(0^(1/2)*x)^(-2)"])
     def test_division_by_zero_in_a_solution_is_an_input_error(
             self, solution):
         payload, code = cmd_verify("y'' = 0", solution)
@@ -399,6 +401,44 @@ def test_degenerate_models_never_raise(model):
         print_solution(ratfunc_to_expr(c)) for c in (ode.A, ode.B))
     assert parse_ode(text) == ode
     _, code = cmd_solve(text)
+    assert code in (0, 1, 2)
+
+
+_NUMBERS = st.sampled_from(["0", "1", "2", "1/3", "-1/3"])
+_EXPONENTS = st.sampled_from(["2", "-1", "(-2)", "(1/2)", "(-1/3)", "0"])
+
+
+def _solution_texts():
+    """Solution texts over the grammar: numbers, x, I, the four operators,
+    integer and fractional powers, parentheses, exp, the three series and
+    both Legendre kinds. Operands are parenthesized or not at random, so
+    precedence varies too."""
+    def wrap(t):
+        return st.sampled_from(["(%s)" % t, t])
+
+    def grow(sub):
+        operand = sub.flatmap(wrap)
+        return st.one_of(
+            st.tuples(operand, st.sampled_from("+-*/"), operand).map(
+                "".join),
+            st.tuples(operand, _EXPONENTS).map("^".join),
+            sub.map("exp(%s)".__mod__),
+            st.tuples(_NUMBERS, _NUMBERS, _NUMBERS, sub).map(
+                "hypergeom([%s, %s], [%s], %s)".__mod__),
+            st.tuples(_NUMBERS, _NUMBERS, sub).map(
+                "hypergeom([%s], [%s], %s)".__mod__),
+            st.tuples(_NUMBERS, sub).map("hypergeom([], [%s], %s)".__mod__),
+            st.tuples(st.sampled_from("PQ"), _NUMBERS, sub).map(
+                "Legendre%s(%s, %s)".__mod__))
+    return st.recursive(_NUMBERS | st.sampled_from(["x", "I"]), grow,
+                        max_leaves=6)
+
+
+@settings(max_examples=200, deadline=5000)
+@given(st.sampled_from(["y'' = 0", "y'' + y = 0", "x*y'' + y' - x*y = 0"]),
+       _solution_texts())
+def test_verify_never_raises(ode_text, solution):
+    _, code = cmd_verify(ode_text, solution)
     assert code in (0, 1, 2)
 
 

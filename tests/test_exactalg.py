@@ -25,14 +25,14 @@ from hyperode.exactalg import (
     factor_rational_roots,
     gauss_sqrt,
     integrate_ratfunc,
-    laurent_coefficients,
-    pole_order,
     poly_gcd,
+    principal_part,
     rational_sqrt,
-    residue_at,
     split_quadratic_gauss,
     squarefree_decomposition,
 )
+
+from reference import ratfunc_at
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 small_rationals = st.fractions(min_value=-9, max_value=9, max_denominator=6)
@@ -135,8 +135,6 @@ class TestPoly:
     def test_eval_refuses_a_float(self):
         with pytest.raises(TypeError):
             poly_of([1, 1]).eval(0.5)
-        with pytest.raises(TypeError):
-            RatFunc.x().eval(0.5j)
 
     def test_taylor_at(self):
         # (x-2)^3 + 5(x-2) + 7 expanded around 2
@@ -362,7 +360,7 @@ class TestRatFunc:
     def test_monic_denominator(self):
         f = RatFunc(poly_of([1]), poly_of([2, 4]))
         assert f.den.lc == 1
-        assert f(F(1)) == F(1, 6)
+        assert ratfunc_at(f, F(1)) == F(1, 6)
 
     def test_arith(self):
         x = RatFunc.x()
@@ -390,8 +388,8 @@ class TestRatFunc:
         d = f.deriv()
         h = F(1, 10 ** 6)
         for v in (F(2, 5), F(17, 10)):
-            approx = (f.eval(v + h) - f.eval(v - h)) / (2 * h)
-            assert abs(d.eval(v) - approx) < F(1, 10 ** 9)
+            approx = (ratfunc_at(f, v + h) - ratfunc_at(f, v - h)) / (2 * h)
+            assert abs(ratfunc_at(d, v) - approx) < F(1, 10 ** 9)
 
     @given(st.lists(small_rationals, min_size=1, max_size=4),
            st.lists(small_rationals, min_size=2, max_size=4),
@@ -432,21 +430,21 @@ class TestRatFunc:
     def test_pole_order_and_residue(self):
         x = RatFunc.x()
         f = 3 / (x - 2) ** 2 + 5 / (x - 2) + x + 1
-        assert pole_order(f, F(2)) == 2
-        assert laurent_coefficients(f, F(2), 2, 2) == [F(3), F(5)]
-        assert residue_at(f, F(2)) == 5
-        assert pole_order(f, F(0)) == 0
+        assert principal_part(f, F(2)) == [F(3), F(5)]
+        assert principal_part(f, F(0)) == []
 
     def test_laurent_at_gaussian_point(self):
         x = RatFunc.x()
         i = GaussRat(0, 1)
         f = 1 / (x ** 2 + 1)
-        assert residue_at(f, i) == GaussRat(0, F(-1, 2))
+        assert principal_part(f, i) == [GaussRat(0, F(-1, 2))]
 
     def test_laurent_regular_expansion(self):
         x = RatFunc.x()
         f = 1 / (1 - x)
-        assert laurent_coefficients(f, F(0), 0, 4) == [F(1)] * 4
+        assert principal_part(f, F(0)) == []
+        assert principal_part(f, F(1)) == [F(-1)]
+        assert principal_part(RatFunc(Poly.const(0)), F(0)) == []
 
 
 class TestGenRatFunc:

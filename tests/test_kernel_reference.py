@@ -4,8 +4,9 @@ Polynomials with large heights over QQ and over QQ_I are built once as
 hyperode Polys and once as sympy Polys; every kernel operation must give
 the same coefficients on both sides. sympy is a test-only dependency and
 the module skips without it. The RatFunc operators are checked against
-the kernel's own reducing constructor on their unreduced results, and
-the rational roots against the rational root theorem.
+the kernel's own reducing constructor on their unreduced results, the
+rational roots against the rational root theorem, and principal parts
+against sympy's power-series inverse.
 """
 
 from fractions import Fraction as F
@@ -24,6 +25,7 @@ from hyperode.exactalg import (  # noqa: E402
     RatFunc,
     factor_rational_roots,
     poly_gcd,
+    principal_part,
 )
 from reference import rational_roots_reference  # noqa: E402
 
@@ -188,6 +190,34 @@ def test_rational_coefficients_are_fractions(a, b):
                               ref_pairs(ref(a, False) * ref(b, False))]
 
 
+@settings(max_examples=60, deadline=None)
+@given(fields, st.integers(0, 4), st.data())
+def test_principal_part(gauss, order, data):
+    """A pole of planted order m at a rational or Gaussian point r.
+
+    With f = num / ((x - r)^m rest), the coefficients c_-m .. c_-1 are
+    those of num(r + t) / rest(r + t) mod t^m, from sympy's shift and its
+    inverse modulo t^m.
+    """
+    r = data.draw(small_rationals)
+    if gauss:
+        r = GaussRat(r, data.draw(small_rationals.filter(bool)))
+    num = data.draw(coefficient_lists(gauss, max_size=3))
+    rest = data.draw(coefficient_lists(gauss, max_size=3))
+    assume(hyper(num).eval(r) and hyper(rest).eval(r))
+    f = RatFunc(hyper(num), hyper(rest) * Poly((-r, 1)) ** order)
+    re, im = scalar_pair(r)
+    sr = sympy.Rational(re.numerator, re.denominator) \
+        + sympy.I * sympy.Rational(im.numerator, im.denominator)
+    mod = sympy.Poly(X ** order, X, domain=sympy.QQ_I)
+    shifted_num = ref(num, True).shift(sr)
+    shifted_rest = ref(rest, True).shift(sr)
+    want = ref_pairs((shifted_num * sympy.invert(shifted_rest, mod))
+                     .rem(mod)) if order else []
+    want += [(F(0), F(0))] * (order - len(want))
+    assert [scalar_pair(c) for c in principal_part(f, r)] == want
+
+
 def test_degree_overflow_at_the_cap():
     x = Poly.x()
     cap = DEGREE_CAP.get()
@@ -208,19 +238,14 @@ def test_degree_overflow_at_the_cap():
 # by Henrici's rules or proves the gcd unneeded, so its result must equal,
 # field by field, RatFunc(num, den) on the unreduced num and den.
 
-# The reducing constructor's gcd over Z[i] slows sharply with height and
-# degree, so Gaussian operands are kept lower than rational ones.
 medium_rationals = st.builds(
     F, st.integers(-10 ** 6, 10 ** 6), st.integers(1, 10 ** 4))
-low_rationals = st.builds(F, st.integers(-100, 100), st.integers(1, 20))
 
 
 def small_polys(gauss, min_size=1, max_size=3):
-    if gauss:
-        parts = st.tuples(low_rationals,
-                          st.one_of(st.just(F(0)), low_rationals))
-    else:
-        parts = st.tuples(medium_rationals, st.just(F(0)))
+    imag = (st.one_of(st.just(F(0)), medium_rationals) if gauss
+            else st.just(F(0)))
+    parts = st.tuples(medium_rationals, imag)
     return st.lists(parts, min_size=min_size, max_size=max_size).map(hyper)
 
 
@@ -236,8 +261,7 @@ def related_ratfuncs(draw, gauss, count):
     factors s, t common to all operands, so numerators meet denominators
     and denominators meet each other.
     """
-    size = 2 if gauss else 3
-    shared = [draw(small_polys(gauss, min_size=2, max_size=size))
+    shared = [draw(small_polys(gauss, min_size=2))
               for _ in range(2)]
     out = []
     for _ in range(count):

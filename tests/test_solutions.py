@@ -8,6 +8,7 @@ import pytest
 
 from hyperode.exactalg import GaussRat, Poly, RatFunc
 from hyperode.equivalence import (
+    EquivalenceWitness,
     parameters_from_differences,
     seed_invariant,
     seed_ode,
@@ -228,10 +229,17 @@ class TestSeedSolutions:
         assert "C1" in text and "C2" in text
 
 
+def _model_witness(kind, params):
+    """The identity witness of a model equation: gauge 1, argument x, so
+    assemble returns the model pair itself."""
+    return EquivalenceWitness(kind, 1, Mobius.from_ints(1, 0, 0, 1), params,
+                              seed_ode(kind, params))
+
+
 class TestRepairDegenerate:
     def test_swap_with_point_at_one(self):
         params = {"a": F(1, 3), "b": F(1, 5), "c": F(1)}
-        pair = repair_degenerate(params, seed_solutions("2F1", params))
+        pair = repair_degenerate(params)
         assert pair.derivation_note == "g2"
         assert pair.integral_free
         assert print_solution(pair.y1) == \
@@ -246,7 +254,7 @@ class TestRepairDegenerate:
 
     def test_swap_with_point_at_infinity(self):
         params = {"a": F(2, 3), "b": F(1, 3), "c": F(1)}
-        pair = repair_degenerate(params, seed_solutions("2F1", params))
+        pair = repair_degenerate(params)
         assert pair.derivation_note == "g3"
         assert print_solution(pair.y1) == \
             "hypergeom([1/3, 1/3], [2/3], 1/x)/(x^(1/3))"
@@ -259,7 +267,7 @@ class TestRepairDegenerate:
 
     def test_legendre_pattern(self):
         params = {"a": F(1, 2), "b": F(1, 2), "c": F(1)}
-        pair = repair_degenerate(params, seed_solutions("2F1", params))
+        pair = repair_degenerate(params)
         assert pair.derivation_note == "legendre"
         arg = add(mul(num(F(2)), X), num(F(-1)))
         assert pair.y1 == Leg("P", F(-1, 2), arg)
@@ -271,7 +279,8 @@ class TestRepairDegenerate:
 
     def test_all_integer_fallback(self):
         params = {"a": F(1, 2), "b": F(-1, 2), "c": F(1)}
-        pair = repair_degenerate(params, seed_solutions("2F1", params))
+        assert repair_degenerate(params) is None
+        pair = assemble(_model_witness("2F1", params))
         assert pair.derivation_note == "integral"
         assert not pair.integral_free
         # second solution is y1 times an unevaluated integral
@@ -295,7 +304,8 @@ class TestRepairDegenerate:
 
     def test_low_c_uses_the_power_branch(self):
         params = {"a": F(1, 2), "b": F(-1, 2), "c": F(0)}
-        pair = repair_degenerate(params, seed_solutions("2F1", params))
+        assert repair_degenerate(params) is None
+        pair = assemble(_model_witness("2F1", params))
         assert pair.derivation_note == "integral"
         # base solution must be the valid x^(1-c) branch, not the one
         # with the nonpositive lower parameter
