@@ -49,7 +49,7 @@ from .odeio import (
     parse_solution,
     print_solution,
 )
-from .invariants import Mobius, to_normal_form
+from .invariants import Mobius, to_normal_form, transform_invariant
 from .classifier import classify, expand_table1, profile
 from .equivalence import (
     EquivalenceWitness,
@@ -93,6 +93,7 @@ __all__ = [
     "print_solution",
     "Mobius",
     "to_normal_form",
+    "transform_invariant",
     "classify",
     "expand_table1",
     "profile",

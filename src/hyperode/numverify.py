@@ -9,9 +9,10 @@ derivation, and those show up as residuals many orders of magnitude
 above roundoff.
 
 Series evaluation is deliberately plain: partial sums of the defining
-hypergeometric series inside a convergence-guarded disc. Arguments that
-fall outside the guard are rejected rather than continued analytically;
-the sampler simply picks points whose transformed arguments land inside.
+hypergeometric series inside a convergence-guarded disc, which Pfaff's
+transformation widens for 2F1. Other arguments are rejected rather than
+continued analytically; the sampler simply picks points whose
+transformed arguments land inside.
 """
 
 import cmath
@@ -92,13 +93,21 @@ def eval_pfq(kind, upper, lower, z):
     Plain partial summation, stopped once the last term is below 1e-16
     of the running sum or after 10000 terms, whichever comes first.
     Gauss series are only summed for |z| <= 0.8 where convergence is
-    geometric; anything outside raises EvalDiverged, as does a series
-    that fails to settle within the term budget.
+    geometric. Outside it, Pfaff's (1-z)^(-a) 2F1(a, c-b; c; z/(z-1)),
+    principal branch, takes over if |z/(z-1)| <= 0.8 and c is not in
+    0, -1, ... (where a series ended by b breaks it); anything else
+    raises EvalDiverged, as does a series that never settles.
     """
     zc = complex(z)
     if kind == "2F1" and abs(zc) > _GAUSS_DISC:
-        raise EvalDiverged(
-            "2F1 argument magnitude %.3f outside the guarded disc" % abs(zc))
+        (a, b), (c,) = upper, lower  # Pfaff, DLMF 15.8.1
+        if (zc == 1 or abs(zc / (zc - 1)) > _GAUSS_DISC
+                or _nonpositive_int(c) is not None):
+            raise EvalDiverged(
+                "2F1 argument magnitude %.3f outside the guarded disc"
+                % abs(zc))
+        return (1 - zc) ** -complex(a) * eval_pfq(
+            "2F1", (a, c - b), lower, zc / (zc - 1))
     cutoff = None
     for u in upper:
         n = _nonpositive_int(u)

@@ -219,12 +219,12 @@ def power(base, exponent):
         return base
     if exponent == 0:
         return ONE
+    if isinstance(base, Num) and not base.value and exponent < 0:
+        raise ZeroDivisionError("division by zero expression")
     if isinstance(base, Num) and exponent.denominator == 1:
         v = base.value
         e = exponent.numerator
         if e < 0:
-            if not v:
-                raise ZeroDivisionError("division by zero expression")
             v, e = 1 / v, -e
         # Poly.__pow__ refuses the first intermediate past the cap
         return num((Poly.const(v) ** e).coeff(0))

@@ -8,7 +8,9 @@ from the definitions so the tests have an independent route to the same
 values. The package finds rational roots by p-adic lifting; the
 reference enumerates the candidates of the rational root theorem
 instead. The package evaluates solution trees by its own series and
-Legendre rules; mp_eval uses mpmath's instead.
+Legendre rules; mp_eval uses mpmath's instead. The package proves a
+candidate by the full coefficient identity alone; seed_invariant gives
+the model invariant, so tests can check the invariant identity too.
 """
 
 from fractions import Fraction
@@ -16,8 +18,9 @@ from math import isqrt, lcm
 
 import mpmath
 
+from hyperode.equivalence import seed_ode
 from hyperode.exactalg import GaussRat, GenRatFunc, Poly, RatFunc
-from hyperode.invariants import INF, Mobius
+from hyperode.invariants import INF, Mobius, to_normal_form
 from hyperode.odeio import (
     Add,
     Const,
@@ -30,6 +33,11 @@ from hyperode.odeio import (
     Pow,
     Sym,
 )
+
+
+def seed_invariant(class_kind, params):
+    """Normal-form invariant of an instantiated model equation."""
+    return to_normal_form(seed_ode(class_kind, params)).I
 
 
 def general_schwarzian(f):

@@ -81,6 +81,23 @@ class TestSolve:
         assert code == 2
         assert payload["error"]["type"] == "no_equivalence"
 
+    def test_classified_but_unresolved_is_no_equivalence(self):
+        # the shifted Airy equation is classified as confluent, but no
+        # candidate the resolvers read off becomes a witness
+        payload, code = cmd_solve("y'' + (x-1)*y = 0")
+        assert code == 2
+        assert payload["error"] == {
+            "type": "no_equivalence",
+            "message": "no candidate assignment verified against the "
+                       "reduced invariant"}
+
+    def test_large_constant_coefficient_solves(self):
+        # 7^1400 is under the coefficient cap; its square is not
+        payload, code = cmd_solve("y'' + 7^(1400)*y = 0")
+        assert code == 0
+        assert payload["witness"]["class"] == "0F1"
+        assert payload["witness"]["k"] == "2"
+
     def test_verify_flag_attaches_reports(self):
         payload, code = cmd_solve(WORKED_ODE, verify=True, n_points=6)
         assert code == 0
@@ -218,6 +235,27 @@ class TestVerify:
         assert code == 0
         assert payload["residual_report"]["max_residual"] == 0.0
 
+    def test_gauss_argument_outside_the_disc_gets_a_verdict(self):
+        # -3x^2 - 5/2 leaves the disc |z| <= 0.8 at most sample points;
+        # without Pfaff's z/(z-1) only 5 of 8 are admissible
+        ode = ("y'' + (-67/3*x^4 - 869/45*x^2 - 35/36)/(x^5 + 2*x^3"
+               " + 35/36*x)*y' + (200/3*x^2)/(x^4 + 2*x^2 + 35/36)*y = 0")
+        member = "hypergeom([%s, -5/3], [7/10], -3*x^2 - 5/2)"
+        payload, code = cmd_verify(ode, member % "-10")
+        assert code == 0
+        assert payload["passes"] is True
+        payload, code = cmd_verify(ode, member % "-99/10")
+        assert code == 2
+        assert payload["passes"] is False
+
+    def test_series_ended_by_b_keeps_its_value_outside_the_disc(self):
+        # 2F1(1, -2; -3; -3x) = 1 - 2x + 3x^2; Pfaff's form differs from
+        # it, so points with |3x| > 0.8 must not take that route
+        payload, code = cmd_verify("y'' - 6/(3*x^2 - 2*x + 1)*y = 0",
+                                   "hypergeom([1, -2], [-3], -3*x)")
+        assert code == 0
+        assert payload["passes"] is True
+
     def test_series_ending_before_its_lower_zero_can_fail(self):
         # 2F1(-2, 1; -2; x) = 1 + x + x^2, so y'' = 2 while 2*y'/(1+x) is not
         payload, code = cmd_verify("y'' = 2*y'/(1+x)",
@@ -301,13 +339,19 @@ class TestBoundedInput:
 
     @pytest.mark.parametrize("solution", [
         "x/0", "x/(2-2)", "x*0^(-1)", "(0*x)^(-1)", "0^(-2)*x",
-        "(0^(1/2)*x)^(-2)"])
+        "(0^(1/2)*x)^(-2)", "0^(-1/2)*x", "x + 0^(-1/3)", "(0*x)^(-1/2)"])
     def test_division_by_zero_in_a_solution_is_an_input_error(
             self, solution):
         payload, code = cmd_verify("y'' = 0", solution)
         assert code == 1
         assert payload["error"]["type"] == "invalid_input"
         assert "division by zero" in payload["error"]["message"]
+
+    @pytest.mark.parametrize("solution", ["0^(1/2)*x", "x/(x-x)"])
+    def test_zero_seen_only_at_the_points_is_no_verdict(self, solution):
+        payload, code = cmd_verify("y'' = 0", solution)
+        assert code == 1
+        assert payload["error"]["type"] == "verification_impossible"
 
     @pytest.mark.parametrize("argv", [
         ["solve", "y'' + x^(1/0)*y = 0"],
@@ -439,6 +483,37 @@ def _solution_texts():
        _solution_texts())
 def test_verify_never_raises(ode_text, solution):
     _, code = cmd_verify(ode_text, solution)
+    assert code in (0, 1, 2)
+
+
+_ATOMS = st.sampled_from(
+    ["0", "1", "2", "1/3", "x", "x^(1/2)", "x^(-1)", "(x-1)"])
+
+
+def _expression_texts(leaves):
+    """Texts over the leaves, + - * / ^ and parentheses."""
+    def grow(sub):
+        operand = sub.flatmap(lambda t: st.sampled_from(["(%s)" % t, t]))
+        return st.tuples(operand, st.sampled_from("+-*/^"), operand).map(
+            "".join)
+    return st.recursive(leaves, grow, max_leaves=5)
+
+
+def _equation_texts():
+    """Equations over the grammar: a linear form with coefficient texts,
+    or two sides whose leaves include y, y' and y''."""
+    coeff = _expression_texts(_ATOMS)
+    linear = st.tuples(coeff, coeff, coeff).map(
+        "(%s)*y'' + (%s)*y' + (%s)*y = 0".__mod__)
+    side = _expression_texts(_ATOMS | st.sampled_from(["y", "y'", "y''"]))
+    free = st.tuples(side, side).map(" = ".join)
+    return linear | free
+
+
+@settings(max_examples=300, deadline=2000)
+@given(_equation_texts())
+def test_solve_never_raises(ode_text):
+    _, code = cmd_solve(ode_text)
     assert code in (0, 1, 2)
 
 

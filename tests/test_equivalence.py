@@ -6,6 +6,7 @@ import subprocess
 import sys
 import textwrap
 from fractions import Fraction as F
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hyperode
+from hyperode import equivalence
 from hyperode.classifier import profile
 from hyperode.errors import (
     IrrationalExponentDifference,
@@ -22,6 +24,7 @@ from hyperode.errors import (
 )
 from hyperode.exactalg import GaussRat, Poly, RatFunc
 from hyperode.equivalence import (
+    Candidate,
     EquivalenceWitness,
     double_pole_coefficient,
     exponent_difference_at,
@@ -30,7 +33,6 @@ from hyperode.equivalence import (
     resolve_0F1,
     resolve_1F1,
     resolve_2F1,
-    seed_invariant,
     seed_ode,
     solve_equivalence,
     transformed_seed_ode,
@@ -43,7 +45,7 @@ from hyperode.invariants import (
 )
 from hyperode.odeio import LinearODE, parse_ode, print_solution
 
-from reference import mobius_apply
+from reference import mobius_apply, seed_invariant
 
 
 def rf(nums, dens=(1,)):
@@ -59,6 +61,13 @@ def _seed_invariant_2F1_reference(a, b, c):
             + RatFunc.const((mu * mu - 1) / 4) / ((x - 1) * (x - 1))
             + RatFunc.const((1 + kap * kap - lam * lam - mu * mu) / 4)
             / (x * (x - 1)))
+
+
+def _proved(i0, cand):
+    """The invariant identity: the candidate's model invariant, moved by
+    its map, is I0. Resolvers do not check it; the witness does."""
+    seed = seed_invariant(cand.class_kind, cand.params)
+    return transform_invariant(seed, cand.mobius) == i0
 
 
 PARAMETER_NAMES = {"2F1": ("a", "b", "c"), "1F1": ("a", "c"), "0F1": ("c",)}
@@ -212,6 +221,7 @@ class TestResolve2F1:
         w = ws[0]
         assert w.mobius == Mobius.from_ints(2, 0, 1, -1)
         assert w.params == {"a": F(1, 4), "b": F(-1, 12), "c": F(-1, 3)}
+        assert _proved(WORKED_I0, w)
 
     def test_euler_type_invisible_point(self):
         # poles {0, infinity} only; the third model point gets a fresh spot
@@ -221,6 +231,7 @@ class TestResolve2F1:
         w = ws[0]
         assert w.mobius == Mobius.from_ints(1, 0, 0, 1)
         assert w.params == {"a": F(1), "b": F(-1), "c": F(-1)}
+        assert _proved(i0, w)
 
     def test_two_visible_points_with_ordinary_infinity(self):
         i0 = RatFunc(Poly.const(F(-1)),
@@ -229,6 +240,7 @@ class TestResolve2F1:
         assert ws
         assert ws[0].mobius == Mobius.from_ints(1, 1, 0, 2)
         assert ws[0].params == {"a": F(1), "b": F(0), "c": F(1)}
+        assert _proved(i0, ws[0])
 
     def test_sign_symmetry_recovery(self):
         # normal form of the a=1, b=2, c=3 instance: parameters come back
@@ -239,6 +251,7 @@ class TestResolve2F1:
         w = ws[0]
         assert w.mobius == Mobius.from_ints(1, 0, 0, 1)
         assert w.params == {"a": F(0), "b": F(-1), "c": F(-1)}
+        assert _proved(i0, w)
         shape = _differences(F(1), F(2), F(3))
         got = _differences(**w.params)
         assert [abs(d) for d in shape] == [abs(d) for d in got]
@@ -248,6 +261,7 @@ class TestResolve2F1:
         # first assignment keeps 0 in place and uses the 4/3 difference there
         first = ws[0]
         assert 1 - first.params["c"] == F(4, 3)
+        assert _proved(WORKED_I0, first)
 
     @given(st.fractions(min_value=-3, max_value=3, max_denominator=2),
            st.fractions(min_value=-3, max_value=3, max_denominator=2),
@@ -274,13 +288,14 @@ class TestResolve1F1:
         assert w.params["a"] == GaussRat(F(2, 3), F(1, 6))
         assert w.mobius == Mobius(GaussRat(0, F(2, 3)), GaussRat(0),
                                   GaussRat(0), GaussRat(1))
+        assert _proved(i0, w)
 
     def test_seed_self_resolution(self):
         i0 = seed_invariant("1F1", {"a": F(1, 3), "c": F(3, 2)})
         ws = list(resolve_1F1(i0, profile(i0)))
         assert any(w.mobius == Mobius.from_ints(1, 0, 0, 1)
                    and w.params == {"a": F(1, 3), "c": F(3, 2)}
-                   for w in ws)
+                   and _proved(i0, w) for w in ws)
 
     def test_scale_outside_gaussian_field(self):
         i0 = rf([3], [0, 0, 0, 0, 1])
@@ -300,6 +315,7 @@ class TestResolve0F1:
             (Mobius.from_ints(1, 0, 0, 1), F(2)),
             (Mobius.from_ints(1, 0, 0, 1), F(0)),
         ]
+        assert all(_proved(i0, w) for w in ws)
 
     def test_airy_reduced_invariant(self):
         i0 = rf([-2, 1], [0, 0, 9])
@@ -308,6 +324,7 @@ class TestResolve0F1:
         w = ws[0]
         assert w.mobius == Mobius(F(1, 9), F(0), F(0), F(1))
         assert w.params == {"c": F(4, 3)}
+        assert _proved(i0, w)
 
     def test_finite_irregular_point(self):
         # image of the model under x -> 1/x: triple pole at 0
@@ -315,7 +332,8 @@ class TestResolve0F1:
         flipped = transform_invariant(i0, Mobius.from_ints(0, 1, 1, 0))
         ws = list(resolve_0F1(flipped, profile(flipped)))
         assert ws
-        assert any(w.params["c"] == F(1, 2) for w in ws)
+        assert any(w.params["c"] == F(1, 2) and _proved(flipped, w)
+                   for w in ws)
 
     def test_zero_scale_returns_nothing(self):
         i0 = rf([1], [0, 0, 1])
@@ -449,6 +467,26 @@ class TestSolveEquivalence:
         ode = parse_ode("y'' + 3/4/(x^4 + 2*x^2 + 1)*y = 0")
         with pytest.raises(IrrationalExponentDifference):
             solve_equivalence(ode)
+
+    def test_a_rejected_candidate_gives_way_to_the_next(self, monkeypatch):
+        ode = parse_ode("y'' + y = 0")
+        wrong = Candidate("0F1", Mobius.from_ints(1, 0, 0, 1), {"c": F(7, 3)})
+        with pytest.raises(WitnessRejected):
+            EquivalenceWitness("0F1", 2, wrong.mobius, wrong.params, ode)
+        real = equivalence._RESOLVERS["0F1"]
+        tried = []
+
+        def wrong_first(i0, pr):
+            for cand in chain([wrong], real(i0, pr)):
+                tried.append(cand)
+                yield cand
+
+        monkeypatch.setitem(equivalence._RESOLVERS, "0F1", wrong_first)
+        w = solve_equivalence(ode)
+        assert tried[0] == wrong and len(tried) == 2
+        assert (w.class_kind, w.k) == ("0F1", 2)
+        assert w.mobius == Mobius(F(-1, 4), F(0), F(0), F(1))
+        assert w.params == {"c": F(3, 2)}
 
     def test_gaussian_witness_survives_gauge(self):
         base = LinearODE(rf([0]), rf([0, 1, 0, 0, 1]))

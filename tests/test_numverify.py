@@ -159,6 +159,35 @@ class TestEvalPfq:
             mpmath.mpc(2, 0.5) / 3, mpmath.mpc(2, -0.5) / 3, F(4, 3), 0.25))
         assert abs(got - want) < 1e-12
 
+    @pytest.mark.parametrize("upper, lower", [
+        ((F(1, 3), F(-5, 7)), (F(4, 5),)),
+        ((GaussRat(F(1, 2), F(1, 3)), F(2, 3)),
+         (GaussRat(F(3, 2), F(-1, 4)),)),
+    ], ids=["rational", "gaussian"])
+    @pytest.mark.parametrize("z", [-2, -1 + 0.5j, -3], ids=str)
+    def test_pfaff_step_matches_mpmath_outside_the_disc(self, upper, lower,
+                                                        z):
+        # z/(z-1) lies in the disc |w| <= 0.8 while z does not
+        got = eval_pfq("2F1", upper, lower, z)
+        want = complex(mpmath.hyp2f1(*(complex(v) for v in upper + lower),
+                                     z))
+        assert abs(got - want) <= 1e-12 * abs(want)
+
+    @pytest.mark.parametrize("z", [0.9, 3, -3j, 1], ids=str)
+    def test_no_pfaff_step_when_both_arguments_leave_the_disc(self, z):
+        # |z/(z-1)| is 9, 1.5 and 0.95, and undefined at z = 1
+        with pytest.raises(EvalDiverged):
+            eval_pfq("2F1", (F(1, 3), F(-5, 7)), (F(4, 5),), z)
+
+    @pytest.mark.parametrize("upper, lower", [
+        ((1, -2), (-3,)), ((-2, 1), (-3,)), ((2, -1), (-2,))], ids=str)
+    def test_no_pfaff_step_when_c_is_a_nonpositive_integer(self, upper,
+                                                           lower):
+        # 2F1(1, -2; -3; z) = 1 + 2z/3 + z^2/3 is 2/3 at z = -1, while
+        # (1-z)^-1 2F1(1, -1; -3; z/(z-1)) is 7/12
+        with pytest.raises(EvalDiverged):
+            eval_pfq("2F1", upper, lower, -1)
+
 
 class TestEvalExpr:
     def test_principal_square_root(self):

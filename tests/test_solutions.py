@@ -10,7 +10,6 @@ from hyperode.exactalg import GaussRat, Poly, RatFunc
 from hyperode.equivalence import (
     EquivalenceWitness,
     parameters_from_differences,
-    seed_invariant,
     seed_ode,
     solve_equivalence,
     transformed_seed_ode,
@@ -45,7 +44,7 @@ from hyperode.solutions import (
     substitute_argument,
 )
 
-from reference import mobius_apply, mobius_compose
+from reference import mobius_apply, mobius_compose, seed_invariant
 
 
 def rf(nums, dens=(1,)):
