@@ -62,7 +62,6 @@ from .solutions import SolutionPair, assemble
 from .numverify import (
     EvalPoint,
     ResidualReport,
-    eval_expr,
     eval_pfq,
     residual_check,
 )
@@ -106,7 +105,6 @@ __all__ = [
     "assemble",
     "EvalPoint",
     "ResidualReport",
-    "eval_expr",
     "eval_pfq",
     "residual_check",
     "__version__",

@@ -164,21 +164,6 @@ def _legendre_value(kind, degree, z):
     return scale * (2 * z) ** complex(-float(v) - 1.0) * series
 
 
-def eval_expr(s, z):
-    """Evaluate a solution expression at a complex point.
-
-    The value is the first entry of the jet _jet computes, so it comes
-    from the same rules the residual check uses. All powers and the exp
-    node take principal branches. Free constants C1 and C2 evaluate to
-    1. Points too close to a pole or branch point of a power raise
-    PointRejected; unevaluated integrals have no pointwise value and
-    raise ValueError. The derivative rules run too, so a point where
-    only they fail is refused as well, such as a Legendre argument at
-    +1 or -1 (PointRejected).
-    """
-    return _jet(s, complex(z))[0]
-
-
 def _check_evaluable(s):
     """Raise, before any point is tried, what would fail at every point.
 

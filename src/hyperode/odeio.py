@@ -1,11 +1,20 @@
 """Textual front end: ODE parsing, solution expression trees, printing.
 
-The ODE grammar accepts both "y'' + A*y' + B*y = 0" and "y'' = RHS"
-shapes; internally everything becomes the reduced coefficient pair
-(A, B) of y'' + A y' + B y = 0. Solution expressions are immutable
-trees built through the smart constructors below, which do just enough
-folding to keep printed output tidy and round-trippable. A number raised
-to an integer power is folded by Poly.__pow__, under the kernel's caps.
+Equations and solutions share one grammar, read by _Parser:
+
+    expr     := ("+" | "-")* term (("+" | "-") term)*
+    term     := factor (("*" | "/") factor)*
+    factor   := "-" factor | base ("^" exponent)?
+    base     := "(" expr ")" | number | name ...
+    exponent := "-"? integer | "(" "-"? integer ("/" integer)? ")"
+
+Each side is a subclass that holds only the actions. _OdeParser reads
+"y'' + A*y' + B*y = 0" and "y'' = RHS" shapes into the reduced
+coefficient pair (A, B) of y'' + A y' + B y = 0; only x itself takes a
+fractional power there. _ExprParser builds a solution as an immutable
+tree through the smart constructors below, which do just enough folding
+to keep printed output tidy and round-trippable. A number raised to an
+integer power is folded by Poly.__pow__, under the kernel's caps.
 """
 
 from dataclasses import dataclass
@@ -317,14 +326,14 @@ def ratfunc_to_expr(f, var=None):
 
 
 # ---------------------------------------------------------------------------
-# tokenizer
+# tokenizer and grammar
 
 
 _SINGLE = set("+-*/^()[],=")
 
-# Deepest nesting of parentheses, function arguments and unary minus signs
-# either parser accepts; it keeps the recursive descent far from Python's
-# recursion limit.
+# Deepest nesting of factors (parentheses, function arguments and the minus
+# signs of a factor) the parser accepts; it keeps the recursive descent far
+# from Python's recursion limit.
 MAX_NESTING = 100
 
 # A literal with more significant digits than this is at least
@@ -414,6 +423,102 @@ class _TokenStream:
 
     def fail(self, message):
         raise ParseError(message, self.peek()[2])
+
+
+class _Parser:
+    """Recursive descent over the grammar of the module docstring.
+
+    A subclass supplies the actions: add, neg, mul, div, power (also
+    given the factor's first token), number, and name, which reads a
+    name and what follows it. Each factor is one nesting level. A
+    ZeroDivisionError from an action is a ParseError at the current token.
+    """
+
+    def __init__(self, text):
+        self.ts = _TokenStream(text)
+
+    def parse(self):
+        try:
+            out = self.whole()
+        except ZeroDivisionError:
+            self.ts.fail("division by zero")
+        tok = self.ts.peek()
+        if tok[0] != "end":
+            raise ParseError("trailing input", tok[2])
+        return out
+
+    def whole(self):
+        return self.expr()
+
+    def expr(self):
+        ts = self.ts
+        negative = False
+        while ts.peek()[0] in ("+", "-"):
+            negative ^= ts.next()[0] == "-"
+        acc = self.term()
+        if negative:
+            acc = self.neg(acc)
+        while True:
+            if ts.accept("+"):
+                acc = self.add(acc, self.term())
+            elif ts.accept("-"):
+                acc = self.add(acc, self.neg(self.term()))
+            else:
+                return acc
+
+    def term(self):
+        ts = self.ts
+        acc = self.factor()
+        while True:
+            if ts.accept("*"):
+                acc = self.mul(acc, self.factor())
+            elif ts.accept("/"):
+                acc = self.div(acc, self.factor())
+            else:
+                return acc
+
+    def factor(self):
+        ts = self.ts
+        ts.descend()
+        start = ts.peek()
+        if ts.accept("-"):
+            out = self.neg(self.factor())
+        else:
+            out = self.base()
+            if ts.accept("^"):
+                out = self.power(out, self.exponent(), start)
+        ts.depth -= 1
+        return out
+
+    def exponent(self):
+        """The exponent after '^': an integer, or a ratio in parentheses."""
+        ts = self.ts
+        paren = ts.accept("(")
+        sign = -1 if ts.accept("-") else 1
+        p = int(ts.expect("num", "an integer exponent")[1])
+        q = 1
+        if paren:
+            if ts.accept("/"):
+                tok = ts.expect("num", "an integer denominator")
+                q = int(tok[1])
+                if not q:
+                    raise ParseError("zero denominator in an exponent",
+                                     tok[2])
+            ts.expect(")", "')'")
+        return Fraction(sign * p, q)
+
+    def base(self):
+        ts = self.ts
+        kind, val, pos = ts.next()
+        if kind == "(":
+            inner = self.expr()
+            ts.expect(")", "')'")
+            return inner
+        if kind == "num":
+            return self.number(int(val))
+        if kind == "name":
+            return self.name(val, pos)
+        raise ParseError(self.expected, pos)
 
 
 # ---------------------------------------------------------------------------
@@ -655,132 +760,59 @@ def _times(a, b):
     raise UnsupportedEquation("nonlinear term: product of y factors")
 
 
-def _parse_rational_exponent(ts):
-    """The exponent after '^': an int, or a Fraction when parenthesized."""
-    if ts.accept("("):
-        sign = -1 if ts.accept("-") else 1
-        p = int(ts.expect("num", "an integer exponent")[1])
-        q = 1
-        if ts.accept("/"):
-            tok = ts.expect("num", "an integer denominator")
-            q = int(tok[1])
-            if not q:
-                raise ParseError("zero denominator in an exponent", tok[2])
-        ts.expect(")", "')'")
-        return Fraction(sign * p, q)
-    sign = -1 if ts.accept("-") else 1
-    return sign * int(ts.expect("num", "an integer exponent")[1])
+class _OdeParser(_Parser):
+    """Actions for an equation: a value is a coefficient or a _LinForm,
+    and "lhs = rhs" is lhs - rhs."""
 
+    expected = "expected a number, x, y or parenthesis"
+    add = staticmethod(_plus)
+    neg = staticmethod(_neg)
+    mul = staticmethod(_times)
 
-class _OdeParser:
-    def __init__(self, text):
-        self.ts = _TokenStream(text)
-
-    def parse(self):
+    def whole(self):
         lhs = self.expr()
         if self.ts.accept("="):
-            form = _plus(lhs, _neg(self.expr()))
-        else:
-            form = lhs
-        tok = self.ts.peek()
-        if tok[0] != "end":
-            raise ParseError("trailing input", tok[2])
-        return form
+            return _plus(lhs, _neg(self.expr()))
+        return lhs
 
-    def expr(self):
-        ts = self.ts
-        sign = 1
-        kind = ts.peek()[0]
-        while kind == "-" or kind == "+":
-            ts.next()
-            if kind == "-":
-                sign = -sign
-            kind = ts.peek()[0]
-        acc = self.term()
-        if sign < 0:
-            acc = _neg(acc)
-        while True:
-            kind = ts.peek()[0]
-            if kind == "+":
-                ts.next()
-                acc = _plus(acc, self.term())
-            elif kind == "-":
-                ts.next()
-                acc = _plus(acc, _neg(self.term()))
-            else:
-                return acc
+    def div(self, a, b):
+        if type(b) is _LinForm:
+            self.ts.fail("cannot divide by an expression containing y")
+        if not b:
+            self.ts.fail("division by zero")
+        return a.divided(b) if type(a) is _LinForm else _div(a, b)
 
-    def term(self):
-        ts = self.ts
-        acc = self.factor()
-        while True:
-            kind = ts.peek()[0]
-            if kind == "*":
-                ts.next()
-                acc = _times(acc, self.factor())
-            elif kind == "/":
-                ts.next()
-                rhs = self.factor()
-                if type(rhs) is _LinForm:
-                    ts.fail("cannot divide by an expression containing y")
-                if not rhs:
-                    ts.fail("division by zero")
-                acc = (acc.divided(rhs) if type(acc) is _LinForm
-                       else _div(acc, rhs))
-            else:
-                return acc
-
-    def factor(self):
-        start = self.ts.peek()
-        base = self.base()
-        if self.ts.accept("^"):
-            e = _parse_rational_exponent(self.ts)
-            if type(base) is _LinForm:
-                if e == 1:
-                    return base
-                raise UnsupportedEquation(
-                    "nonlinear term: y raised to power %s" % e)
-            if e.denominator == 1:
-                if e < 0 and not base:
-                    self.ts.fail("division by zero")
-                return _power(base, e.numerator)
-            if start[0] == "name" and start[1] == "x":
-                _check_degree((e,))
-                return {e: 1}
+    def power(self, base, e, start):
+        if type(base) is _LinForm:
+            if e == 1:
+                return base
             raise UnsupportedEquation(
-                "fractional power of a non-x base is outside the rational "
-                "coefficient class")
-        return base
+                "nonlinear term: y raised to power %s" % e)
+        if e.denominator == 1:
+            if e < 0 and not base:
+                self.ts.fail("division by zero")
+            return _power(base, e.numerator)
+        if start[0] == "name" and start[1] == "x":
+            _check_degree((e,))
+            return {e: 1}
+        raise UnsupportedEquation(
+            "fractional power of a non-x base is outside the rational "
+            "coefficient class")
 
-    def base(self):
-        self.ts.descend()
-        out = self._base()
-        self.ts.depth -= 1
-        return out
+    @staticmethod
+    def number(n):
+        n = _fit(n)
+        return {0: n} if n else {}
 
-    def _base(self):
-        ts = self.ts
-        tok = ts.next()
-        kind, val, pos = tok
-        if kind == "(":
-            inner = self.expr()
-            ts.expect(")", "')'")
-            return inner
-        if kind == "num":
-            n = _fit(int(val))
-            return {0: n} if n else {}
-        if kind == "name":
-            if val == "x":
-                return {1: 1}
-            if val == "y":
-                order = 0
-                while ts.accept("prime"):
-                    order += 1
-                return _LinForm({}, {order: {0: 1}})
-            raise ParseError("unknown symbol %r in an ODE" % val, pos)
-        if kind == "-":
-            return _neg(self.base())
-        raise ParseError("expected a number, x, y or parenthesis", pos)
+    def name(self, val, pos):
+        if val == "x":
+            return {1: 1}
+        if val == "y":
+            order = 0
+            while self.ts.accept("prime"):
+                order += 1
+            return _LinForm({}, {order: {0: 1}})
+        raise ParseError("unknown symbol %r in an ODE" % val, pos)
 
 
 def parse_ode(text):
@@ -802,50 +834,23 @@ def parse_ode(text):
 
 
 # ---------------------------------------------------------------------------
-# solution expression parsing
+# solution expression parsing: expressions evaluate to solution trees
 
 
-class _ExprParser:
-    def __init__(self, text):
-        self.ts = _TokenStream(text)
+class _ExprParser(_Parser):
+    """Actions for a solution: a value is a tree of the smart
+    constructors above."""
 
-    def parse(self):
-        e = self.expr()
-        tok = self.ts.peek()
-        if tok[0] != "end":
-            raise ParseError("trailing input", tok[2])
-        return e
+    expected = "expected an expression"
+    add = staticmethod(add)
+    neg = staticmethod(neg)
+    mul = staticmethod(mul)
+    div = staticmethod(div)
+    number = staticmethod(num)
 
-    def expr(self):
-        if self.ts.accept("-"):
-            acc = neg(self.term())
-        else:
-            self.ts.accept("+")
-            acc = self.term()
-        while True:
-            if self.ts.accept("+"):
-                acc = add(acc, self.term())
-            elif self.ts.accept("-"):
-                acc = add(acc, neg(self.term()))
-            else:
-                return acc
-
-    def term(self):
-        acc = self.factor()
-        while True:
-            if self.ts.accept("*"):
-                acc = mul(acc, self.factor())
-            elif self.ts.accept("/"):
-                acc = div(acc, self.factor())
-            else:
-                return acc
-
-    def factor(self):
-        base = self.base()
-        if self.ts.accept("^"):
-            e = _parse_rational_exponent(self.ts)
-            return power(base, e)
-        return base
+    @staticmethod
+    def power(base, e, start):
+        return power(base, e)
 
     def scalar(self, what):
         e = self.expr()
@@ -863,25 +868,8 @@ class _ExprParser:
             self.ts.expect("]", "']'")
         return tuple(out)
 
-    def base(self):
-        self.ts.descend()
-        out = self._base()
-        self.ts.depth -= 1
-        return out
-
-    def _base(self):
+    def name(self, val, pos):
         ts = self.ts
-        kind, val, pos = ts.next()
-        if kind == "(":
-            inner = self.expr()
-            ts.expect(")", "')'")
-            return inner
-        if kind == "num":
-            return num(int(val))
-        if kind == "-":
-            return neg(self.base())
-        if kind != "name":
-            raise ParseError("expected an expression", pos)
         if val == "x":
             return X
         if val == "I":
@@ -908,7 +896,7 @@ class _ExprParser:
             ts.expect(",", "','")
             arg = self.expr()
             ts.expect(")", "')'")
-            kinds = {(2, 1): "2F1", (1, 1): "1F1", (0, 1): "0F1"}
+            kinds = {arity: kind for kind, arity in _ARITY.items()}
             shape = (len(upper), len(lower))
             if shape not in kinds:
                 raise ParseError("unsupported hypergeom shape %s" % (shape,),
@@ -928,14 +916,10 @@ class _ExprParser:
 def parse_solution(text):
     """Parse a printed solution expression back into a tree.
 
-    A zero base under a negative integer power, written or produced by
-    merging powers of one base, is a ParseError at the current token.
+    A zero base under a negative power, written or produced by merging
+    powers of one base, is a ParseError at the current token.
     """
-    parser = _ExprParser(text)
-    try:
-        return parser.parse()
-    except ZeroDivisionError:
-        parser.ts.fail("division by zero")
+    return _ExprParser(text).parse()
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,8 @@ instead. The package evaluates solution trees by its own series and
 Legendre rules; mp_eval uses mpmath's instead. The package proves a
 candidate by the full coefficient identity alone; seed_invariant gives
 the model invariant, so tests can check the invariant identity too.
+eval_expr is not a reference: it reads the package's own value of a
+tree, the one the residual oracle uses.
 """
 
 from fractions import Fraction
@@ -18,6 +20,7 @@ from math import isqrt, lcm
 
 import mpmath
 
+from hyperode import numverify
 from hyperode.equivalence import seed_ode
 from hyperode.exactalg import GaussRat, GenRatFunc, Poly, RatFunc
 from hyperode.invariants import INF, Mobius, to_normal_form
@@ -96,6 +99,12 @@ def mobius_inverse(m):
 def ratfunc_at(f, v):
     """f(v) at an exact point v that is not a pole of f."""
     return f.num.eval(v) / f.den.eval(v)
+
+
+def eval_expr(s, z):
+    """The package's value of a solution tree at a complex point: the
+    first entry of the jet the residual oracle computes."""
+    return numverify._jet(s, complex(z))[0]
 
 
 def _mp(v):

@@ -20,11 +20,11 @@ from hyperode.invariants import (
     to_normal_form,
 )
 from hyperode.errors import EvalDiverged, PointRejected
-from hyperode.numverify import eval_expr, residual_check
+from hyperode.numverify import residual_check
 from hyperode.odeio import Add, Hyp, Leg, Mul, Pow, differentiate_expr, hyp, parse_ode
 from hyperode.solutions import assemble
 
-from reference import at_power, general_schwarzian, pullback_ode
+from reference import at_power, eval_expr, general_schwarzian, pullback_ode
 
 WORKED_ODE = ("y'' = ((1/3*x^2 - 3*x^4 - 8/3)/(x^5 - x))*y'"
               " + (19/12/(x^6 - x^2))*y")

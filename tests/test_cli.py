@@ -452,16 +452,21 @@ _NUMBERS = st.sampled_from(["0", "1", "2", "1/3", "-1/3"])
 _EXPONENTS = st.sampled_from(["2", "-1", "(-2)", "(1/2)", "(-1/3)", "0"])
 
 
+def _operand(t):
+    """t bare, parenthesized, or after a sign run, which puts a minus
+    after an operator too."""
+    return st.one_of(st.sampled_from(["(%s)" % t, t]),
+                     st.sampled_from(["-", "+", "--", "-+"]).map(
+                         lambda sign: sign + t))
+
+
 def _solution_texts():
     """Solution texts over the grammar: numbers, x, I, the four operators,
     integer and fractional powers, parentheses, exp, the three series and
-    both Legendre kinds. Operands are parenthesized or not at random, so
-    precedence varies too."""
-    def wrap(t):
-        return st.sampled_from(["(%s)" % t, t])
-
+    both Legendre kinds. Operands are parenthesized, signed or bare at
+    random, so precedence varies too."""
     def grow(sub):
-        operand = sub.flatmap(wrap)
+        operand = sub.flatmap(_operand)
         return st.one_of(
             st.tuples(operand, st.sampled_from("+-*/"), operand).map(
                 "".join),
@@ -491,9 +496,9 @@ _ATOMS = st.sampled_from(
 
 
 def _expression_texts(leaves):
-    """Texts over the leaves, + - * / ^ and parentheses."""
+    """Texts over the leaves, + - * / ^, parentheses and sign runs."""
     def grow(sub):
-        operand = sub.flatmap(lambda t: st.sampled_from(["(%s)" % t, t]))
+        operand = sub.flatmap(_operand)
         return st.tuples(operand, st.sampled_from("+-*/^"), operand).map(
             "".join)
     return st.recursive(leaves, grow, max_leaves=5)

@@ -28,7 +28,6 @@ from hyperode.numverify import (
     _coefficient,
     _jet,
     _singular_points,
-    eval_expr,
     eval_pfq,
     pfq_terms,
     residual_check,
@@ -54,7 +53,7 @@ from hyperode.odeio import (
     ratfunc_to_expr,
 )
 from hyperode.solutions import assemble
-from reference import mp_eval
+from reference import eval_expr, mp_eval
 from test_odeio import exprs
 
 WORKED_ODE = ("y'' = ((1/3*x^2 - 3*x^4 - 8/3)/(x^5 - x))*y'"

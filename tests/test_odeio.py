@@ -1,6 +1,7 @@
 """Parsing, printing, and differentiation of equations and solutions."""
 
 import cmath
+import re
 import time
 from fractions import Fraction as F
 
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from hyperode.errors import (
     CoefficientOverflow,
     DegreeOverflow,
+    HyperodeError,
     ParseError,
     UnsupportedEquation,
 )
@@ -42,6 +44,8 @@ from hyperode.odeio import (
     print_solution,
     ratfunc_to_expr,
 )
+from reference import mp_eval, ratfunc_at
+from test_cli import _ATOMS, _expression_texts
 
 
 def rf(num_coeffs, den_coeffs=(1,)):
@@ -179,6 +183,39 @@ class TestParseOde:
         with pytest.raises(ParseError) as exc:
             parse_ode(text)
         assert exc.value.position == 11
+
+
+def _read_as_python(text, z):
+    """The text read by Python's grammar, in which a minus binds looser
+    than a power, over mpmath numbers at x = z."""
+    code = re.sub(r"\d+", r"M(\g<0>)", text.replace("^", "**"))
+    return eval(code, {"M": mpmath.mpf, "x": z})
+
+
+@settings(max_examples=300, deadline=None)
+@given(_expression_texts(_ATOMS))
+@example("--x^2")
+@example("+-x^2")
+@example("+-x^(1/2)")
+@example("-+x")
+@example("x*-x^2")
+def test_equations_and_solutions_read_a_text_alike(text):
+    """A coefficient an equation accepts parses as a solution too, and
+    both agree with Python's reading at x = w^6, where the powers x^(1/2)
+    and x^(1/3) of the grammar's atoms are exact."""
+    try:
+        b = parse_ode("y'' + (%s)*y = 0" % text).B
+    except HyperodeError:
+        return
+    tree = parse_solution(text)
+    for w in (F(3, 2), F(2, 3)):
+        exact = (ratfunc_at(b.fn, w ** (6 // b.carrier))
+                 if isinstance(b, GenRatFunc) else ratfunc_at(b, w ** 6))
+        with mpmath.workdps(40):
+            z = mpmath.mpf(w.numerator) ** 6 / w.denominator ** 6
+            want = mpmath.mpf(exact.numerator) / exact.denominator
+            for got in (mp_eval(tree, z), _read_as_python(text, z)):
+                assert abs(got - want) <= 1e-12 * abs(want) + 1e-25, text
 
 
 def coefficient_texts(depth=3):
