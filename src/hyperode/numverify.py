@@ -10,9 +10,11 @@ above roundoff.
 
 Series evaluation is deliberately plain: partial sums of the defining
 hypergeometric series inside a convergence-guarded disc, which Pfaff's
-transformation widens for 2F1. Other arguments are rejected rather than
+transformation widens for 2F1. One pass over the terms gives the value
+and both derivatives. Other arguments are rejected rather than
 continued analytically; the sampler simply picks points whose
-transformed arguments land inside.
+transformed arguments land inside, first on a ladder of circles around
+the singular set, then on rings around each singular point.
 """
 
 import cmath
@@ -20,6 +22,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from .errors import EvalDiverged, PointRejected, SamplingFailed
 from .exactalg import GaussRat, GenRatFunc, poly_gcd
@@ -47,12 +50,15 @@ _POLE_GUARD = 1e-9
 
 
 def _nonpositive_int(s):
-    if isinstance(s, GaussRat):
+    """n when the complex parameter s is the integer n <= 0, else None.
+
+    Parameters are judged by their double value, the value the series
+    is summed with, so a rational of more than 2^53 in magnitude may read
+    as an integer.
+    """
+    if s.imag or s.real > 0 or not s.real.is_integer():
         return None
-    s = Fraction(s)
-    if s.denominator != 1 or s > 0:
-        return None
-    return int(s)
+    return int(s.real)
 
 
 def pfq_terms(upper, lower, z):
@@ -88,26 +94,42 @@ def pfq_terms(upper, lower, z):
 
 
 def eval_pfq(kind, upper, lower, z):
-    """Value of 2F1, 1F1, or 0F1 with exact parameters at a complex point.
+    """(F, F', F'') of 2F1, 1F1 or 0F1 at a complex point.
 
-    Plain partial summation, stopped once the last term is below 1e-16
-    of the running sum or after 10000 terms, whichever comes first.
-    Gauss series are only summed for |z| <= 0.8 where convergence is
+    Parameters are exact or complex. One pass over pfq_terms sums
+    F = sum t_k, z F' = sum k t_k and z^2 F'' = sum k (k-1) t_k; it
+    stops once the last term of each sum is below 1e-16 of its running
+    sum, or raises EvalDiverged after 10000 terms. At z = 0 the
+    derivatives are read off the first coefficients instead. Gauss
+    series are only summed for |z| <= 0.8 where convergence is
     geometric. Outside it, Pfaff's (1-z)^(-a) 2F1(a, c-b; c; z/(z-1)),
     principal branch, takes over if |z/(z-1)| <= 0.8 and c is not in
-    0, -1, ... (where a series ended by b breaks it); anything else
-    raises EvalDiverged, as does a series that never settles.
+    0, -1, ... (where a series ended by b breaks it), with the chain
+    rule for the derivatives; anything else raises EvalDiverged, as
+    does a lower parameter -m that no upper -n, n <= m, ends first.
     """
+    up = tuple(complex(u) for u in upper)
+    lo = tuple(complex(l) for l in lower)
     zc = complex(z)
     if kind == "2F1" and abs(zc) > _GAUSS_DISC:
-        (a, b), (c,) = upper, lower  # Pfaff, DLMF 15.8.1
+        (a, b), (c,) = up, lo  # Pfaff, DLMF 15.8.1
         if (zc == 1 or abs(zc / (zc - 1)) > _GAUSS_DISC
                 or _nonpositive_int(c) is not None):
             raise EvalDiverged(
                 "2F1 argument magnitude %.3f outside the guarded disc"
                 % abs(zc))
-        return (1 - zc) ** -complex(a) * eval_pfq(
-            "2F1", (a, c - b), lower, zc / (zc - 1))
+        g, g1, g2 = _series_jet((a, c - b), lo, zc / (zc - 1))
+        # d/dz (1-z)^(-a) = a u (1-z)^(-a) and d/dz z/(z-1) = -u^2
+        u = 1 / (1 - zc)
+        p = (1 - zc) ** -a
+        return (p * g, p * u * (a * g - u * g1),
+                p * u * u * (a * (a + 1) * g - 2 * (a + 1) * u * g1
+                             + u * u * g2))
+    return _series_jet(up, lo, zc)
+
+
+def _series_jet(upper, lower, z):
+    """(F, F', F'') of the plain series, complex parameters; see eval_pfq."""
     cutoff = None
     for u in upper:
         n = _nonpositive_int(u)
@@ -115,53 +137,84 @@ def eval_pfq(kind, upper, lower, z):
             cutoff = -n
     for l in lower:
         m = _nonpositive_int(l)
-        if m is None:
-            continue
-        if cutoff is None or cutoff > -m:
+        if m is not None and (cutoff is None or cutoff > -m):
             raise EvalDiverged(
-                "lower parameter %s is a nonpositive integer" % (l,))
-    total = complex(0.0, 0.0)
-    count = 0
-    for term in pfq_terms(upper, lower, zc):
-        if not cmath.isfinite(term):
-            raise EvalDiverged("series term overflowed at z=%s" % (zc,))
-        total += term
-        count += 1
-        if abs(term) <= _REL_EPS * abs(total):
-            return total
-        if count >= _TERM_CAP:
+                "lower parameter %d is a nonpositive integer" % m)
+    if not z:
+        c = list(islice(pfq_terms(upper, lower, 1.0), 3)) + [0j, 0j]
+        return c[0], c[1], 2 * c[2]
+    s0 = s1 = s2 = 0j
+    for k, t in enumerate(pfq_terms(upper, lower, z)):
+        if not cmath.isfinite(t):
+            raise EvalDiverged("series term overflowed at z=%s" % (z,))
+        t1 = k * t
+        t2 = (k - 1) * t1
+        s0 += t
+        s1 += t1
+        s2 += t2
+        if (abs(t) <= _REL_EPS * abs(s0) and abs(t1) <= _REL_EPS * abs(s1)
+                and abs(t2) <= _REL_EPS * abs(s2)):
+            break
+        if k + 1 >= _TERM_CAP:
             raise EvalDiverged(
                 "series did not settle within %d terms at z=%s"
-                % (_TERM_CAP, zc))
-    return total
+                % (_TERM_CAP, z))
+    return s0, s1 / z, s2 / (z * z)
 
 
-def _legendre_value(kind, degree, z):
-    """Legendre function of order zero via its Gauss series forms.
+def _legendre_jet(kind, degree):
+    """(X, X', X'') of the Legendre function X of order zero and the
+    given degree v, as a function of its argument z.
 
-    P uses the representation 2F1(v+1, -v; 1; (1-z)/2), analytic off
-    the ray z <= -1. Q uses the 1/z^2 series valid for |z| > 1 with the
-    classical normalization, which agrees with the P recurrences used
-    by the symbolic differentiation rule.
+    P_v is 2F1(v+1, -v; 1; (1-z)/2), analytic off the ray z <= -1. Q_v
+    is the 1/z^2 series valid for |z| > 1 with the classical
+    normalization, which agrees with the P recurrences used by the
+    symbolic differentiation rule. Both take the chain rule through
+    one eval_pfq call. A degree with no value raises at every point.
     """
     if isinstance(degree, GaussRat):
-        raise EvalDiverged("nonreal Legendre degree %s" % (degree,))
+        return _refusal("nonreal Legendre degree %s" % (degree,))
     v = Fraction(degree)
     if kind == "P":
-        return eval_pfq("2F1", (v + 1, -v), (Fraction(1),), (1 - z) / 2)
-    if _nonpositive_int(v + 1) is not None:
-        raise EvalDiverged("LegendreQ degree %s has no finite value" % (v,))
-    if abs(z) < _POLE_GUARD:
-        raise PointRejected("LegendreQ argument too close to 0")
-    w = 1 / (z * z)
-    series = eval_pfq(
-        "2F1", (v / 2 + 1, (v + 1) / 2), (v + Fraction(3, 2),), w)
+        upper, lower = (complex(v + 1), complex(-v)), (1 + 0j,)
+
+        def p_jet(z):
+            f, f1, f2 = eval_pfq("2F1", upper, lower, (1 - z) / 2)
+            return f, -f1 / 2, f2 / 4
+
+        return p_jet
+    if v.denominator == 1 and v <= -1:
+        return _refusal("LegendreQ degree %s has no finite value" % (v,))
     try:
         scale = (math.sqrt(math.pi) * math.gamma(float(v) + 1.0)
                  / math.gamma(float(v) + 1.5))
-    except ValueError:
-        raise EvalDiverged("LegendreQ normalization undefined at %s" % (v,))
-    return scale * (2 * z) ** complex(-float(v) - 1.0) * series
+    except (ValueError, OverflowError):
+        return _refusal("LegendreQ normalization undefined at %s" % (v,))
+    upper = (complex(v / 2 + 1), complex((v + 1) / 2))
+    lower = (complex(v + Fraction(3, 2)),)
+    e = complex(-float(v) - 1.0)
+
+    def q_jet(z):
+        if abs(z) < _POLE_GUARD:
+            raise PointRejected("LegendreQ argument too close to 0")
+        w = 1 / (z * z)
+        f, f1, f2 = eval_pfq("2F1", upper, lower, w)
+        # X = q F(w), q = scale (2z)^e: q' = e q / z, w' = -2 w / z
+        q = scale * (2 * z) ** e
+        u = 1 / z
+        return (q * f, q * u * (e * f - 2 * w * f1),
+                q * u * u * (e * (e - 1) * f + (6 - 4 * e) * w * f1
+                             + 4 * w * w * f2))
+
+    return q_jet
+
+
+def _refusal(message):
+    """A jet that raises EvalDiverged(message) at every point."""
+    def refuse(z):
+        raise EvalDiverged(message)
+
+    return refuse
 
 
 def _check_evaluable(s):
@@ -204,96 +257,114 @@ def _check_evaluable(s):
                     "beyond double range" % text) from None
 
 
-def _jet(e, z):
-    """(y, y', y'') of a solution expression at a complex point.
+def _compile_jet(e):
+    """The jet (y, y', y'') of a solution expression, as a function of a
+    complex point.
 
-    One pass of order-2 Taylor arithmetic: each node combines the jets
-    of its children by the sum, product and chain rules. A series needs
-    only itself and its two contiguous shifts at the argument's value, a
-    Legendre function its degrees v, v+1 and v+2. A power refuses a
-    point within _POLE_GUARD of its pole or branch point, and the
-    Legendre rule one within _POLE_GUARD of its pole at z^2 = 1; a
-    constant argument, whose derivatives vanish, skips the shifts.
-    Expects a tree that has passed _check_evaluable.
+    Order-2 Taylor arithmetic: each node combines the jets of its
+    children by the sum, product and chain rules. The tree is walked
+    once, into one closure per node, so every exact number, power
+    exponent and series parameter is converted to complex once per
+    check. A series or Legendre node makes one eval_pfq call per point,
+    looked up at call time. A power refuses a point within _POLE_GUARD
+    of its pole or branch point. Expects a tree that has passed
+    _check_evaluable.
     """
     if isinstance(e, Num):
-        return complex(e.value), 0j, 0j
+        const = (complex(e.value), 0j, 0j)
+        return lambda z: const
     if isinstance(e, Sym):
-        return z, 1 + 0j, 0j
+        return lambda z: (z, 1 + 0j, 0j)
     if isinstance(e, Const):
-        return 1 + 0j, 0j, 0j
+        return lambda z: (1 + 0j, 0j, 0j)
     if isinstance(e, Add):
-        v = d1 = d2 = 0j
-        for t in e.terms:
-            tv, t1, t2 = _jet(t, z)
-            v += tv
-            d1 += t1
-            d2 += t2
-        return v, d1, d2
+        terms = [_compile_jet(t) for t in e.terms]
+
+        def add_jet(z):
+            v = d1 = d2 = 0j
+            for t in terms:
+                tv, t1, t2 = t(z)
+                v += tv
+                d1 += t1
+                d2 += t2
+            return v, d1, d2
+
+        return add_jet
     if isinstance(e, Mul):
-        v, d1, d2 = 1 + 0j, 0j, 0j
-        for f in e.factors:
-            fv, f1, f2 = _jet(f, z)
-            v, d1, d2 = (v * fv, d1 * fv + v * f1,
-                         d2 * fv + 2 * d1 * f1 + v * f2)
-        return v, d1, d2
+        factors = [_compile_jet(f) for f in e.factors]
+
+        def mul_jet(z):
+            v, d1, d2 = 1 + 0j, 0j, 0j
+            for f in factors:
+                fv, f1, f2 = f(z)
+                v, d1, d2 = (v * fv, d1 * fv + v * f1,
+                             d2 * fv + 2 * d1 * f1 + v * f2)
+            return v, d1, d2
+
+        return mul_jet
     if isinstance(e, Pow):
-        b, b1, b2 = _jet(e.base, z)
-        ex = e.exponent
-        p = float(ex)
-        if ex.denominator == 1 and ex >= 0:
-            n = int(ex)
-            v = b ** n
-            lower1 = b ** (n - 1) if n >= 1 else 0j
-            lower2 = b ** (n - 2) if n >= 2 else 0j
-        else:
-            if abs(b) < _POLE_GUARD:
-                raise PointRejected(
-                    "%s proximity |base|=%.2e"
-                    % ("pole" if ex.denominator == 1 else "branch point",
-                       abs(b)))
-            v = b ** (int(ex) if ex.denominator == 1 else complex(p, 0.0))
-            lower1 = v / b
-            lower2 = lower1 / b
-        return (v, p * lower1 * b1,
-                p * (p - 1) * lower2 * b1 * b1 + p * lower1 * b2)
+        return _power_jet(_compile_jet(e.base), e.exponent)
     if isinstance(e, Exp):
-        g, g1, g2 = _jet(e.arg, z)
-        v = cmath.exp(g)
-        return v, v * g1, v * (g2 + g1 * g1)
-    if isinstance(e, Hyp):
-        g, g1, g2 = _jet(e.arg, z)
-        v = eval_pfq(e.kind, e.upper, e.lower, g)
-        shift = series_shift(e.kind, e.upper, e.lower)
-        if shift is None or not (g1 or g2):
-            return v, 0j, 0j
-        k1, upper, lower = shift
-        f1 = complex(k1) * eval_pfq(e.kind, upper, lower, g)
-        f2 = 0j
-        shift = series_shift(e.kind, upper, lower)
-        if shift is not None:
-            k2, upper, lower = shift
-            f2 = complex(k1 * k2) * eval_pfq(e.kind, upper, lower, g)
-        return v, f1 * g1, f2 * g1 * g1 + f1 * g2
-    if isinstance(e, Leg):
-        g, g1, g2 = _jet(e.arg, z)
-        v = _legendre_value(e.kind, e.degree, g)
-        if not (g1 or g2):
-            return v, 0j, 0j
-        # (z^2 - 1) X_v'(z) = (v+1) (X_{v+1}(z) - z X_v(z)), used twice
-        pole = g ** 2 - 1
-        if abs(pole) < _POLE_GUARD:
-            raise PointRejected("pole proximity |base|=%.2e" % abs(pole))
-        x1 = _legendre_value(e.kind, e.degree + 1, g)
-        x2 = _legendre_value(e.kind, e.degree + 2, g)
-        s1 = complex(e.degree + 1)
-        dv = s1 * (x1 - g * v) / pole
-        dx1 = complex(e.degree + 2) * (x2 - g * x1) / pole
-        ddv = (s1 * (dx1 - v - g * dv) - 2 * g * dv) / pole
-        return v, dv * g1, ddv * g1 * g1 + dv * g2
+        arg = _compile_jet(e.arg)
+
+        def exp_jet(z):
+            g, g1, g2 = arg(z)
+            v = cmath.exp(g)
+            return v, v * g1, v * (g2 + g1 * g1)
+
+        return exp_jet
+    if isinstance(e, (Hyp, Leg)):
+        arg = _compile_jet(e.arg)
+        if isinstance(e, Leg):
+            outer = _legendre_jet(e.kind, e.degree)
+        else:
+            kind = e.kind
+            upper = tuple(complex(u) for u in e.upper)
+            lower = tuple(complex(l) for l in e.lower)
+
+            def outer(g):
+                return eval_pfq(kind, upper, lower, g)
+
+        def series_jet(z):
+            g, g1, g2 = arg(z)
+            f, f1, f2 = outer(g)
+            return f, f1 * g1, f2 * g1 * g1 + f1 * g2
+
+        return series_jet
     if isinstance(e, Intg):
         raise ValueError("unevaluated integral has no pointwise value")
     raise TypeError("not a solution expression: %r" % (e,))
+
+
+def _power_jet(base, ex):
+    """The jet of base^ex for the jet function base and an exact ex."""
+    p = float(ex)
+    if ex.denominator == 1 and ex >= 0:
+        n = int(ex)
+
+        def polynomial_jet(z):
+            b, b1, b2 = base(z)
+            v = b ** n
+            lower1 = b ** (n - 1) if n >= 1 else 0j
+            lower2 = b ** (n - 2) if n >= 2 else 0j
+            return (v, p * lower1 * b1,
+                    p * (p - 1) * lower2 * b1 * b1 + p * lower1 * b2)
+
+        return polynomial_jet
+    what = "pole" if ex.denominator == 1 else "branch point"
+    power = int(ex) if ex.denominator == 1 else complex(p, 0.0)
+
+    def singular_jet(z):
+        b, b1, b2 = base(z)
+        if abs(b) < _POLE_GUARD:
+            raise PointRejected("%s proximity |base|=%.2e" % (what, abs(b)))
+        v = b ** power
+        lower1 = v / b
+        lower2 = lower1 / b
+        return (v, p * lower1 * b1,
+                p * (p - 1) * lower2 * b1 * b1 + p * lower1 * b2)
+
+    return singular_jet
 
 
 @dataclass(frozen=True)
@@ -427,6 +498,15 @@ def _candidate_points(bad, fractional):
     generator. Consumers filter by what actually evaluates, so the
     ladder errs toward variety. Fractional-power inputs stay in the
     right half plane, away from the principal branch cut.
+
+    After the ladder come rings around each finite singular point b,
+    with radii a fraction of the distance d from b to the nearest other
+    singular point (the ladder's scale when b is alone). A series
+    argument that maps b to 0 is small only near b, so these reach
+    equations whose arguments leave the series' regions everywhere on
+    the ladder. The radii stay below d/2, so b is the nearest singular
+    point and the clearance is at least 0.07 d; the half-plane rule
+    holds relative to d.
     """
     rng = random.Random(0x5EED)
     scale = max([1.0] + [abs(b) for b in bad])
@@ -453,16 +533,25 @@ def _candidate_points(bad, fractional):
                 if fractional and z.real < 0.05 * scale:
                     continue
                 yield z, guard
+    for b in bad:
+        d = min((abs(b - q) for q in bad if q != b), default=scale)
+        for f in (0.3, 0.15, 0.45, 0.07):
+            for _ in range(6):
+                ang = 2.0 * math.pi * rng.random()
+                z = b + f * d * cmath.exp(1j * ang)
+                if fractional and z.real < 0.05 * d:
+                    continue
+                yield z, min(abs(z - q) for q in bad)
 
 
 def residual_check(ode, s, n_points=8):
     """Measure how well s satisfies the equation at sampled points.
 
-    Evaluates y, y' and y'' together in one pass over the expression
-    at deterministic sample points chosen away from the singularities
-    of the coefficients. Points where any piece fails its numeric
-    guards (series outside the convergence disc, pole proximity,
-    overflow) are skipped; if fewer than n_points survive the ladder,
+    Builds the jet of y, y' and y'' once, then evaluates it at
+    deterministic sample points chosen away from the singularities of
+    the coefficients. Points where any piece fails its numeric guards
+    (series outside the convergence disc, pole proximity, overflow)
+    are skipped; if fewer than n_points survive the ladder and rings,
     SamplingFailed is raised, at once when an exact number in the
     solution is beyond double range. A solution holding an unevaluated
     integral, or a series whose y' or y'' would need a lower parameter
@@ -485,9 +574,10 @@ def residual_check(ode, s, n_points=8):
     bad = _singular_points(ode)
     points = []
     residuals = []
+    jet = _compile_jet(s)
     for z, guard in _candidate_points(bad, ode.is_fractional):
         try:
-            yv, dv, ddv = _jet(s, z)
+            yv, dv, ddv = jet(z)
             av = a_at(z)
             bv = b_at(z)
         except (PointRejected, EvalDiverged, OverflowError,

@@ -885,7 +885,10 @@ class _ExprParser(_Parser):
             ts.expect("(", "'('")
             integrand = self.expr()
             ts.expect(",", "','")
-            ts.expect("name", "the integration variable x")
+            var = ts.expect("name", "the integration variable x")
+            if var[1] != "x":
+                raise ParseError("the integration variable must be x, not "
+                                 "%r" % var[1], var[2])
             ts.expect(")", "')'")
             return Intg(integrand)
         if val == "hypergeom":

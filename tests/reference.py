@@ -104,7 +104,7 @@ def ratfunc_at(f, v):
 def eval_expr(s, z):
     """The package's value of a solution tree at a complex point: the
     first entry of the jet the residual oracle computes."""
-    return numverify._jet(s, complex(z))[0]
+    return numverify._compile_jet(s)(complex(z))[0]
 
 
 def _mp(v):

@@ -204,6 +204,12 @@ class TestVerify:
         assert code == 1
         assert payload["error"]["type"] == "verification_impossible"
 
+    def test_integral_over_another_variable_is_an_input_error(self):
+        payload, code = cmd_verify("y'' = 0", "Int(1, t)")
+        assert code == 1
+        assert payload["error"]["type"] == "invalid_input"
+        assert "'t'" in payload["error"]["message"]
+
     @pytest.mark.parametrize("solution", [
         "hypergeom([1/2, 1/3], [0], x)",
         "hypergeom([1/2], [0], x)",

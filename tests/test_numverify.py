@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperode import numverify
+from hyperode.cli import cmd_verify
 from hyperode.equivalence import solve_equivalence
 from hyperode.errors import EvalDiverged, PointRejected, SamplingFailed
 from hyperode.exactalg import GaussRat, GenRatFunc, Poly, RatFunc
@@ -26,7 +27,7 @@ from hyperode.numverify import (
     EvalPoint,
     ResidualReport,
     _coefficient,
-    _jet,
+    _compile_jet,
     _singular_points,
     eval_pfq,
     pfq_terms,
@@ -91,14 +92,14 @@ _params = st.fractions(
 
 class TestEvalPfq:
     def test_gauss_at_zero_is_one(self):
-        assert eval_pfq("2F1", (F(1, 3), F(-2, 7)), (F(5, 4),), 0.0) == 1.0
+        assert eval_pfq("2F1", (F(1, 3), F(-2, 7)), (F(5, 4),), 0.0)[0] == 1.0
 
     def test_kummer_with_equal_parameters_is_exp(self):
-        got = eval_pfq("1F1", (F(5, 7),), (F(5, 7),), 0.3)
+        got = eval_pfq("1F1", (F(5, 7),), (F(5, 7),), 0.3)[0]
         assert abs(got - cmath.exp(0.3)) < 1e-12
 
     def test_geometric_series_instance(self):
-        got = eval_pfq("2F1", (F(1), F(1)), (F(1),), 0.5)
+        got = eval_pfq("2F1", (F(1), F(1)), (F(1),), 0.5)[0]
         assert abs(got - 2.0) < 1e-12
 
     @given(a=_params, b=_params, c=_params, )
@@ -128,7 +129,7 @@ class TestEvalPfq:
             eval_pfq("1F1", (F(1, 2),), (F(-3),), 0.2)
 
     def test_terminating_upper_saves_bad_lower(self):
-        got = eval_pfq("2F1", (F(-3), F(1)), (F(-5),), 0.5)
+        got = eval_pfq("2F1", (F(-3), F(1)), (F(-5),), 0.5)[0]
         want = sum(
             _to_complex(_exact_term((F(-3), F(1)), (F(-5),), F(1, 2), k))
             for k in range(4))
@@ -140,20 +141,20 @@ class TestEvalPfq:
 
     def test_matches_mpmath_at_complex_arguments(self):
         z = 0.31 - 0.44j
-        got = eval_pfq("2F1", (F(1, 3), F(-1, 4)), (F(7, 5),), z)
+        got = eval_pfq("2F1", (F(1, 3), F(-1, 4)), (F(7, 5),), z)[0]
         want = complex(mpmath.hyp2f1(F(1, 3), F(-1, 4), F(7, 5), z))
         assert abs(got - want) < 1e-13
-        got = eval_pfq("1F1", (F(2, 3),), (F(4, 3),), 2.0 + 1.5j)
+        got = eval_pfq("1F1", (F(2, 3),), (F(4, 3),), 2.0 + 1.5j)[0]
         want = complex(mpmath.hyp1f1(F(2, 3), F(4, 3), 2.0 + 1.5j))
         assert abs(got - want) < 1e-12
-        got = eval_pfq("0F1", (), (F(3, 2),), -4.7 + 0.2j)
+        got = eval_pfq("0F1", (), (F(3, 2),), -4.7 + 0.2j)[0]
         want = complex(mpmath.hyp0f1(F(3, 2), -4.7 + 0.2j))
         assert abs(got - want) < 1e-12
 
     def test_gaussian_rational_parameters(self):
         a = GaussRat(F(2, 3), F(1, 6))
         b = GaussRat(F(2, 3), F(-1, 6))
-        got = eval_pfq("2F1", (a, b), (F(4, 3),), 0.25)
+        got = eval_pfq("2F1", (a, b), (F(4, 3),), 0.25)[0]
         want = complex(mpmath.hyp2f1(
             mpmath.mpc(2, 0.5) / 3, mpmath.mpc(2, -0.5) / 3, F(4, 3), 0.25))
         assert abs(got - want) < 1e-12
@@ -167,7 +168,7 @@ class TestEvalPfq:
     def test_pfaff_step_matches_mpmath_outside_the_disc(self, upper, lower,
                                                         z):
         # z/(z-1) lies in the disc |w| <= 0.8 while z does not
-        got = eval_pfq("2F1", upper, lower, z)
+        got = eval_pfq("2F1", upper, lower, z)[0]
         want = complex(mpmath.hyp2f1(*(complex(v) for v in upper + lower),
                                      z))
         assert abs(got - want) <= 1e-12 * abs(want)
@@ -186,6 +187,122 @@ class TestEvalPfq:
         # (1-z)^-1 2F1(1, -1; -3; z/(z-1)) is 7/12
         with pytest.raises(EvalDiverged):
             eval_pfq("2F1", upper, lower, -1)
+
+
+def _mp_pfq(kind, upper, lower, z):
+    """pFq(upper; lower; z) by mpmath, for the three kinds."""
+    fn = {"2F1": mpmath.hyp2f1, "1F1": mpmath.hyp1f1,
+          "0F1": mpmath.hyp0f1}[kind]
+    return fn(*(mpmath.mpf(p.numerator) / p.denominator
+                for p in upper + lower), z)
+
+
+def _mp_contiguous_jet(kind, upper, lower, z):
+    """(F, F', F'') by mpmath from the contiguous rule d/dz F(u; l; z) =
+    prod u / prod l * F(u + 1; l + 1; z) (DLMF 16.3.1)."""
+    out = []
+    factor = mpmath.mpf(1)
+    for n in range(3):
+        out.append(factor * _mp_pfq(kind, tuple(u + n for u in upper),
+                                    tuple(l + n for l in lower), z))
+        for v in upper:
+            factor *= mpmath.mpf((v + n).numerator) / (v + n).denominator
+        for v in lower:
+            factor /= mpmath.mpf((v + n).numerator) / (v + n).denominator
+    return out
+
+
+def _mp_polynomial_jet(upper, lower, z):
+    """(F, F', F'') by mpmath of a series an upper -n ends: the
+    polynomial of its first n + 1 terms, coefficients from rising
+    factorials, differentiated term by term."""
+    n = min(-int(u) for u in upper if u.denominator == 1 and u <= 0)
+    coeffs = []
+    for k in range(n + 1):
+        c = mpmath.mpf(1) / mpmath.factorial(k)
+        for u in upper:
+            c *= mpmath.rf(mpmath.mpf(u.numerator) / u.denominator, k)
+        for l in lower:
+            c /= mpmath.rf(mpmath.mpf(l.numerator) / l.denominator, k)
+        coeffs.append(c)
+    z = mpmath.mpc(z)
+    return [mpmath.fsum(c * mpmath.ff(k, d) * z ** (k - d)
+                        for k, c in enumerate(coeffs) if k >= d)
+            for d in range(3)]
+
+
+class TestSeriesJet:
+    """(F, F', F'') from eval_pfq against mpmath at 30 digits."""
+
+    SERIES = [
+        ("2F1", (F(1, 3), F(-5, 7)), (F(4, 5),)),
+        ("2F1", (F(9, 5), F(1, 8)), (F(-5, 4),)),
+        ("1F1", (F(2, 3),), (F(4, 3),)),
+        ("1F1", (F(-7, 4),), (F(1, 6),)),
+        ("0F1", (), (F(3, 2),)),
+        ("0F1", (), (F(-2, 3),)),
+    ]
+
+    def _close(self, got, want):
+        assert len(got) == 3
+        for g, w in zip(got, want):
+            w = complex(w)
+            assert abs(g - w) <= 1e-12 * abs(w), (g, w)
+
+    @pytest.mark.parametrize("kind, upper, lower", SERIES)
+    @pytest.mark.parametrize("z", [0.31 - 0.44j, -0.62, 0.07j, 0.55 + 0.5j],
+                             ids=str)
+    def test_inside_the_disc(self, kind, upper, lower, z):
+        with mpmath.workdps(30):
+            want = _mp_contiguous_jet(kind, upper, lower, z)
+        self._close(eval_pfq(kind, upper, lower, z), want)
+
+    @pytest.mark.parametrize("kind, upper, lower",
+                             [s for s in SERIES if s[0] == "2F1"])
+    @pytest.mark.parametrize("z", [-1.5, -2 + 0.5j, -0.9 + 0.3j,
+                                   -1.2 + 1.5j],
+                             ids=str)
+    def test_in_the_pfaff_region(self, kind, upper, lower, z):
+        assert abs(z) > 0.8 and abs(z / (z - 1)) <= 0.8
+        with mpmath.workdps(30):
+            want = _mp_contiguous_jet(kind, upper, lower, z)
+        self._close(eval_pfq(kind, upper, lower, z), want)
+
+    @pytest.mark.parametrize("kind, upper, lower", SERIES)
+    def test_at_zero(self, kind, upper, lower):
+        with mpmath.workdps(30):
+            want = _mp_contiguous_jet(kind, upper, lower, 0)
+        got = eval_pfq(kind, upper, lower, 0)
+        assert got[0] == 1
+        self._close(got, want)
+
+    @pytest.mark.parametrize("kind, upper, lower", [
+        ("2F1", (F(-3), F(2, 5)), (F(7, 3),)),
+        ("2F1", (F(1, 2), F(-4)), (F(-1, 3),)),
+        ("1F1", (F(-5),), (F(3, 4),)),
+        # an upper -n ends the series before a lower -m, m >= n
+        ("2F1", (F(-2), F(1, 3)), (F(-2),)),
+        ("2F1", (F(5, 6), F(-2)), (F(-4),)),
+        ("1F1", (F(-1),), (F(-3),)),
+    ])
+    @pytest.mark.parametrize("z", [0.41 + 0.13j, -0.7, 0], ids=str)
+    def test_terminating_series(self, kind, upper, lower, z):
+        with mpmath.workdps(30):
+            want = _mp_polynomial_jet(upper, lower, z)
+        self._close(eval_pfq(kind, upper, lower, z), want)
+
+    def test_one_summation_per_point(self, monkeypatch):
+        # the jet comes from one pass of pfq_terms, not from shifted series
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return pfq_terms(*args)
+
+        monkeypatch.setattr(numverify, "pfq_terms", counted)
+        eval_pfq("2F1", (F(1, 3), F(-5, 7)), (F(4, 5),), -1.5)
+        eval_pfq("1F1", (F(2, 3),), (F(4, 3),), 0.4)
+        assert len(calls) == 2
 
 
 class TestEvalExpr:
@@ -319,7 +436,7 @@ class TestJet:
         d1 = differentiate_expr(s)
         d2 = differentiate_expr(d1)
         try:
-            got = _jet(s, z)
+            got = _compile_jet(s)(z)
         except (PointRejected, EvalDiverged, OverflowError,
                 ZeroDivisionError, ValueError):
             return
@@ -341,7 +458,7 @@ class TestJet:
         for z in points:
             with mpmath.workdps(30):
                 want = [complex(mp_eval(e, z)) for e in (node, d1, d2)]
-            for g, w in zip(_jet(node, z), want):
+            for g, w in zip(_compile_jet(node)(z), want):
                 assert abs(g - w) <= 1e-12 * max(1.0, abs(w))
 
     @pytest.mark.parametrize("node, ref", [
@@ -362,7 +479,7 @@ class TestJet:
             with mpmath.workdps(30):
                 want = [complex(mpmath.diff(ref, mpmath.mpc(z), n))
                         for n in range(3)]
-            for g, w in zip(_jet(node, z), want):
+            for g, w in zip(_compile_jet(node)(z), want):
                 assert abs(g - w) <= 1e-12 * max(1.0, abs(w))
 
     def test_undefined_second_derivative_raises_before_any_point(
@@ -504,6 +621,24 @@ class TestResidualCheck:
         blocked = hyp("2F1", (F(1), F(1)), (F(2),), mul(num(100), X))
         with pytest.raises(SamplingFailed):
             residual_check(parse_ode("y'' = 0"), blocked, 8)
+
+    @pytest.mark.parametrize("solution, code", [
+        ("hypergeom([9/5, 1/8], [-5/4], ((3/2)*x + 3/2)/(x + 5/4))", 0),
+        ("(((3/2)*x + 3/2)/(x + 5/4))^(9/4)"
+         "*hypergeom([19/8, 81/20], [13/4], ((3/2)*x + 3/2)/(x + 5/4))", 0),
+        ("hypergeom([19/10, 1/8], [-5/4], ((3/2)*x + 3/2)/(x + 5/4))", 2),
+    ], ids=["y1", "y2", "control"])
+    def test_rings_around_a_singular_point_give_a_verdict(self, solution,
+                                                          code):
+        # seed-5 draw 297 of the verify-given benchmark: 2F1(9/5, 1/8;
+        # -5/4) along M = (6x+6)/(4x+5), k = 1. M is small only near
+        # x = -1, where no point of the ladder lands
+        ode = ("y'' + (2*x^2 + 931/160*x + 159/40)/(x^3 + 11/4*x^2"
+               " + 19/8*x + 5/8)*y' + (27/640)/(x^4 + 4*x^3 + 93/16*x^2"
+               " + 115/32*x + 25/32)*y = 0")
+        payload, got = cmd_verify(ode, solution)
+        assert got == code
+        assert len(payload["residual_report"]["points"]) == 8
 
     def test_reports_are_deterministic(self):
         ode = parse_ode(WORKED_ODE)

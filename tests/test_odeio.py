@@ -428,6 +428,14 @@ class TestRoundTrip:
             tree = parse_solution(text)
             assert print_solution(tree) == text
 
+    @pytest.mark.parametrize("var", ["t", "y", "C1"])
+    def test_integration_variable_other_than_x_is_refused(self, var):
+        text = "Int(x, %s)" % var
+        with pytest.raises(ParseError, match="must be x, not '%s'" % var) \
+                as exc:
+            parse_solution(text)
+        assert exc.value.position == text.index(var, 4)
+
 
 class TestDifferentiate:
     def test_power_rule(self):
