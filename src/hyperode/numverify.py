@@ -8,19 +8,23 @@ catch a wrong branch choice, a dropped factor, or a typo in an exact
 derivation, and those show up as residuals many orders of magnitude
 above roundoff.
 
-Series evaluation is deliberately plain: partial sums of the defining
-hypergeometric series inside a convergence-guarded disc, which Pfaff's
-transformation widens for 2F1. One pass over the terms gives the value
-and both derivatives. Other arguments are rejected rather than
-continued analytically; the sampler simply picks points whose
-transformed arguments land inside, first on a ladder of circles around
-the singular set, then on rings around each singular point.
+Series evaluation uses partial sums of the defining hypergeometric
+series inside a convergence-guarded disc, which Pfaff's transformation
+widens for 2F1. One pass over the terms in doubles gives the value and
+both derivatives; when a term dwarfs its sum, so that the doubles have
+cancelled, the series is summed again in fixed point with Python
+integers at the precision the cancellation needs. Other arguments are
+rejected rather than continued analytically; the sampler simply picks
+points whose transformed arguments land inside, first on a ladder of
+circles around the singular set, then on rings around each singular
+point. The singular set comes from one root search per equation.
 """
 
 import cmath
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import islice
 
@@ -39,7 +43,6 @@ from .odeio import (
     Sym,
     format_exact,
     has_integral,
-    series_shift,
     walk,
 )
 
@@ -47,6 +50,12 @@ _TERM_CAP = 10000
 _REL_EPS = 1e-16
 _GAUSS_DISC = 0.8
 _POLE_GUARD = 1e-9
+# the fixed-point re-sum: when a term of a double sum exceeds its sum
+# 2^20 times, and the bits it starts with, keeps, and may not exceed
+_CANCELLED = 2.0 ** 20
+_FIXED_START = 80
+_FIXED_KEEP = 70
+_FIXED_CAP = 4000
 
 
 def _nonpositive_int(s):
@@ -97,9 +106,12 @@ def eval_pfq(kind, upper, lower, z):
     """(F, F', F'') of 2F1, 1F1 or 0F1 at a complex point.
 
     Parameters are exact or complex. One pass over pfq_terms sums
-    F = sum t_k, z F' = sum k t_k and z^2 F'' = sum k (k-1) t_k; it
-    stops once the last term of each sum is below 1e-16 of its running
-    sum, or raises EvalDiverged after 10000 terms. At z = 0 the
+    F = sum t_k, z F' = sum k t_k and z^2 F'' = sum k (k-1) t_k in
+    doubles; it stops once the last term of each sum is below 1e-16 of
+    its running sum, or raises EvalDiverged after 10000 terms. When a
+    term of some sum exceeds 2^20 times that sum, the doubles have
+    cancelled, and the three sums are taken again in fixed point from
+    the exact parameters (see _fixed_point_sums). At z = 0 the
     derivatives are read off the first coefficients instead. Gauss
     series are only summed for |z| <= 0.8 where convergence is
     geometric. Outside it, Pfaff's (1-z)^(-a) 2F1(a, c-b; c; z/(z-1)),
@@ -107,29 +119,86 @@ def eval_pfq(kind, upper, lower, z):
     0, -1, ... (where a series ended by b breaks it), with the chain
     rule for the derivatives; anything else raises EvalDiverged, as
     does a lower parameter -m that no upper -n, n <= m, ends first.
+
+    kind may instead be a series that _series prepared, with None for
+    upper and lower: the oracle's jet prepares each series once per
+    check, and _series has then applied the undefined-series rule.
     """
-    up = tuple(complex(u) for u in upper)
-    lo = tuple(complex(l) for l in lower)
+    series = kind if upper is None else _series(kind, upper, lower,
+                                                 EvalDiverged)
     zc = complex(z)
-    if kind == "2F1" and abs(zc) > _GAUSS_DISC:
-        (a, b), (c,) = up, lo  # Pfaff, DLMF 15.8.1
-        if (zc == 1 or abs(zc / (zc - 1)) > _GAUSS_DISC
-                or _nonpositive_int(c) is not None):
+    if series.kind == "2F1" and abs(zc) > _GAUSS_DISC:
+        pfaff = series.pfaff  # DLMF 15.8.1
+        if pfaff is None or zc == 1 or abs(zc / (zc - 1)) > _GAUSS_DISC:
             raise EvalDiverged(
                 "2F1 argument magnitude %.3f outside the guarded disc"
                 % abs(zc))
-        g, g1, g2 = _series_jet((a, c - b), lo, zc / (zc - 1))
+        g, g1, g2 = _series_jet(pfaff, zc / (zc - 1))
         # d/dz (1-z)^(-a) = a u (1-z)^(-a) and d/dz z/(z-1) = -u^2
+        a = pfaff.upper[0]
         u = 1 / (1 - zc)
         p = (1 - zc) ** -a
         return (p * g, p * u * (a * g - u * g1),
                 p * u * u * (a * (a + 1) * g - 2 * (a + 1) * u * g1
                              + u * u * g2))
-    return _series_jet(up, lo, zc)
+    return _series_jet(series, zc)
 
 
-def _series_jet(upper, lower, z):
-    """(F, F', F'') of the plain series, complex parameters; see eval_pfq."""
+class _Series:
+    """One pFq series with its parameters converted once.
+
+    ``upper`` and ``lower`` are complex, for the double pass; ``exact``
+    holds them as (re, im) Fraction pairs, for the fixed-point pass. For
+    a 2F1 whose c is not 0, -1, ..., ``pfaff`` is the series
+    2F1(a, c-b; c) of Pfaff's form, else None.
+    """
+
+    __slots__ = ("kind", "upper", "lower", "exact", "pfaff")
+
+    def __init__(self, kind, upper, lower, exact):
+        self.kind = kind
+        self.upper = upper
+        self.lower = lower
+        self.exact = exact
+        self.pfaff = None
+
+
+def _series(kind, upper, lower, refusal=ValueError):
+    """The _Series of exact or complex parameters.
+
+    Applies the jet's rule for an undefined series: a lower parameter -m
+    that no upper -n, n <= m, ends the series before raises refusal
+    naming it, since its terms divide by zero at every point.
+    """
+    series = _Series(kind, tuple(complex(u) for u in upper),
+                     tuple(complex(l) for l in lower),
+                     (tuple(_exact_parts(v) for v in upper),
+                      tuple(_exact_parts(v) for v in lower)))
+    m = _undefined_lower(series.upper, series.lower)
+    if m is not None:
+        raise refusal(
+            "%s with lower parameter %d has no value: no upper parameter "
+            "ends the series before its terms divide by zero" % (kind, m))
+    if kind == "2F1" and _nonpositive_int(series.lower[0]) is None:
+        (a, b), (c,) = series.upper, series.lower
+        (ea, (br, bi)), ((cr, ci),) = series.exact
+        series.pfaff = _Series(kind, (a, c - b), series.lower,
+                               ((ea, (cr - br, ci - bi)), series.exact[1]))
+    return series
+
+
+def _exact_parts(v):
+    """(re, im) of an exact or double parameter, as Fractions."""
+    if isinstance(v, GaussRat):
+        return v.re, v.im
+    if isinstance(v, complex):
+        return Fraction(v.real), Fraction(v.imag)
+    return Fraction(v), Fraction(0)
+
+
+def _undefined_lower(upper, lower):
+    """The first lower parameter -m of complex parameters that no upper
+    -n, n <= m, ends the series before, or None."""
     cutoff = None
     for u in upper:
         n = _nonpositive_int(u)
@@ -138,12 +207,18 @@ def _series_jet(upper, lower, z):
     for l in lower:
         m = _nonpositive_int(l)
         if m is not None and (cutoff is None or cutoff > -m):
-            raise EvalDiverged(
-                "lower parameter %d is a nonpositive integer" % m)
+            return m
+    return None
+
+
+def _series_jet(series, z):
+    """(F, F', F'') of the plain series; see eval_pfq."""
+    upper, lower = series.upper, series.lower
     if not z:
         c = list(islice(pfq_terms(upper, lower, 1.0), 3)) + [0j, 0j]
         return c[0], c[1], 2 * c[2]
     s0 = s1 = s2 = 0j
+    m0 = m1 = m2 = 0.0
     for k, t in enumerate(pfq_terms(upper, lower, z)):
         if not cmath.isfinite(t):
             raise EvalDiverged("series term overflowed at z=%s" % (z,))
@@ -152,14 +227,124 @@ def _series_jet(upper, lower, z):
         s0 += t
         s1 += t1
         s2 += t2
-        if (abs(t) <= _REL_EPS * abs(s0) and abs(t1) <= _REL_EPS * abs(s1)
+        # peaks of |t_k|, |k t_k| and |k (k-1) t_k|, from one abs()
+        a0 = abs(t)
+        a1 = k * a0
+        a2 = (k - 1) * a1
+        if a0 > m0:
+            m0 = a0
+        if a1 > m1:
+            m1 = a1
+        if a2 > m2:
+            m2 = a2
+        if (a0 <= _REL_EPS * abs(s0) and abs(t1) <= _REL_EPS * abs(s1)
                 and abs(t2) <= _REL_EPS * abs(s2)):
             break
         if k + 1 >= _TERM_CAP:
             raise EvalDiverged(
                 "series did not settle within %d terms at z=%s"
                 % (_TERM_CAP, z))
+    if (m0 > _CANCELLED * abs(s0) or m1 > _CANCELLED * abs(s1)
+            or m2 > _CANCELLED * abs(s2)):
+        s0, s1, s2 = _fixed_point_sums(series.exact, z, (m0, m1, m2),
+                                       (s0, s1, s2))
     return s0, s1 / z, s2 / (z * z)
+
+
+def _fixed_point_sums(exact, z, peaks, sums):
+    """sum t_k, sum k t_k and sum k (k-1) t_k, accurate to the double.
+
+    The double pass lost about log2(peak / |sum|) bits to cancellation;
+    this pass sums the same series with Python integers in fixed point,
+    after mpmath's hypsum (mpmath/libmp/libhyper.py): the parameters
+    are Gaussian integers over one common denominator D, z is read
+    exactly from its double, and each term is the last one times the
+    integer ratio of the two-term recursion, rounded toward zero. It
+    starts at 80 bits plus the measured loss and repeats with more bits
+    until every sum keeps 70 bits, counting log2(largest term / |sum|)
+    and log2(terms) as lost; past 4000 bits it raises EvalDiverged.
+    """
+    exact_upper, exact_lower = exact
+    params = exact_upper + exact_lower
+    den = math.lcm(*(x.denominator for pair in params for x in pair))
+    upper = [_scaled(pair, den) for pair in exact_upper]
+    lower = [_scaled(pair, den) for pair in exact_lower]
+    zr, zi = Fraction(z.real), Fraction(z.imag)
+    zden = math.lcm(zr.denominator, zi.denominator)
+    num = (zr.numerator * (zden // zr.denominator) * den ** len(lower),
+           zi.numerator * (zden // zi.denominator) * den ** len(lower))
+    zden *= den ** len(upper)
+    # a double sum of exactly 0 lost all of its 53 bits, and maybe more
+    loss = max(math.log2(max(peak, 1.0) / abs(s)) if s else
+               math.log2(max(peak, 1.0)) + 60.0
+               for peak, s in zip(peaks, sums) if peak)
+    bits = _FIXED_START + math.ceil(loss)
+    while bits <= _FIXED_CAP:
+        out, terms = _fixed_point_pass(upper, lower, num, zden, den, bits)
+        left = min(max(abs(r), abs(i)).bit_length()
+                   - math.log2(max(peak, 1.0)) - terms.bit_length()
+                   for (r, i), peak in zip(out, peaks) if peak)
+        if left >= _FIXED_KEEP:
+            one = 1 << bits
+            return tuple(complex(r / one, i / one) for r, i in out)
+        bits = max(bits + math.ceil(_FIXED_KEEP - left) + 10, bits * 3 // 2)
+    raise EvalDiverged("series cancels beyond %d bits at z=%s"
+                       % (_FIXED_CAP, z))
+
+
+def _scaled(pair, den):
+    """The Fraction pair (re, im) times den, as a pair of integers."""
+    re, im = pair
+    return (re.numerator * (den // re.denominator),
+            im.numerator * (den // im.denominator))
+
+
+def _fixed_point_pass(upper, lower, num, zden, den, bits):
+    """The three sums in units of 2^-bits, as (re, im) integer pairs,
+    and the number of terms it took.
+
+    The series is pFq((upper) / den; (lower) / den; num / zden) with
+    Gaussian integer pairs; num already carries den^len(lower) and zden
+    den^len(upper), so term k+1 is term k times
+    num * prod(u + k den) / (zden (k+1) prod(l + k den)).
+    """
+    tr, ti = 1 << bits, 0
+    s0r, s0i, s1r, s1i, s2r, s2i = tr, 0, 0, 0, 0, 0
+    k = 0
+    while True:
+        nr, ni = num
+        for ur, ui in upper:
+            ur += k * den
+            nr, ni = nr * ur - ni * ui, nr * ui + ni * ur
+        if not (nr or ni):
+            break
+        dr, di = zden * (k + 1), 0
+        for lr, li in lower:
+            lr += k * den
+            dr, di = dr * lr - di * li, dr * li + di * lr
+        if di:
+            nr, ni = nr * dr + ni * di, ni * dr - nr * di
+            dr = dr * dr + di * di
+        elif dr < 0:
+            nr, ni, dr = -nr, -ni, -dr
+        xr = tr * nr - ti * ni
+        xi = tr * ni + ti * nr
+        tr = xr // dr if xr >= 0 else -(-xr // dr)
+        ti = xi // dr if xi >= 0 else -(-xi // dr)
+        k += 1
+        if not (tr or ti):
+            break
+        if k >= _TERM_CAP:
+            raise EvalDiverged(
+                "fixed-point series did not settle within %d terms"
+                % _TERM_CAP)
+        s0r += tr
+        s0i += ti
+        s1r += k * tr
+        s1i += k * ti
+        s2r += k * (k - 1) * tr
+        s2i += k * (k - 1) * ti
+    return ((s0r, s0i), (s1r, s1i), (s2r, s2i)), k + 1
 
 
 def _legendre_jet(kind, degree):
@@ -176,10 +361,10 @@ def _legendre_jet(kind, degree):
         return _refusal("nonreal Legendre degree %s" % (degree,))
     v = Fraction(degree)
     if kind == "P":
-        upper, lower = (complex(v + 1), complex(-v)), (1 + 0j,)
+        series = _series("2F1", (v + 1, -v), (1,))
 
         def p_jet(z):
-            f, f1, f2 = eval_pfq("2F1", upper, lower, (1 - z) / 2)
+            f, f1, f2 = eval_pfq(series, None, None, (1 - z) / 2)
             return f, -f1 / 2, f2 / 4
 
         return p_jet
@@ -190,15 +375,14 @@ def _legendre_jet(kind, degree):
                  / math.gamma(float(v) + 1.5))
     except (ValueError, OverflowError):
         return _refusal("LegendreQ normalization undefined at %s" % (v,))
-    upper = (complex(v / 2 + 1), complex((v + 1) / 2))
-    lower = (complex(v + Fraction(3, 2)),)
+    series = _series("2F1", (v / 2 + 1, (v + 1) / 2), (v + Fraction(3, 2),))
     e = complex(-float(v) - 1.0)
 
     def q_jet(z):
         if abs(z) < _POLE_GUARD:
             raise PointRejected("LegendreQ argument too close to 0")
         w = 1 / (z * z)
-        f, f1, f2 = eval_pfq("2F1", upper, lower, w)
+        f, f1, f2 = eval_pfq(series, None, None, w)
         # X = q F(w), q = scale (2z)^e: q' = e q / z, w' = -2 w / z
         q = scale * (2 * z) ** e
         u = 1 / z
@@ -218,22 +402,9 @@ def _refusal(message):
 
 
 def _check_evaluable(s):
-    """Raise, before any point is tried, what would fail at every point.
-
-    Each series gets the derivative rule applied once, and a second
-    time when its argument depends on x, as y' and y'' then need it; a
-    lower parameter 0 raises ValueError. Then an exact number beyond
-    double range raises SamplingFailed, since no sample point could
-    evaluate it.
-    """
-    nodes = list(walk(s))
-    for e in nodes:
-        if isinstance(e, Hyp):
-            shift = series_shift(e.kind, e.upper, e.lower)
-            if shift is not None and any(
-                    isinstance(n, Sym) for n in walk(e.arg)):
-                series_shift(e.kind, shift[1], shift[2])
-    for e in nodes:
+    """Raise SamplingFailed, before any point is tried, for an exact
+    number beyond double range: no sample point could evaluate it."""
+    for e in walk(s):
         if isinstance(e, Num):
             values = (e.value,)
         elif isinstance(e, Pow):
@@ -266,7 +437,8 @@ def _compile_jet(e):
     once, into one closure per node, so every exact number, power
     exponent and series parameter is converted to complex once per
     check. A series or Legendre node makes one eval_pfq call per point,
-    looked up at call time. A power refuses a point within _POLE_GUARD
+    looked up at call time, and a series that no point could evaluate
+    raises ValueError here. A power refuses a point within _POLE_GUARD
     of its pole or branch point. Expects a tree that has passed
     _check_evaluable.
     """
@@ -318,12 +490,10 @@ def _compile_jet(e):
         if isinstance(e, Leg):
             outer = _legendre_jet(e.kind, e.degree)
         else:
-            kind = e.kind
-            upper = tuple(complex(u) for u in e.upper)
-            lower = tuple(complex(l) for l in e.lower)
+            series = _series(e.kind, e.upper, e.lower)
 
             def outer(g):
-                return eval_pfq(kind, upper, lower, g)
+                return eval_pfq(series, None, None, g)
 
         def series_jet(z):
             g, g1, g2 = arg(z)
@@ -398,6 +568,13 @@ class ResidualReport:
         }
 
 
+def _complex_coeffs(p):
+    """The coefficients of an exact polynomial as complex numbers, low
+    degree first, read straight off its integer numerators."""
+    im = p.im or (0,) * len(p.re)
+    return [complex(r / p.den, i / p.den) for r, i in zip(p.re, im)]
+
+
 def _horner(coeffs, z):
     out = complex(0.0, 0.0)
     for c in reversed(coeffs):
@@ -408,31 +585,35 @@ def _horner(coeffs, z):
 def _poly_roots(p):
     """All complex roots of an exact polynomial, numerically.
 
-    Durand-Kerner iteration on the monic scaled copy. Accuracy in the
-    1e-12 range is plenty: roots only steer the sampler away from
-    singular points, they never enter a reported value.
+    Durand-Kerner iteration on the monic copy, each root updated
+    in place so the next one's step already sees it (Gauss-Seidel
+    order). Accuracy in the 1e-12 range is plenty: roots only steer the
+    sampler away from singular points, they never enter a reported
+    value.
     """
-    cs = [complex(c) for c in p.coeffs]
-    n = len(cs) - 1
+    n = p.degree
     if n <= 0:
         return []
-    lead = cs[-1]
-    monic = [c / lead for c in cs]
+    monic = _complex_coeffs(p.monic())[-2::-1]
     roots = [(0.4 + 0.9j) ** (k + 1) for k in range(n)]
     for _ in range(200):
         worst = 0.0
-        nxt = []
-        for i, r in enumerate(roots):
-            den = complex(1.0, 0.0)
-            for j, q in enumerate(roots):
-                if j != i:
+        for i in range(n):
+            r = roots[i]
+            value = 1 + 0j
+            for c in monic:
+                value = value * r + c
+            den = 1 + 0j
+            for q in roots:
+                if q is not r:  # the list holds r itself at i
                     den *= r - q
             if den == 0:
                 den = complex(1e-12, 0.0)
-            step = _horner(monic, r) / den
-            nxt.append(r - step)
-            worst = max(worst, abs(step))
-        roots = nxt
+            step = value / den
+            roots[i] = r - step
+            step = abs(step)
+            if step > worst:
+                worst = step
         if worst < 1e-13:
             break
     return roots
@@ -448,8 +629,8 @@ def _coefficient(f):
     a point where the value of any other denominator is that small.
     """
     fn, carrier = (f.fn, f.carrier) if isinstance(f, GenRatFunc) else (f, 1)
-    num = [complex(c) for c in fn.num.coeffs]
-    den = [complex(c) for c in fn.den.coeffs]
+    num = _complex_coeffs(fn.num)
+    den = _complex_coeffs(fn.den)
     monomial = sum(1 for c in den if c) == 1
     near_zero = "branch point" if carrier > 1 else (
         "pole" if monomial and len(den) > 1 else None)
@@ -468,26 +649,49 @@ def _coefficient(f):
     return value
 
 
-def _coeff_singularities(f):
-    """The poles of one coefficient, each root once.
-
-    Durand-Kerner converges only linearly to a repeated root, so it
-    runs on the square-free part of the denominator.
-    """
-    den = f.fn.den if isinstance(f, GenRatFunc) else f.den
-    roots = _poly_roots(den // poly_gcd(den, den.deriv()))
-    if isinstance(f, GenRatFunc):
-        return [0j] + [r ** f.carrier for r in roots]
-    return roots
-
-
 def _singular_points(ode):
-    raw = _coeff_singularities(ode.A) + _coeff_singularities(ode.B)
+    """The finite singular points of the equation, each once.
+
+    A and B share most of their poles, so one Durand-Kerner search runs
+    on the square-free part of den A * den B, which is that of their
+    lcm: every root is simple there and the iteration converges fast. A
+    coefficient of x^(1/L) adds x = 0 and maps each root t to t^L; A
+    and B with different carriers L get one search each.
+    """
+    dens = {}
+    for f in (ode.A, ode.B):
+        fn, carrier = ((f.fn, f.carrier) if isinstance(f, GenRatFunc)
+                       else (f, 1))
+        dens[carrier] = dens[carrier] * fn.den if carrier in dens else fn.den
     out = []
-    for r in raw:
-        if all(abs(r - q) > 1e-9 for q in out):
-            out.append(r)
+    for carrier, den in dens.items():
+        roots = _poly_roots(den // poly_gcd(den, den.deriv()))
+        if carrier > 1:
+            roots = [0j] + [r ** carrier for r in roots]
+        for r in roots:
+            if all(abs(r - q) > 1e-9 for q in out):
+                out.append(r)
     return out
+
+
+class EquationSide:
+    """The equation's half of a residual check: A and B as functions of
+    a point, and the singular points to sample around.
+
+    Each is built on first use and then shared by every solution checked
+    against the same equation, as solve --verify checks y1 and y2.
+    """
+
+    def __init__(self, ode):
+        self.ode = ode
+
+    @cached_property
+    def coefficients(self):
+        return _coefficient(self.ode.A), _coefficient(self.ode.B)
+
+    @cached_property
+    def singular_points(self):
+        return _singular_points(self.ode)
 
 
 def _candidate_points(bad, fractional):
@@ -544,7 +748,7 @@ def _candidate_points(bad, fractional):
                 yield z, min(abs(z - q) for q in bad)
 
 
-def residual_check(ode, s, n_points=8):
+def residual_check(ode, s, n_points=8, side=None):
     """Measure how well s satisfies the equation at sampled points.
 
     Builds the jet of y, y' and y'' once, then evaluates it at
@@ -554,8 +758,9 @@ def residual_check(ode, s, n_points=8):
     are skipped; if fewer than n_points survive the ladder and rings,
     SamplingFailed is raised, at once when an exact number in the
     solution is beyond double range. A solution holding an unevaluated
-    integral, or a series whose y' or y'' would need a lower parameter
-    0, raises ValueError before any point is tried.
+    integral, or a series that no point could evaluate, raises
+    ValueError before any point is tried. ``side``, an EquationSide of
+    ode, shares the equation's half between checks of one equation.
     """
     if n_points < 1:
         raise ValueError("n_points must be positive")
@@ -564,17 +769,18 @@ def residual_check(ode, s, n_points=8):
             "solution contains an unevaluated integral; exclude it "
             "from pointwise residual checks")
     _check_evaluable(s)
+    jet = _compile_jet(s)
+    if side is None:
+        side = EquationSide(ode)
     try:
-        a_at = _coefficient(ode.A)
-        b_at = _coefficient(ode.B)
+        a_at, b_at = side.coefficients
+        bad = side.singular_points
     except OverflowError:
         # a coefficient beyond double range fails at every point
         raise SamplingFailed("only 0 of %d sample points were admissible"
                              % n_points) from None
-    bad = _singular_points(ode)
     points = []
     residuals = []
-    jet = _compile_jet(s)
     for z, guard in _candidate_points(bad, ode.is_fractional):
         try:
             yv, dv, ddv = jet(z)

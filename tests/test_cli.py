@@ -128,6 +128,29 @@ class TestSolve:
             json.dumps(_no_timing(b), sort_keys=True)
 
 
+A70_ODE = "y'' + (1 - 72*x)/(x*(1-x))*y' - 70/(x*(1-x))*y = 0"
+
+
+class TestCancellingSeries:
+    """Exact solutions whose series cancel in double precision."""
+
+    @pytest.mark.parametrize("ode", [
+        "y'' + 123456789012345678901234567890/98765432109876543210*x*y = 0",
+        A70_ODE,
+        "x*(1-x)*y'' + (7/3 - 51*x)*y' - 600*y = 0",
+    ], ids=["scaled-airy", "a=70", "a=30"])
+    def test_verify_passes(self, ode):
+        payload, code = cmd_solve(ode, verify=True)
+        assert code == 0
+        assert payload["residuals"]["passes"] is True
+
+    def test_moved_parameter_still_fails(self):
+        # y1 of a = 70 is 2F1(70, 1; 1; x); move its first parameter
+        payload, code = cmd_verify(A70_ODE, "hypergeom([701/10, 1], [1], x)")
+        assert code == 2
+        assert payload["passes"] is False
+
+
 class TestClassify:
     def test_worked_example_candidates(self):
         payload, code = cmd_classify(WORKED_ODE)

@@ -19,10 +19,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperode import numverify
-from hyperode.cli import cmd_verify
+from hyperode.cli import cmd_solve, cmd_verify
 from hyperode.equivalence import solve_equivalence
 from hyperode.errors import EvalDiverged, PointRejected, SamplingFailed
-from hyperode.exactalg import GaussRat, GenRatFunc, Poly, RatFunc
+from hyperode.exactalg import GaussRat, GenRatFunc, Poly, RatFunc, poly_gcd
 from hyperode.numverify import (
     EvalPoint,
     ResidualReport,
@@ -291,6 +291,41 @@ class TestSeriesJet:
             want = _mp_polynomial_jet(upper, lower, z)
         self._close(eval_pfq(kind, upper, lower, z), want)
 
+    @pytest.mark.parametrize("kind, upper, lower, z", [
+        ("2F1", (F(20), F(30)), (F(7, 3),), -0.7),
+        ("2F1", (F(20), F(30)), (F(7, 3),), 0.7j),
+        ("2F1", (F(70), F(1)), (F(1),), -0.79),
+        ("1F1", (F(5, 6),), (F(1, 7),), -11.7 + 2.2j),
+    ], ids=["a=20,b=30,z=-0.7", "a=20,b=30,z=0.7i", "a=70,z=-0.79",
+            "kummer,z=-11.7+2.2i"])
+    def test_cancelling_sums_are_summed_again(self, monkeypatch, kind,
+                                              upper, lower, z):
+        # the double sums keep no correct digit of F here; the fixed-point
+        # pass restores all of them
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return fixed_point_sums(*args)
+
+        fixed_point_sums = numverify._fixed_point_sums
+        monkeypatch.setattr(numverify, "_fixed_point_sums", counted)
+        with mpmath.workdps(40):
+            want = _mp_contiguous_jet(kind, upper, lower, z)
+        self._close(eval_pfq(kind, upper, lower, z), want)
+        assert len(calls) == 1
+
+    def test_sums_without_cancellation_are_not_summed_again(
+            self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("summed again: %r" % (args,))
+
+        monkeypatch.setattr(numverify, "_fixed_point_sums", refuse)
+        for kind, upper, lower in self.SERIES:
+            for z in (0.31 - 0.44j, -0.62, 0.07j, -1.5):
+                if kind == "2F1" or abs(z) < 1:
+                    eval_pfq(kind, upper, lower, z)
+
     def test_one_summation_per_point(self, monkeypatch):
         # the jet comes from one pass of pfq_terms, not from shifted series
         calls = []
@@ -484,7 +519,8 @@ class TestJet:
 
     def test_undefined_second_derivative_raises_before_any_point(
             self, monkeypatch):
-        # lower -1 is fine for y but reaches 0 in the series of y''
+        # term 2 of 1F1(1/2; -1; x) divides by (-1)_2 = 0, so no point
+        # evaluates y; the jet's rule refuses the series once
         calls = []
 
         def counted(*args):
@@ -493,7 +529,7 @@ class TestJet:
 
         monkeypatch.setattr(numverify, "eval_pfq", counted)
         s = mul(X, hyp("1F1", (F(1, 2),), (F(-1),), X, degenerate=True))
-        with pytest.raises(ValueError, match="lower parameter 0"):
+        with pytest.raises(ValueError, match="lower parameter -1"):
             residual_check(parse_ode("y'' = 0"), s, 8)
         assert calls == []
         residual_check(parse_ode("y'' = 0"), parse_solution(
@@ -509,6 +545,60 @@ class TestSingularPoints:
         assert len(got) == 3
         for r in exact:
             assert min(abs(r - g) for g in got) < 1e-10
+
+    @staticmethod
+    def _separate_searches(ode):
+        """The poles of A and B by one root search per coefficient."""
+        out = []
+        for f in (ode.A, ode.B):
+            fn, carrier = ((f.fn, f.carrier) if isinstance(f, GenRatFunc)
+                           else (f, 1))
+            den = fn.den // poly_gcd(fn.den, fn.den.deriv())
+            roots = numverify._poly_roots(den)
+            if carrier > 1:
+                roots = [0j] + [r ** carrier for r in roots]
+            out += roots
+        return out
+
+    @pytest.mark.parametrize("text, searches", [
+        ("y'' + (1/(x*(x - 1)*(x^2 + 2)))*y'"
+         " + (3/(x^2*(x - 1)^2*(x^2 + x + 1)))*y = 0", 1),
+        ("y'' + x^(1/2)/(x - 2)*y' + 1/(x*(x + 3))*y = 0", 2),
+    ], ids=["shared-factors", "mixed-carriers"])
+    def test_one_search_finds_the_union_of_separate_searches(
+            self, monkeypatch, text, searches):
+        ode = parse_ode(text)
+        want = self._separate_searches(ode)
+        calls = []
+
+        def counted(p):
+            calls.append(p)
+            return poly_roots(p)
+
+        poly_roots = numverify._poly_roots
+        monkeypatch.setattr(numverify, "_poly_roots", counted)
+        got = _singular_points(ode)
+        assert len(calls) == searches
+        assert len(got) == len(set(got))
+        for r in want:
+            assert min(abs(r - g) for g in got) < 1e-10
+        for g in got:
+            assert min(abs(g - r) for r in want) < 1e-10
+
+    def test_solve_verify_searches_once_for_both_members(self, monkeypatch):
+        calls = []
+
+        def counted(p):
+            calls.append(p)
+            return poly_roots(p)
+
+        poly_roots = numverify._poly_roots
+        monkeypatch.setattr(numverify, "_poly_roots", counted)
+        payload, code = cmd_solve(WORKED_ODE, verify=True)
+        assert code == 0
+        assert all("max_residual" in payload["residuals"][name]
+                   for name in ("y1", "y2"))
+        assert len(calls) == 1
 
 
 def _tree_value(f, z):
