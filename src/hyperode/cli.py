@@ -32,7 +32,7 @@ from .errors import (
     UnsupportedParameterField,
 )
 from .exactalg import COEFF_BITS, DEGREE_CAP
-from .numverify import EquationSide, residual_check
+from .numverify import residual_check
 from .odeio import format_exact, has_integral, parse_ode, parse_solution, \
     print_solution, ratfunc_to_expr
 from .solutions import assemble
@@ -84,12 +84,11 @@ def _witness_json(w):
 def _residuals_json(ode, pair, n_points):
     out = {}
     worst = 0.0
-    side = EquationSide(ode)
     for name, s in (("y1", pair.y1), ("y2", pair.y2)):
         if has_integral(s):
             out[name] = {"skipped": "contains an unevaluated integral"}
             continue
-        rep = residual_check(ode, s, n_points, side)
+        rep = residual_check(ode, s, n_points)
         out[name] = rep.to_json()
         worst = max(worst, rep.max_residual)
     out["passes"] = worst <= RESIDUAL_GATE

@@ -369,6 +369,14 @@ class Poly:
         im = self.im or (0,) * len(self.re)
         return tuple(_scalar(r, i, self.den) for r, i in zip(self.re, im))
 
+    def complex_coeffs(self):
+        """The coefficients as complex doubles, low degree first, read
+        straight off the integer numerators. OverflowError marks one
+        beyond double range."""
+        im = self.im or (0,) * len(self.re)
+        return [complex(r / self.den, i / self.den)
+                for r, i in zip(self.re, im)]
+
     @property
     def degree(self):
         return len(self.re) - 1

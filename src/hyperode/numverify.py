@@ -17,14 +17,14 @@ integers at the precision the cancellation needs. Other arguments are
 rejected rather than continued analytically; the sampler simply picks
 points whose transformed arguments land inside, first on a ladder of
 circles around the singular set, then on rings around each singular
-point. The singular set comes from one root search per equation.
+point. The singular set comes from one root search on the lcm of the
+coefficients' square-free denominators.
 """
 
 import cmath
 import math
 import random
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 from itertools import islice
 
@@ -568,48 +568,39 @@ class ResidualReport:
         }
 
 
-def _complex_coeffs(p):
-    """The coefficients of an exact polynomial as complex numbers, low
-    degree first, read straight off its integer numerators."""
-    im = p.im or (0,) * len(p.re)
-    return [complex(r / p.den, i / p.den) for r, i in zip(p.re, im)]
-
-
 def _horner(coeffs, z):
+    """The value at z of the polynomial with coefficients coeffs, low
+    degree first."""
     out = complex(0.0, 0.0)
     for c in reversed(coeffs):
         out = out * z + c
     return out
 
 
-def _poly_roots(p):
-    """All complex roots of an exact polynomial, numerically.
+def _poly_roots(coeffs):
+    """All complex roots of a monic polynomial, numerically.
 
-    Durand-Kerner iteration on the monic copy, each root updated
-    in place so the next one's step already sees it (Gauss-Seidel
-    order). Accuracy in the 1e-12 range is plenty: roots only steer the
-    sampler away from singular points, they never enter a reported
-    value.
+    ``coeffs`` are its complex coefficients, low degree first, ending in
+    1. Durand-Kerner iteration updates each root in place, so the next
+    one's step already sees it (Gauss-Seidel order). Accuracy in the
+    1e-12 range is plenty: roots only steer the sampler away from
+    singular points, they never enter a reported value.
     """
-    n = p.degree
+    n = len(coeffs) - 1
     if n <= 0:
         return []
-    monic = _complex_coeffs(p.monic())[-2::-1]
     roots = [(0.4 + 0.9j) ** (k + 1) for k in range(n)]
     for _ in range(200):
         worst = 0.0
         for i in range(n):
             r = roots[i]
-            value = 1 + 0j
-            for c in monic:
-                value = value * r + c
             den = 1 + 0j
             for q in roots:
                 if q is not r:  # the list holds r itself at i
                     den *= r - q
             if den == 0:
                 den = complex(1e-12, 0.0)
-            step = value / den
+            step = _horner(coeffs, r) / den
             roots[i] = r - step
             step = abs(step)
             if step > worst:
@@ -617,6 +608,27 @@ def _poly_roots(p):
         if worst < 1e-13:
             break
     return roots
+
+
+def _monic_product(polys):
+    """The complex coefficients of the product of the monic copies of
+    exact polynomials, low degree first.
+
+    The product is formed in doubles, outside the exact kernel's caps on
+    degree and coefficient size, which bound each factor but not their
+    product. OverflowError marks a coefficient beyond double range.
+    """
+    out = [1 + 0j]
+    for p in polys:
+        cs = p.monic().complex_coeffs()
+        prod = [0j] * (len(out) + len(cs) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(cs):
+                prod[i + j] += a * b
+        out = prod
+    if not all(map(cmath.isfinite, out)):
+        raise OverflowError("singular-point polynomial beyond double range")
+    return out
 
 
 def _coefficient(f):
@@ -629,8 +641,8 @@ def _coefficient(f):
     a point where the value of any other denominator is that small.
     """
     fn, carrier = (f.fn, f.carrier) if isinstance(f, GenRatFunc) else (f, 1)
-    num = _complex_coeffs(fn.num)
-    den = _complex_coeffs(fn.den)
+    num = fn.num.complex_coeffs()
+    den = fn.den.complex_coeffs()
     monomial = sum(1 for c in den if c) == 1
     near_zero = "branch point" if carrier > 1 else (
         "pole" if monomial and len(den) > 1 else None)
@@ -653,45 +665,30 @@ def _singular_points(ode):
     """The finite singular points of the equation, each once.
 
     A and B share most of their poles, so one Durand-Kerner search runs
-    on the square-free part of den A * den B, which is that of their
-    lcm: every root is simple there and the iteration converges fast. A
-    coefficient of x^(1/L) adds x = 0 and maps each root t to t^L; A
+    on the lcm of their square-free denominators, sA * (sB / gcd(sA,
+    sB)): every root is simple there and the iteration converges fast.
+    A coefficient of x^(1/L) adds x = 0 and maps each root t to t^L; A
     and B with different carriers L get one search each.
     """
     dens = {}
     for f in (ode.A, ode.B):
         fn, carrier = ((f.fn, f.carrier) if isinstance(f, GenRatFunc)
                        else (f, 1))
-        dens[carrier] = dens[carrier] * fn.den if carrier in dens else fn.den
+        sq = fn.den // poly_gcd(fn.den, fn.den.deriv())
+        factors = dens.setdefault(carrier, [])
+        if factors:
+            # only the poles of B that A lacks
+            sq = sq // poly_gcd(factors[0], sq)
+        factors.append(sq)
     out = []
-    for carrier, den in dens.items():
-        roots = _poly_roots(den // poly_gcd(den, den.deriv()))
+    for carrier, factors in dens.items():
+        roots = _poly_roots(_monic_product(factors))
         if carrier > 1:
             roots = [0j] + [r ** carrier for r in roots]
         for r in roots:
             if all(abs(r - q) > 1e-9 for q in out):
                 out.append(r)
     return out
-
-
-class EquationSide:
-    """The equation's half of a residual check: A and B as functions of
-    a point, and the singular points to sample around.
-
-    Each is built on first use and then shared by every solution checked
-    against the same equation, as solve --verify checks y1 and y2.
-    """
-
-    def __init__(self, ode):
-        self.ode = ode
-
-    @cached_property
-    def coefficients(self):
-        return _coefficient(self.ode.A), _coefficient(self.ode.B)
-
-    @cached_property
-    def singular_points(self):
-        return _singular_points(self.ode)
 
 
 def _candidate_points(bad, fractional):
@@ -748,7 +745,7 @@ def _candidate_points(bad, fractional):
                 yield z, min(abs(z - q) for q in bad)
 
 
-def residual_check(ode, s, n_points=8, side=None):
+def residual_check(ode, s, n_points=8):
     """Measure how well s satisfies the equation at sampled points.
 
     Builds the jet of y, y' and y'' once, then evaluates it at
@@ -759,8 +756,7 @@ def residual_check(ode, s, n_points=8, side=None):
     SamplingFailed is raised, at once when an exact number in the
     solution is beyond double range. A solution holding an unevaluated
     integral, or a series that no point could evaluate, raises
-    ValueError before any point is tried. ``side``, an EquationSide of
-    ode, shares the equation's half between checks of one equation.
+    ValueError before any point is tried.
     """
     if n_points < 1:
         raise ValueError("n_points must be positive")
@@ -770,11 +766,10 @@ def residual_check(ode, s, n_points=8, side=None):
             "from pointwise residual checks")
     _check_evaluable(s)
     jet = _compile_jet(s)
-    if side is None:
-        side = EquationSide(ode)
     try:
-        a_at, b_at = side.coefficients
-        bad = side.singular_points
+        a_at = _coefficient(ode.A)
+        b_at = _coefficient(ode.B)
+        bad = _singular_points(ode)
     except OverflowError:
         # a coefficient beyond double range fails at every point
         raise SamplingFailed("only 0 of %d sample points were admissible"

@@ -429,6 +429,36 @@ class TestBoundedInput:
         assert code == 1
         assert payload["error"]["type"] == "coefficient_overflow"
 
+    @pytest.mark.parametrize("argv, code, kind", [
+        (["verify", "y'' + 1/x^40*y' + 1/x^40*y = 0", "1"], 2, None),
+        # the solver's own arithmetic refuses x^80 before any check
+        (["solve", "--verify", "y'' + 1/x^40*y' + 1/x^40*y = 0"], 1,
+         "degree_overflow"),
+        (["--max-degree", "3", "verify", "y'' + 1/x^2*y' + 1/x^2*y = 0",
+          "1"], 2, None),
+        (["--max-degree", "3", "verify",
+          "y'' + 1/(x^2 - 2)*y' + 1/(x^2 - 3)*y = 0", "1"], 2, None),
+        (["--max-degree", "2", "solve", "--verify",
+          "y'' + 1/x*y' + (x^2 - 1/9)/x^2*y = 0"], 0, None),
+        # the lcm's coefficients pass double range: no verdict
+        (["verify", "y'' + 1/(x - 10^200)*y' + 1/(x - 10^200 - 1)*y = 0",
+          "1"], 1, "verification_impossible"),
+    ], ids=["verify-pole-40", "solve-pole-40", "verify-cap-3-shared",
+            "verify-cap-3-distinct", "solve-cap-2-bessel",
+            "verify-lcm-past-double-range"])
+    def test_singular_points_past_the_degree_cap(self, capsys, argv, code,
+                                                 kind):
+        # den A * den B may pass the cap when each denominator fits it
+        assert main(["--json"] + argv) == code
+        out = json.loads(capsys.readouterr().out)
+        if kind:
+            assert out["error"]["type"] == kind
+        elif code == 0:
+            assert out["residuals"]["passes"] is True
+        else:
+            assert out["passes"] is False
+            assert len(out["residual_report"]["points"]) == 8
+
     @pytest.mark.parametrize("argv", [
         ["solve", "y'' + 3\u00b2*y = 0"],
         ["classify", "y'' + 3\u00b2*y = 0"],

@@ -119,6 +119,14 @@ class TestPoly:
         assert p(F(3)) == 5 - 3 + 18
         assert p(GaussRat(0, 1)) == GaussRat(3, -1)
 
+    def test_complex_coeffs_read_the_scalars(self):
+        for p in (Poly([F(1, 3), -2, 0, F(7, 6)]),
+                  Poly([GaussRat(F(1, 2), -3), 0, F(5, 7)])):
+            assert p.complex_coeffs() == [complex(c) for c in p.coeffs]
+        assert Poly().complex_coeffs() == []
+        with pytest.raises(OverflowError):
+            Poly([10 ** 400, 1]).complex_coeffs()
+
     def test_compose(self):
         p = poly_of([-1, 0, 1])  # x^2 - 1
         q = poly_of([1, 1])      # x + 1

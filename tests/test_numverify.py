@@ -8,6 +8,7 @@ solutions and on deliberately corrupted ones.
 """
 
 import cmath
+import contextvars
 import json
 import math
 from fractions import Fraction as F
@@ -19,10 +20,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperode import numverify
-from hyperode.cli import cmd_solve, cmd_verify
+from hyperode.cli import cmd_verify
 from hyperode.equivalence import solve_equivalence
 from hyperode.errors import EvalDiverged, PointRejected, SamplingFailed
-from hyperode.exactalg import GaussRat, GenRatFunc, Poly, RatFunc, poly_gcd
+from hyperode.exactalg import (
+    DEGREE_CAP,
+    GaussRat,
+    GenRatFunc,
+    Poly,
+    RatFunc,
+    poly_gcd,
+)
 from hyperode.numverify import (
     EvalPoint,
     ResidualReport,
@@ -548,13 +556,16 @@ class TestSingularPoints:
 
     @staticmethod
     def _separate_searches(ode):
-        """The poles of A and B by one root search per coefficient."""
+        """The poles of A and B by mpmath, one coefficient at a time."""
         out = []
         for f in (ode.A, ode.B):
             fn, carrier = ((f.fn, f.carrier) if isinstance(f, GenRatFunc)
                            else (f, 1))
             den = fn.den // poly_gcd(fn.den, fn.den.deriv())
-            roots = numverify._poly_roots(den)
+            roots = []
+            if den.degree > 0:
+                roots = [complex(r) for r in mpmath.polyroots(
+                    den.complex_coeffs()[::-1], maxsteps=200, extraprec=60)]
             if carrier > 1:
                 roots = [0j] + [r ** carrier for r in roots]
             out += roots
@@ -564,16 +575,17 @@ class TestSingularPoints:
         ("y'' + (1/(x*(x - 1)*(x^2 + 2)))*y'"
          " + (3/(x^2*(x - 1)^2*(x^2 + x + 1)))*y = 0", 1),
         ("y'' + x^(1/2)/(x - 2)*y' + 1/(x*(x + 3))*y = 0", 2),
-    ], ids=["shared-factors", "mixed-carriers"])
+        ("y'' + 1/x^40*y' + 1/x^40*y = 0", 1),
+    ], ids=["shared-factors", "mixed-carriers", "pole-of-order-40"])
     def test_one_search_finds_the_union_of_separate_searches(
             self, monkeypatch, text, searches):
         ode = parse_ode(text)
         want = self._separate_searches(ode)
         calls = []
 
-        def counted(p):
-            calls.append(p)
-            return poly_roots(p)
+        def counted(coeffs):
+            calls.append(coeffs)
+            return poly_roots(coeffs)
 
         poly_roots = numverify._poly_roots
         monkeypatch.setattr(numverify, "_poly_roots", counted)
@@ -585,20 +597,18 @@ class TestSingularPoints:
         for g in got:
             assert min(abs(g - r) for r in want) < 1e-10
 
-    def test_solve_verify_searches_once_for_both_members(self, monkeypatch):
-        calls = []
+    def test_lcm_may_exceed_the_degree_cap(self):
+        # each square-free denominator fits a cap of 3, their lcm does not
+        def under_cap():
+            DEGREE_CAP.set(3)
+            return _singular_points(
+                parse_ode("y'' + 1/(x^2 - 2)*y' + 1/(x^2 - 3)*y = 0"))
 
-        def counted(p):
-            calls.append(p)
-            return poly_roots(p)
-
-        poly_roots = numverify._poly_roots
-        monkeypatch.setattr(numverify, "_poly_roots", counted)
-        payload, code = cmd_solve(WORKED_ODE, verify=True)
-        assert code == 0
-        assert all("max_residual" in payload["residuals"][name]
-                   for name in ("y1", "y2"))
-        assert len(calls) == 1
+        got = contextvars.copy_context().run(under_cap)
+        want = [2 ** 0.5, -(2 ** 0.5), 3 ** 0.5, -(3 ** 0.5)]
+        assert len(got) == 4
+        for r in want:
+            assert min(abs(r - g) for g in got) < 1e-10
 
 
 def _tree_value(f, z):
