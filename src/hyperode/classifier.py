@@ -11,25 +11,40 @@ the Gauss family, 13 for the confluent family and 9 for the limit
 family.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .exactalg import factor_rational_roots, squarefree_decomposition
+from .values import Value, setfield
 
 
-@dataclass(frozen=True)
-class SingularityProfile:
-    numerator_degree: int
-    denominator_signature: tuple   # multiplicities, descending
-    finite_points: tuple           # ((location, multiplicity), ...)
-    point_at_infinity_order: int   # denominator degree minus numerator degree
-    has_irrational_points: bool
+class SingularityProfile(Value):
+    __slots__ = (
+        "numerator_degree",
+        "denominator_signature",     # multiplicities, descending
+        "finite_points",             # ((location, multiplicity), ...)
+        "point_at_infinity_order",   # denominator minus numerator degree
+        "has_irrational_points",
+    )
+
+    def __init__(self, numerator_degree, denominator_signature,
+                 finite_points, point_at_infinity_order,
+                 has_irrational_points):
+        setfield(self, "numerator_degree", numerator_degree)
+        setfield(self, "denominator_signature", denominator_signature)
+        setfield(self, "finite_points", finite_points)
+        setfield(self, "point_at_infinity_order", point_at_infinity_order)
+        setfield(self, "has_irrational_points", has_irrational_points)
 
 
-@dataclass(frozen=True)
-class ClassCandidate:
-    class_kind: str                # "2F1", "1F1" or "0F1"
-    matched_case: tuple            # (p, (q1, q2, ...))
+class ClassCandidate(Value):
+    __slots__ = (
+        "class_kind",                # "2F1", "1F1" or "0F1"
+        "matched_case",              # (p, (q1, q2, ...))
+    )
+
+    def __init__(self, class_kind, matched_case):
+        setfield(self, "class_kind", class_kind)
+        setfield(self, "matched_case", matched_case)
 
 
 # rows: (p bound, p may drop freely, p drop may be tied to starred q's,

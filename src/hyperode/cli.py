@@ -17,8 +17,6 @@ import contextvars
 import json
 import sys
 import time
-from dataclasses import dataclass
-from importlib import resources
 
 from .equivalence import reduce_ode, solve_equivalence
 from .errors import (
@@ -36,6 +34,7 @@ from .numverify import residual_check
 from .odeio import format_exact, has_integral, parse_ode, parse_solution, \
     print_solution, ratfunc_to_expr
 from .solutions import assemble
+from .values import Value, setfield
 
 RESIDUAL_GATE = 1e-7
 
@@ -45,14 +44,17 @@ _BAD_INPUT = (ParseError, UnsupportedEquation, DegreeOverflow,
               CoefficientOverflow)
 
 
-@dataclass(frozen=True)
-class CorpusEntry:
+class CorpusEntry(Value):
     """One recorded equation with the outcome the suite expects."""
 
-    id: str
-    ode_text: str
-    expected_class: str = None
-    expected_integral_free: bool = None
+    __slots__ = ("id", "ode_text", "expected_class", "expected_integral_free")
+
+    def __init__(self, id, ode_text, expected_class=None,
+                 expected_integral_free=None):
+        setfield(self, "id", id)
+        setfield(self, "ode_text", ode_text)
+        setfield(self, "expected_class", expected_class)
+        setfield(self, "expected_integral_free", expected_integral_free)
 
     @classmethod
     def from_json(cls, data):
@@ -223,6 +225,9 @@ def _run_entry(entry, verify):
 
 
 def bundled_corpus_path():
+    # imported here: importlib.resources loads typing, which only the
+    # corpus verb needs to pay for
+    from importlib import resources
     return resources.files("hyperode") / "data" / "corpus.jsonl"
 
 

@@ -23,10 +23,8 @@ input; that is the only exact check, and the first candidate to pass is
 the answer. A witness that exists is therefore always correct.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from typing import NamedTuple
 
 from .classifier import classify, profile
 from .errors import (
@@ -66,6 +64,7 @@ from .odeio import (
     power,
     ratfunc_to_expr,
 )
+from .values import Value, setfield
 
 
 # ---------------------------------------------------------------------------
@@ -286,14 +285,9 @@ class EquivalenceWitness:
 
 # ---------------------------------------------------------------------------
 # resolvers
-
-
-class Candidate(NamedTuple):
-    """A map and parameters read off I0, not yet checked."""
-
-    class_kind: str
-    mobius: Mobius
-    params: dict
+#
+# A resolver yields candidates as (class_kind, mobius, params) tuples: a
+# map and parameters read off I0, not yet checked.
 
 
 def _sort_point(p):
@@ -350,8 +344,7 @@ def resolve_2F1(i0, pr):
     for t0, t1, tinf in sorted(assignments, key=order_key):
         params = parameters_from_differences(diff_of(t0), diff_of(t1),
                                              diff_of(tinf))
-        yield Candidate("2F1", mobius_from_three_points(t0, t1, tinf),
-                        params)
+        yield "2F1", mobius_from_three_points(t0, t1, tinf), params
 
 
 def _confluent_positions(pr, irregular_order, infinity_gap):
@@ -436,8 +429,8 @@ def resolve_1F1(i0, pr):
             continue
         seen.add(c)
         for th in (theta, -theta):
-            yield Candidate("1F1", _scale_mobius(th, t_irr, t_reg),
-                            {"a": linear_of(th) + Fraction(c) / 2, "c": c})
+            yield ("1F1", _scale_mobius(th, t_irr, t_reg),
+                   {"a": linear_of(th) + Fraction(c) / 2, "c": c})
 
 
 def resolve_0F1(i0, pr):
@@ -469,7 +462,7 @@ def resolve_0F1(i0, pr):
         if c in seen:
             continue
         seen.add(c)
-        yield Candidate("0F1", m, {"c": c})
+        yield "0F1", m, {"c": c}
 
 
 _RESOLVERS = {"2F1": resolve_2F1, "1F1": resolve_1F1, "0F1": resolve_0F1}
@@ -479,8 +472,7 @@ _RESOLVERS = {"2F1": resolve_2F1, "1F1": resolve_1F1, "0F1": resolve_0F1}
 # the pipeline
 
 
-@dataclass(frozen=True)
-class Reduction:
+class Reduction(Value):
     """An equation reduced to the data the resolvers match against.
 
     k is the power pulled out of the input's invariant, i0 the reduced
@@ -488,10 +480,13 @@ class Reduction:
     model classes that fingerprint admits, in the order they are tried.
     """
 
-    k: Fraction
-    i0: object
-    profile: object
-    candidates: tuple
+    __slots__ = ("k", "i0", "profile", "candidates")
+
+    def __init__(self, k, i0, profile, candidates):
+        setfield(self, "k", k)
+        setfield(self, "i0", i0)
+        setfield(self, "profile", profile)
+        setfield(self, "candidates", candidates)
 
 
 def reduce_ode(ode):

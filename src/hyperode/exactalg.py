@@ -568,6 +568,20 @@ class Poly:
                 raise ValueError("polynomial support not divisible by %d" % k)
         return _poly(self.re[::k], self.im[::k], self.den)
 
+    def order_at_zero(self):
+        """Multiplicity of 0 as a root of a nonzero polynomial."""
+        im = self.im or (0,) * len(self.re)
+        for e, (r, i) in enumerate(zip(self.re, im)):
+            if r or i:
+                return e
+
+    def reverse(self, shift=0):
+        """x^(degree + shift) * p(1/x): the coefficients in reverse
+        order, raised by shift."""
+        pad = (0,) * shift
+        return _poly(pad + self.re[::-1],
+                     (pad + self.im[::-1]) if self.im else (), self.den)
+
     def exponent_gcd(self):
         """gcd of the exponents carrying nonzero coefficients."""
         g = 0
@@ -1222,9 +1236,7 @@ def factor_rational_roots(p):
     work = p.monic()
     roots = {}
     # root at zero first
-    nz = 0
-    while not work.coeff(nz):
-        nz += 1
+    nz = work.order_at_zero()
     if nz:
         roots[Fraction(0)] = nz
         work = Poly(work.coeffs[nz:])

@@ -14,12 +14,12 @@ minimize_power_exponents reads it off. Equations are pulled back along
 M(x^k) by equivalence._pull_back alone.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
 from .exactalg import GaussRat, GenRatFunc, Poly, RatFunc
 from .odeio import LinearODE
+from .values import Value, setfield
 
 
 class _Infinity:
@@ -42,16 +42,16 @@ INF = _Infinity()
 _X_SQUARED = RatFunc(Poly.x() ** 2)
 
 
-@dataclass(frozen=True)
-class Mobius:
+class Mobius(Value):
     """The fractional linear map x -> (a x + b) / (c x + d), det != 0."""
 
-    a: object
-    b: object
-    c: object
-    d: object
+    __slots__ = ("a", "b", "c", "d")
 
-    def __post_init__(self):
+    def __init__(self, a, b, c, d):
+        setfield(self, "a", a)
+        setfield(self, "b", b)
+        setfield(self, "c", c)
+        setfield(self, "d", d)
         if not self.det:
             raise ValueError("degenerate fractional linear map")
 
@@ -93,17 +93,19 @@ class Mobius:
         return Mobius(*(Fraction(v) for v in ints))
 
 
-@dataclass(frozen=True)
-class NormalizedODE:
+class NormalizedODE(Value):
     """The normal form u'' = I u of an equation, held by its invariant."""
 
-    I: object
+    __slots__ = ("I",)
+
+    def __init__(self, I):
+        setfield(self, "I", I)
 
 
 def to_normal_form(ode):
     """Invariant of a linear ODE; exact in all fields."""
     a, b = ode.A, ode.B
-    return NormalizedODE(a.deriv() / 2 + a * a * Fraction(1, 4) - b)
+    return NormalizedODE(a.deriv() / 2 + a ** 2 * Fraction(1, 4) - b)
 
 
 def transform_invariant(i0, mobius):
@@ -141,10 +143,15 @@ def minimize_power_exponents(j1):
     compressed = carrier_fn.compress_power(g)
     scale = 1 / (k * k)
     j0_pos = compressed * scale
-    inv = RatFunc(Poly.const(1), Poly.x())
-    j0_neg = j0_pos.compose(inv)
-    if j0_neg.den.degree < j0_pos.den.degree:
-        return -k, j0_neg
+    # With p, q the degrees of num and den, J0(1/x) is
+    # x^(q-p) rev(num) / rev(den) with coprime parts, so its denominator
+    # has degree q - ord0(den) + max(p - q, 0); it is built only when
+    # that is below q.
+    num, den = j0_pos.num, j0_pos.den
+    excess = num.degree - den.degree
+    if den.order_at_zero() > max(excess, 0):
+        return -k, RatFunc.from_coprime(num.reverse(max(-excess, 0)),
+                                        den.reverse(max(excess, 0)))
     return k, j0_pos
 
 
@@ -161,4 +168,4 @@ def apply_gauge(ode, log_deriv):
     """
     a, b = ode.A, ode.B
     l = log_deriv
-    return LinearODE(a + 2 * l, b + l.deriv() + l * l + a * l)
+    return LinearODE(a + 2 * l, b + l.deriv() + l ** 2 + a * l)

@@ -24,7 +24,6 @@ coefficients' square-free denominators.
 import cmath
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 
@@ -45,6 +44,7 @@ from .odeio import (
     has_integral,
     walk,
 )
+from .values import Value, setfield
 
 _TERM_CAP = 10000
 _REL_EPS = 1e-16
@@ -537,25 +537,29 @@ def _power_jet(base, ex):
     return singular_jet
 
 
-@dataclass(frozen=True)
-class EvalPoint:
+class EvalPoint(Value):
     """A sample point together with its clearance from singularities."""
 
-    z: complex
-    radius_guard: float
+    __slots__ = ("z", "radius_guard")   # a complex and a float
+
+    def __init__(self, z, radius_guard):
+        setfield(self, "z", z)
+        setfield(self, "radius_guard", radius_guard)
 
 
-@dataclass(frozen=True)
-class ResidualReport:
+class ResidualReport(Value):
     """Normalized equation residuals of one solution at accepted points.
 
     Each residual is |y'' + A y' + B y| / max(|y|, |y'|, |y''|, 1) at
     the matching point, and max_residual is the largest of them.
     """
 
-    points: tuple
-    residuals: tuple
-    max_residual: float
+    __slots__ = ("points", "residuals", "max_residual")
+
+    def __init__(self, points, residuals, max_residual):
+        setfield(self, "points", points)
+        setfield(self, "residuals", residuals)
+        setfield(self, "max_residual", max_residual)
 
     def to_json(self):
         return {

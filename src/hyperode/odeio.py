@@ -17,10 +17,8 @@ to keep printed output tidy and round-trippable. A number raised to an
 integer power is folded by Poly.__pow__, under the kernel's caps.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, log2
-from typing import Union
 
 from .errors import (
     CoefficientOverflow,
@@ -36,12 +34,10 @@ from .exactalg import (
     Poly,
     RatFunc,
 )
+from .values import Value, setfield
 
-Scalar = Union[Fraction, GaussRat]
 
-
-@dataclass(frozen=True)
-class LinearODE:
+class LinearODE(Value):
     """y'' + A y' + B y = 0 with reduced rational coefficients.
 
     A and B are RatFunc in the ordinary case. A coefficient that keeps a
@@ -51,8 +47,11 @@ class LinearODE:
     invariant path.
     """
 
-    A: object
-    B: object
+    __slots__ = ("A", "B")
+
+    def __init__(self, A, B):
+        setfield(self, "A", A)
+        setfield(self, "B", B)
 
     @property
     def is_fractional(self):
@@ -63,69 +62,86 @@ class LinearODE:
 # solution expression trees
 
 
-@dataclass(frozen=True)
-class Num:
-    value: Scalar
+class Num(Value):
+    __slots__ = ("value",)   # a Fraction or a GaussRat
+
+    def __init__(self, value):
+        setfield(self, "value", value)
 
 
-@dataclass(frozen=True)
-class Sym:
-    pass
+class Sym(Value):
+    __slots__ = ()
 
 
 X = Sym()
 
 
-@dataclass(frozen=True)
-class Const:
-    index: int  # 1 or 2
+class Const(Value):
+    __slots__ = ("index",)   # 1 or 2
+
+    def __init__(self, index):
+        setfield(self, "index", index)
 
 
-@dataclass(frozen=True)
-class Add:
-    terms: tuple
+class Add(Value):
+    __slots__ = ("terms",)
+
+    def __init__(self, terms):
+        setfield(self, "terms", terms)
 
 
-@dataclass(frozen=True)
-class Mul:
-    factors: tuple
+class Mul(Value):
+    __slots__ = ("factors",)
+
+    def __init__(self, factors):
+        setfield(self, "factors", factors)
 
 
-@dataclass(frozen=True)
-class Pow:
-    base: object
-    exponent: Fraction
+class Pow(Value):
+    __slots__ = ("base", "exponent")   # exponent: a Fraction
+
+    def __init__(self, base, exponent):
+        setfield(self, "base", base)
+        setfield(self, "exponent", exponent)
 
 
-@dataclass(frozen=True)
-class Exp:
-    arg: object
+class Exp(Value):
+    __slots__ = ("arg",)
+
+    def __init__(self, arg):
+        setfield(self, "arg", arg)
 
 
-@dataclass(frozen=True)
-class Intg:
+class Intg(Value):
     """Unevaluated integral of the integrand with respect to x."""
 
-    integrand: object
+    __slots__ = ("integrand",)
+
+    def __init__(self, integrand):
+        setfield(self, "integrand", integrand)
 
 
-@dataclass(frozen=True)
-class Hyp:
-    kind: str            # "2F1", "1F1" or "0F1"
-    upper: tuple
-    lower: tuple
-    arg: object
-    degenerate: bool = False
+class Hyp(Value):
+    # kind is "2F1", "1F1" or "0F1"
+    __slots__ = ("kind", "upper", "lower", "arg", "degenerate")
+
+    def __init__(self, kind, upper, lower, arg, degenerate=False):
+        setfield(self, "kind", kind)
+        setfield(self, "upper", upper)
+        setfield(self, "lower", lower)
+        setfield(self, "arg", arg)
+        setfield(self, "degenerate", degenerate)
 
 
-@dataclass(frozen=True)
-class Leg:
-    kind: str            # "P" or "Q"
-    degree: Scalar
-    arg: object
+class Leg(Value):
+    # kind is "P" or "Q"; degree a Fraction or a GaussRat
+    __slots__ = ("kind", "degree", "arg")
 
+    def __init__(self, kind, degree, arg):
+        setfield(self, "kind", kind)
+        setfield(self, "degree", degree)
+        setfield(self, "arg", arg)
 
-SolutionExpr = Union[Num, Sym, Const, Add, Mul, Pow, Exp, Intg, Hyp, Leg]
 
 _ARITY = {"2F1": (2, 1), "1F1": (1, 1), "0F1": (0, 1)}
 

@@ -8,7 +8,6 @@ exponent difference is an integer does the reduction-of-order integral
 (or, in one special pattern, a Legendre pair) remain.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .equivalence import exp_integral_expr
@@ -37,17 +36,21 @@ from .odeio import (
     print_solution,
     ratfunc_to_expr,
 )
+from .values import Value, setfield
 
 
-@dataclass(frozen=True)
-class SolutionPair:
+class SolutionPair(Value):
     """Two independent solutions and how the second one was obtained."""
 
-    y1: object
-    y2: object
-    integral_free: bool
-    derivation_note: str
-    degenerate: bool = False
+    __slots__ = ("y1", "y2", "integral_free", "derivation_note", "degenerate")
+
+    def __init__(self, y1, y2, integral_free, derivation_note,
+                 degenerate=False):
+        setfield(self, "y1", y1)
+        setfield(self, "y2", y2)
+        setfield(self, "integral_free", integral_free)
+        setfield(self, "derivation_note", derivation_note)
+        setfield(self, "degenerate", degenerate)
 
     def to_json(self):
         return {

@@ -24,7 +24,6 @@ from hyperode.errors import (
 )
 from hyperode.exactalg import GaussRat, Poly, RatFunc
 from hyperode.equivalence import (
-    Candidate,
     EquivalenceWitness,
     double_pole_coefficient,
     exponent_difference_at,
@@ -66,8 +65,8 @@ def _seed_invariant_2F1_reference(a, b, c):
 def _proved(i0, cand):
     """The invariant identity: the candidate's model invariant, moved by
     its map, is I0. Resolvers do not check it; the witness does."""
-    seed = seed_invariant(cand.class_kind, cand.params)
-    return transform_invariant(seed, cand.mobius) == i0
+    kind, m, params = cand
+    return transform_invariant(seed_invariant(kind, params), m) == i0
 
 
 PARAMETER_NAMES = {"2F1": ("a", "b", "c"), "1F1": ("a", "c"), "0F1": ("c",)}
@@ -218,28 +217,29 @@ class TestResolve2F1:
     def test_worked_example_first_witness(self):
         ws = list(resolve_2F1(WORKED_I0, profile(WORKED_I0)))
         assert ws
-        w = ws[0]
-        assert w.mobius == Mobius.from_ints(2, 0, 1, -1)
-        assert w.params == {"a": F(1, 4), "b": F(-1, 12), "c": F(-1, 3)}
-        assert _proved(WORKED_I0, w)
+        _, m, params = ws[0]
+        assert m == Mobius.from_ints(2, 0, 1, -1)
+        assert params == {"a": F(1, 4), "b": F(-1, 12), "c": F(-1, 3)}
+        assert _proved(WORKED_I0, ws[0])
 
     def test_euler_type_invisible_point(self):
         # poles {0, infinity} only; the third model point gets a fresh spot
         i0 = rf([3], [0, 0, 4])
         ws = list(resolve_2F1(i0, profile(i0)))
         assert ws
-        w = ws[0]
-        assert w.mobius == Mobius.from_ints(1, 0, 0, 1)
-        assert w.params == {"a": F(1), "b": F(-1), "c": F(-1)}
-        assert _proved(i0, w)
+        _, m, params = ws[0]
+        assert m == Mobius.from_ints(1, 0, 0, 1)
+        assert params == {"a": F(1), "b": F(-1), "c": F(-1)}
+        assert _proved(i0, ws[0])
 
     def test_two_visible_points_with_ordinary_infinity(self):
         i0 = RatFunc(Poly.const(F(-1)),
                      (Poly((F(-1), F(1))) * Poly((F(1), F(1)))) ** 2)
         ws = list(resolve_2F1(i0, profile(i0)))
         assert ws
-        assert ws[0].mobius == Mobius.from_ints(1, 1, 0, 2)
-        assert ws[0].params == {"a": F(1), "b": F(0), "c": F(1)}
+        _, m, params = ws[0]
+        assert m == Mobius.from_ints(1, 1, 0, 2)
+        assert params == {"a": F(1), "b": F(0), "c": F(1)}
         assert _proved(i0, ws[0])
 
     def test_sign_symmetry_recovery(self):
@@ -248,20 +248,20 @@ class TestResolve2F1:
         i0 = seed_invariant("2F1", {"a": F(1), "b": F(2), "c": F(3)})
         ws = list(resolve_2F1(i0, profile(i0)))
         assert ws
-        w = ws[0]
-        assert w.mobius == Mobius.from_ints(1, 0, 0, 1)
-        assert w.params == {"a": F(0), "b": F(-1), "c": F(-1)}
-        assert _proved(i0, w)
+        _, m, params = ws[0]
+        assert m == Mobius.from_ints(1, 0, 0, 1)
+        assert params == {"a": F(0), "b": F(-1), "c": F(-1)}
+        assert _proved(i0, ws[0])
         shape = _differences(F(1), F(2), F(3))
-        got = _differences(**w.params)
+        got = _differences(**params)
         assert [abs(d) for d in shape] == [abs(d) for d in got]
 
     def test_ordering_prefers_larger_differences(self):
         ws = list(resolve_2F1(WORKED_I0, profile(WORKED_I0)))
         # first assignment keeps 0 in place and uses the 4/3 difference there
-        first = ws[0]
-        assert 1 - first.params["c"] == F(4, 3)
-        assert _proved(WORKED_I0, first)
+        _, _, params = ws[0]
+        assert 1 - params["c"] == F(4, 3)
+        assert _proved(WORKED_I0, ws[0])
 
     @given(st.fractions(min_value=-3, max_value=3, max_denominator=2),
            st.fractions(min_value=-3, max_value=3, max_denominator=2),
@@ -274,8 +274,8 @@ class TestResolve2F1:
             ws = list(resolve_2F1(i0, pr))
         except IrrationalExponentDifference:
             return
-        for w in ws:
-            assert w.params["a"] >= w.params["b"]
+        for _, _, params in ws:
+            assert params["a"] >= params["b"]
 
 
 class TestResolve1F1:
@@ -283,19 +283,20 @@ class TestResolve1F1:
         i0 = rf([-2, -1, -1], [0, 0, 9])
         ws = list(resolve_1F1(i0, profile(i0)))
         assert ws
-        w = ws[0]
-        assert w.params["c"] == F(4, 3)
-        assert w.params["a"] == GaussRat(F(2, 3), F(1, 6))
-        assert w.mobius == Mobius(GaussRat(0, F(2, 3)), GaussRat(0),
-                                  GaussRat(0), GaussRat(1))
-        assert _proved(i0, w)
+        _, m, params = ws[0]
+        assert params["c"] == F(4, 3)
+        assert params["a"] == GaussRat(F(2, 3), F(1, 6))
+        assert m == Mobius(GaussRat(0, F(2, 3)), GaussRat(0),
+                           GaussRat(0), GaussRat(1))
+        assert _proved(i0, ws[0])
 
     def test_seed_self_resolution(self):
         i0 = seed_invariant("1F1", {"a": F(1, 3), "c": F(3, 2)})
         ws = list(resolve_1F1(i0, profile(i0)))
-        assert any(w.mobius == Mobius.from_ints(1, 0, 0, 1)
-                   and w.params == {"a": F(1, 3), "c": F(3, 2)}
-                   and _proved(i0, w) for w in ws)
+        assert any(m == Mobius.from_ints(1, 0, 0, 1)
+                   and params == {"a": F(1, 3), "c": F(3, 2)}
+                   and _proved(i0, (kind, m, params))
+                   for kind, m, params in ws)
 
     def test_scale_outside_gaussian_field(self):
         i0 = rf([3], [0, 0, 0, 0, 1])
@@ -311,7 +312,7 @@ class TestResolve0F1:
     def test_identity_witness_first(self):
         i0 = rf([1], [0, 1])
         ws = list(resolve_0F1(i0, profile(i0)))
-        assert [(w.mobius, w.params["c"]) for w in ws] == [
+        assert [(m, params["c"]) for _, m, params in ws] == [
             (Mobius.from_ints(1, 0, 0, 1), F(2)),
             (Mobius.from_ints(1, 0, 0, 1), F(0)),
         ]
@@ -321,10 +322,10 @@ class TestResolve0F1:
         i0 = rf([-2, 1], [0, 0, 9])
         ws = list(resolve_0F1(i0, profile(i0)))
         assert ws
-        w = ws[0]
-        assert w.mobius == Mobius(F(1, 9), F(0), F(0), F(1))
-        assert w.params == {"c": F(4, 3)}
-        assert _proved(i0, w)
+        _, m, params = ws[0]
+        assert m == Mobius(F(1, 9), F(0), F(0), F(1))
+        assert params == {"c": F(4, 3)}
+        assert _proved(i0, ws[0])
 
     def test_finite_irregular_point(self):
         # image of the model under x -> 1/x: triple pole at 0
@@ -332,8 +333,9 @@ class TestResolve0F1:
         flipped = transform_invariant(i0, Mobius.from_ints(0, 1, 1, 0))
         ws = list(resolve_0F1(flipped, profile(flipped)))
         assert ws
-        assert any(w.params["c"] == F(1, 2) and _proved(flipped, w)
-                   for w in ws)
+        assert any(params["c"] == F(1, 2)
+                   and _proved(flipped, (kind, m, params))
+                   for kind, m, params in ws)
 
     def test_zero_scale_returns_nothing(self):
         i0 = rf([1], [0, 0, 1])
@@ -470,9 +472,9 @@ class TestSolveEquivalence:
 
     def test_a_rejected_candidate_gives_way_to_the_next(self, monkeypatch):
         ode = parse_ode("y'' + y = 0")
-        wrong = Candidate("0F1", Mobius.from_ints(1, 0, 0, 1), {"c": F(7, 3)})
+        wrong = ("0F1", Mobius.from_ints(1, 0, 0, 1), {"c": F(7, 3)})
         with pytest.raises(WitnessRejected):
-            EquivalenceWitness("0F1", 2, wrong.mobius, wrong.params, ode)
+            EquivalenceWitness("0F1", 2, wrong[1], wrong[2], ode)
         real = equivalence._RESOLVERS["0F1"]
         tried = []
 

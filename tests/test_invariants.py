@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperode.exactalg import GenRatFunc, Poly, RatFunc
+from hyperode.exactalg import GaussRat, GenRatFunc, Poly, RatFunc
 from hyperode.invariants import (
     Mobius,
     apply_gauge,
@@ -38,6 +38,7 @@ X = RatFunc.x()
 nonzero_rationals = st.fractions(min_value=-6, max_value=6,
                                  max_denominator=4).filter(bool)
 small_rationals = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+gauss_rationals = st.builds(GaussRat, small_rationals, nonzero_rationals)
 
 
 def random_ratfuncs(max_deg=3):
@@ -290,6 +291,26 @@ class TestMinimizePower:
         k, j0 = minimize_power_exponents(j)
         assert k == 1
         assert j0 == RatFunc.const(F(1))
+
+    @given(st.lists(st.one_of(small_rationals, gauss_rationals),
+                    min_size=1, max_size=5).filter(any),
+           st.lists(st.one_of(small_rationals, gauss_rationals),
+                    min_size=1, max_size=5).filter(any),
+           st.integers(min_value=1, max_value=3))
+    @settings(max_examples=80)
+    def test_sign_choice_matches_composition(self, nums, dens, g):
+        # reference: build J0(1/x) by composition and keep the candidate
+        # with the smaller denominator degree, ties going to positive
+        j1 = RatFunc(Poly(nums), Poly(dens)).substitute_power(g)
+        n = j1.exponent_gcd()
+        k, j0 = minimize_power_exponents(j1)
+        if n == 0:
+            assert (k, j0) == (1, j1)
+            return
+        pos = j1.compress_power(n) * F(1, n * n)
+        neg = pos.compose(1 / X)
+        expected = (-n, neg) if neg.den.degree < pos.den.degree else (n, pos)
+        assert (k, j0) == expected
 
     def test_negative_power_preferred(self):
         # J1 = 1/x^3: positive k gives J0 = 1/(9s); negative k gives s/9
