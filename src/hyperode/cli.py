@@ -12,7 +12,6 @@ errors, 2 when the answer is negative (no equivalence found, residual
 gate failed, corpus expectations missed).
 """
 
-import argparse
 import contextvars
 import json
 import sys
@@ -347,6 +346,10 @@ def _human_corpus(payload):
 
 
 def build_parser():
+    # imported here: argparse loads gettext, and library callers of the
+    # verbs never parse arguments
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="hyperode",
         description="Exact hypergeometric solutions of second-order "

@@ -33,6 +33,7 @@ from .exactalg import (
     GenRatFunc,
     Poly,
     RatFunc,
+    _poly,
 )
 from .values import Value, setfield
 
@@ -157,72 +158,89 @@ def num(v):
 
 def add(*terms):
     flat = []
-    acc = Fraction(0)
+    acc = None
     for t in terms:
-        if isinstance(t, Add):
-            parts = t.terms
-        else:
-            parts = (t,)
-        for p in parts:
-            if isinstance(p, Num):
-                acc = acc + p.value
+        for p in (t.terms if type(t) is Add else (t,)):
+            if type(p) is Num:
+                acc = p.value if acc is None else acc + p.value
             else:
                 flat.append(p)
-    if acc != 0 or not flat:
+    if acc is None:
+        if not flat:
+            return ZERO
+    elif acc != 0 or not flat:
         flat.append(num(acc))
     if len(flat) == 1:
         return flat[0]
     return Add(tuple(flat))
 
 
+def _recip(f):
+    return type(f) is Pow and f.exponent < 0
+
+
 def mul(*factors):
+    """The product of factors that these constructors built.
+
+    Numbers fold into one leading coefficient, repeated bases merge and
+    reciprocal factors go last. A product of two factors that are not
+    products themselves, such as each step of a parsed term, takes a
+    shortcut with the same result.
+    """
+    if len(factors) == 2:
+        a, b = factors
+        ta, tb = type(a), type(b)
+        if ta is Num and tb is not Mul:
+            if tb is Num:
+                return Num(a.value * b.value) if a.value and b.value \
+                    else ZERO
+            if not a.value:
+                return ZERO
+            return b if a.value == 1 else Mul((a, b))
+        if tb is Num and ta is not Mul:
+            if not b.value:
+                return ZERO
+            return a if b.value == 1 else Mul((b, a))
+        if ta is not Mul and tb is not Mul and \
+                (a.base if ta is Pow else a) != (b.base if tb is Pow else b):
+            return Mul((b, a) if _recip(a) and not _recip(b) else (a, b))
     flat = []
-    acc = Fraction(1)
+    acc = None
     for f in factors:
-        if isinstance(f, Mul):
-            parts = f.factors
-        else:
-            parts = (f,)
-        for p in parts:
-            if isinstance(p, Num):
+        for p in (f.factors if type(f) is Mul else (f,)):
+            if type(p) is Num:
                 if not p.value:
                     return ZERO
-                acc = acc * p.value
+                acc = p.value if acc is None else acc * p.value
             else:
                 flat.append(p)
     # Merge repeated bases; z^a * z^b = z^(a+b) holds for principal
     # powers of one base, unlike distributing an exponent over a product.
-    slots = []
-    where = {}
+    # A factor whose base occurs once is kept as it is.
+    slots = {}
     for p in flat:
-        base, e = (p.base, p.exponent) if isinstance(p, Pow) \
-            else (p, Fraction(1))
-        if base in where:
-            k = where[base]
-            slots[k] = (base, slots[k][1] + e)
-        else:
-            where[base] = len(slots)
-            slots.append((base, e))
+        base, e = (p.base, p.exponent) if type(p) is Pow else (p, 1)
+        slots[base] = (None, slots[base][1] + e) if base in slots else (p, e)
     merged = []
-    for base, e in slots:
-        if not e:
-            continue
-        p = power(base, e)
-        if isinstance(p, Num):
-            if not p.value:
-                return ZERO
-            acc = acc * p.value
-        else:
-            merged.append(p)
+    for base, (p, e) in slots.items():
+        if p is None:
+            if not e:
+                continue
+            p = power(base, e)
+            if type(p) is Num:
+                if not p.value:
+                    return ZERO
+                acc = p.value if acc is None else acc * p.value
+                continue
+        merged.append(p)
     # reciprocal factors go last, mirroring the printed numerator /
     # denominator split, so reparsing printed output reproduces the tree
-    merged = ([f for f in merged
-               if not (isinstance(f, Pow) and f.exponent < 0)]
-              + [f for f in merged
-                 if isinstance(f, Pow) and f.exponent < 0])
+    tail = [f for f in merged if _recip(f)]
+    if tail:
+        merged = [f for f in merged if not _recip(f)] + tail
     if not merged:
-        return num(acc)
-    if acc != 1:
+        return ONE if acc is None else num(acc)
+    if acc is not None and acc != 1:
         merged.insert(0, num(acc))
     if len(merged) == 1:
         return merged[0]
@@ -238,30 +256,46 @@ def neg(e):
 
 
 def power(base, exponent):
-    if isinstance(exponent, int):
-        exponent = Fraction(exponent)
+    """base^exponent for an int or Fraction exponent."""
     if exponent == 1:
         return base
     if exponent == 0:
         return ONE
-    if isinstance(base, Num) and not base.value and exponent < 0:
-        raise ZeroDivisionError("division by zero expression")
-    if isinstance(base, Num) and exponent.denominator == 1:
+    integral = exponent.denominator == 1
+    if type(base) is Num:
         v = base.value
-        e = exponent.numerator
-        if e < 0:
-            v, e = 1 / v, -e
-        # Poly.__pow__ refuses the first intermediate past the cap
-        return num((Poly.const(v) ** e).coeff(0))
-    if isinstance(base, Pow) and exponent.denominator == 1:
-        return power(base.base, base.exponent * exponent)
-    if isinstance(base, Mul) and exponent.denominator == 1:
-        return mul(*(power(f, exponent) for f in base.factors))
-    return Pow(base, exponent)
+        if not v and exponent < 0:
+            raise ZeroDivisionError("division by zero expression")
+        if integral:
+            e = exponent.numerator
+            if e == -1 and type(v) is Fraction:
+                # a rational reciprocal is as long as the number itself
+                return Num(_fit(v ** -1))
+            if e < 0:
+                v, e = 1 / v, -e
+            # Poly.__pow__ refuses the first intermediate past the cap
+            return num((Poly.const(v) ** e).coeff(0))
+    elif integral:
+        if type(base) is Pow:
+            return power(base.base, base.exponent * exponent)
+        if type(base) is Mul:
+            return mul(*(power(f, exponent) for f in base.factors))
+    return Pow(base, Fraction(exponent) if type(exponent) is int
+               else exponent)
 
 
 def div(a, b):
     return mul(a, power(b, -1))
+
+
+def _fit(c):
+    """c, refused when its numerator or denominator alone is longer than
+    COEFF_BITS, so that the kernel's layout would refuse it too."""
+    bits = c.bit_length() if type(c) is int else max(
+        c.numerator.bit_length(), c.denominator.bit_length())
+    if bits > COEFF_BITS:
+        raise CoefficientOverflow(bits, COEFF_BITS)
+    return c
 
 
 def _lower_param_degenerate(lower):
@@ -359,24 +393,22 @@ _MAX_DIGITS = int(COEFF_BITS / _BITS_PER_DIGIT) + 1
 
 
 def _tokenize(text):
+    """The (kind, value, offset) tokens of text, ending in an "end" token."""
     tokens = []
     i = 0
     n = len(text)
     while i < n:
         ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
         if ch in _SINGLE:
             tokens.append((ch, ch, i))
             i += 1
-            continue
-        if ch == "'":
+        elif ch == "'":
             tokens.append(("prime", "'", i))
             i += 1
-            continue
-        if ch.isdecimal():
-            j = i
+        elif ch.isspace():
+            i += 1
+        elif ch.isdecimal():
+            j = i + 1
             while j < n and text[j].isdecimal():
                 j += 1
             if j < n and text[j] == ".":
@@ -388,57 +420,16 @@ def _tokenize(text):
                     int((digits - 1) * _BITS_PER_DIGIT) + 1, COEFF_BITS)
             tokens.append(("num", text[i:j], i))
             i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
+        elif ch.isalpha() or ch == "_":
+            j = i + 1
             while j < n and (text[j].isalnum() or text[j] == "_"):
                 j += 1
             tokens.append(("name", text[i:j], i))
             i = j
-            continue
-        raise ParseError("unexpected character %r" % ch, i)
+        else:
+            raise ParseError("unexpected character %r" % ch, i)
     tokens.append(("end", "", n))
     return tokens
-
-
-class _TokenStream:
-    def __init__(self, text):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.pos = 0
-        self.depth = 0
-
-    def descend(self):
-        """Enter one nesting level; fail past MAX_NESTING."""
-        self.depth += 1
-        if self.depth > MAX_NESTING:
-            self.fail("expression nested deeper than %d levels" % MAX_NESTING)
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def next(self):
-        tok = self.tokens[self.pos]
-        if tok[0] != "end":
-            self.pos += 1
-        return tok
-
-    def accept(self, kind):
-        tok = self.tokens[self.pos]
-        if tok[0] != kind:
-            return None
-        if kind != "end":
-            self.pos += 1
-        return tok
-
-    def expect(self, kind, what=None):
-        tok = self.accept(kind)
-        if tok is None:
-            raise ParseError("expected %s" % (what or kind), self.peek()[2])
-        return tok
-
-    def fail(self, message):
-        raise ParseError(message, self.peek()[2])
 
 
 class _Parser:
@@ -448,17 +439,40 @@ class _Parser:
     given the factor's first token), number, and name, which reads a
     name and what follows it. Each factor is one nesting level. A
     ZeroDivisionError from an action is a ParseError at the current token.
+    The rules read the token kinds by index; pos stays on the end token
+    once it gets there.
     """
 
     def __init__(self, text):
-        self.ts = _TokenStream(text)
+        self.tokens = _tokenize(text)
+        self.kinds = [tok[0] for tok in self.tokens]
+        self.pos = 0
+        self.depth = 0
+
+    def accept(self, kind):
+        """Consume the next token if it is of this kind, never "end"."""
+        if self.kinds[self.pos] != kind:
+            return False
+        self.pos += 1
+        return True
+
+    def expect(self, kind, what=None):
+        """Consume the next token, which must be of this kind."""
+        tok = self.tokens[self.pos]
+        if tok[0] != kind:
+            raise ParseError("expected %s" % (what or kind), tok[2])
+        self.pos += 1
+        return tok
+
+    def fail(self, message):
+        raise ParseError(message, self.tokens[self.pos][2])
 
     def parse(self):
         try:
             out = self.whole()
         except ZeroDivisionError:
-            self.ts.fail("division by zero")
-        tok = self.ts.peek()
+            self.fail("division by zero")
+        tok = self.tokens[self.pos]
         if tok[0] != "end":
             raise ParseError("trailing input", tok[2])
         return out
@@ -467,68 +481,79 @@ class _Parser:
         return self.expr()
 
     def expr(self):
-        ts = self.ts
+        kinds = self.kinds
         negative = False
-        while ts.peek()[0] in ("+", "-"):
-            negative ^= ts.next()[0] == "-"
+        while kinds[self.pos] in ("+", "-"):
+            negative ^= kinds[self.pos] == "-"
+            self.pos += 1
         acc = self.term()
         if negative:
             acc = self.neg(acc)
         while True:
-            if ts.accept("+"):
+            kind = kinds[self.pos]
+            if kind == "+":
+                self.pos += 1
                 acc = self.add(acc, self.term())
-            elif ts.accept("-"):
+            elif kind == "-":
+                self.pos += 1
                 acc = self.add(acc, self.neg(self.term()))
             else:
                 return acc
 
     def term(self):
-        ts = self.ts
+        kinds = self.kinds
         acc = self.factor()
         while True:
-            if ts.accept("*"):
+            kind = kinds[self.pos]
+            if kind == "*":
+                self.pos += 1
                 acc = self.mul(acc, self.factor())
-            elif ts.accept("/"):
+            elif kind == "/":
+                self.pos += 1
                 acc = self.div(acc, self.factor())
             else:
                 return acc
 
     def factor(self):
-        ts = self.ts
-        ts.descend()
-        start = ts.peek()
-        if ts.accept("-"):
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            self.fail("expression nested deeper than %d levels" % MAX_NESTING)
+        start = self.pos
+        if self.kinds[start] == "-":
+            self.pos += 1
             out = self.neg(self.factor())
         else:
             out = self.base()
-            if ts.accept("^"):
-                out = self.power(out, self.exponent(), start)
-        ts.depth -= 1
+            if self.kinds[self.pos] == "^":
+                self.pos += 1
+                out = self.power(out, self.exponent(), self.tokens[start])
+        self.depth -= 1
         return out
 
     def exponent(self):
-        """The exponent after '^': an integer, or a ratio in parentheses."""
-        ts = self.ts
-        paren = ts.accept("(")
-        sign = -1 if ts.accept("-") else 1
-        p = int(ts.expect("num", "an integer exponent")[1])
-        q = 1
+        """The exponent after '^': an integer, or a ratio in parentheses,
+        which is a Fraction."""
+        paren = self.accept("(")
+        sign = -1 if self.accept("-") else 1
+        e = sign * int(self.expect("num", "an integer exponent")[1])
         if paren:
-            if ts.accept("/"):
-                tok = ts.expect("num", "an integer denominator")
+            if self.accept("/"):
+                tok = self.expect("num", "an integer denominator")
                 q = int(tok[1])
                 if not q:
                     raise ParseError("zero denominator in an exponent",
                                      tok[2])
-            ts.expect(")", "')'")
-        return Fraction(sign * p, q)
+                e = Fraction(e, q)
+            self.expect(")", "')'")
+        return e
 
     def base(self):
-        ts = self.ts
-        kind, val, pos = ts.next()
+        kind, val, pos = self.tokens[self.pos]
+        if kind != "end":
+            self.pos += 1
         if kind == "(":
             inner = self.expr()
-            ts.expect(")", "')'")
+            self.expect(")", "')'")
             return inner
         if kind == "num":
             return self.number(int(val))
@@ -552,27 +577,25 @@ class _Parser:
 # each coefficient.
 
 
+def _carrier(exponents):
+    """The lcm of the denominators of the exponents."""
+    # a sum of ints is an int, and one Fraction makes the sum a Fraction
+    if type(sum(exponents)) is int:
+        return 1
+    return lcm(*[e.denominator for e in exponents])
+
+
 def _check_degree(exponents):
     """Refuse terms whose RatFunc or GenRatFunc form is past DEGREE_CAP."""
     hi = max(exponents)
     lo = min(exponents)
     degree = (hi if hi > 0 else 0) - (lo if lo < 0 else 0)
-    carrier = lcm(*[e.denominator for e in exponents])
+    carrier = _carrier(exponents)
     if carrier > 1:
         degree = int(degree * carrier)
     cap = DEGREE_CAP.get()
     if degree > cap:
         raise DegreeOverflow(degree, cap)
-
-
-def _fit(c):
-    """c, refused when its numerator or denominator alone is longer than
-    COEFF_BITS, so that the kernel's layout would refuse it too."""
-    bits = c.bit_length() if type(c) is int else max(
-        c.numerator.bit_length(), c.denominator.bit_length())
-    if bits > COEFF_BITS:
-        raise CoefficientOverflow(bits, COEFF_BITS)
-    return c
 
 
 def _checked(terms):
@@ -589,8 +612,15 @@ def _is_one(v):
 
 def _in_carrier(v, carrier, low):
     """The Poly in t = x^(1/carrier) of the terms of v times x^(-low)."""
-    return Poly.from_pairs([(int((e - low) * carrier), c)
-                            for e, c in v.items()])
+    top = int((max(v) - low) * carrier)
+    cap = DEGREE_CAP.get()
+    if top > cap:
+        raise DegreeOverflow(top, cap)
+    den = lcm(*[c.denominator for c in v.values()])
+    cs = [0] * (top + 1)
+    for e, c in v.items():
+        cs[int((e - low) * carrier)] = c.numerator * (den // c.denominator)
+    return _poly(cs, (), den)
 
 
 def _ratio(a, b):
@@ -602,7 +632,7 @@ def _ratio(a, b):
     two or more terms costs a gcd.
     """
     exponents = [*a, *b]
-    carrier = lcm(*(e.denominator for e in exponents))
+    carrier = _carrier(exponents)
     low = min(exponents)
     num = _in_carrier(a, carrier, low)
     den = _in_carrier(b, carrier, low)
@@ -719,7 +749,7 @@ def _power(v, e):
         return {k * e: (Poly.const(c) ** e).coeff(0)}
     if e < 0:
         return _div({0: 1}, _power(v, -e))
-    carrier = lcm(*(k.denominator for k in v))
+    carrier = _carrier(v)
     low = min(v)
     p = _in_carrier(v, carrier, low) ** e
     return _checked({low * e + (Fraction(i, carrier) if carrier > 1 else i): c
@@ -787,15 +817,15 @@ class _OdeParser(_Parser):
 
     def whole(self):
         lhs = self.expr()
-        if self.ts.accept("="):
+        if self.accept("="):
             return _plus(lhs, _neg(self.expr()))
         return lhs
 
     def div(self, a, b):
         if type(b) is _LinForm:
-            self.ts.fail("cannot divide by an expression containing y")
+            self.fail("cannot divide by an expression containing y")
         if not b:
-            self.ts.fail("division by zero")
+            self.fail("division by zero")
         return a.divided(b) if type(a) is _LinForm else _div(a, b)
 
     def power(self, base, e, start):
@@ -806,7 +836,7 @@ class _OdeParser(_Parser):
                 "nonlinear term: y raised to power %s" % e)
         if e.denominator == 1:
             if e < 0 and not base:
-                self.ts.fail("division by zero")
+                self.fail("division by zero")
             return _power(base, e.numerator)
         if start[0] == "name" and start[1] == "x":
             _check_degree((e,))
@@ -825,7 +855,7 @@ class _OdeParser(_Parser):
             return {1: 1}
         if val == "y":
             order = 0
-            while self.ts.accept("prime"):
+            while self.accept("prime"):
                 order += 1
             return _LinForm({}, {order: {0: 1}})
         raise ParseError("unknown symbol %r in an ODE" % val, pos)
@@ -871,21 +901,20 @@ class _ExprParser(_Parser):
     def scalar(self, what):
         e = self.expr()
         if not isinstance(e, Num):
-            self.ts.fail("expected an exact %s" % what)
+            self.fail("expected an exact %s" % what)
         return e.value
 
     def scalar_list(self):
-        self.ts.expect("[", "'['")
+        self.expect("[", "'['")
         out = []
-        if not self.ts.accept("]"):
+        if not self.accept("]"):
             out.append(self.scalar("parameter"))
-            while self.ts.accept(","):
+            while self.accept(","):
                 out.append(self.scalar("parameter"))
-            self.ts.expect("]", "']'")
+            self.expect("]", "']'")
         return tuple(out)
 
     def name(self, val, pos):
-        ts = self.ts
         if val == "x":
             return X
         if val == "I":
@@ -893,28 +922,28 @@ class _ExprParser(_Parser):
         if val in ("C1", "C2"):
             return Const(int(val[1]))
         if val == "exp":
-            ts.expect("(", "'('")
+            self.expect("(", "'('")
             arg = self.expr()
-            ts.expect(")", "')'")
+            self.expect(")", "')'")
             return Exp(arg)
         if val == "Int":
-            ts.expect("(", "'('")
+            self.expect("(", "'('")
             integrand = self.expr()
-            ts.expect(",", "','")
-            var = ts.expect("name", "the integration variable x")
+            self.expect(",", "','")
+            var = self.expect("name", "the integration variable x")
             if var[1] != "x":
                 raise ParseError("the integration variable must be x, not "
                                  "%r" % var[1], var[2])
-            ts.expect(")", "')'")
+            self.expect(")", "')'")
             return Intg(integrand)
         if val == "hypergeom":
-            ts.expect("(", "'('")
+            self.expect("(", "'('")
             upper = self.scalar_list()
-            ts.expect(",", "','")
+            self.expect(",", "','")
             lower = self.scalar_list()
-            ts.expect(",", "','")
+            self.expect(",", "','")
             arg = self.expr()
-            ts.expect(")", "')'")
+            self.expect(")", "')'")
             kinds = {arity: kind for kind, arity in _ARITY.items()}
             shape = (len(upper), len(lower))
             if shape not in kinds:
@@ -923,11 +952,11 @@ class _ExprParser(_Parser):
             return hyp(kinds[shape], upper, lower, arg,
                        degenerate=_lower_param_degenerate(lower))
         if val in ("LegendreP", "LegendreQ"):
-            ts.expect("(", "'('")
+            self.expect("(", "'('")
             deg = self.scalar("degree")
-            ts.expect(",", "','")
+            self.expect(",", "','")
             arg = self.expr()
-            ts.expect(")", "')'")
+            self.expect(")", "')'")
             return legendre(val[-1], deg, arg)
         raise ParseError("unknown symbol %r" % val, pos)
 

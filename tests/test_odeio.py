@@ -1,6 +1,7 @@
 """Parsing, printing, and differentiation of equations and solutions."""
 
 import cmath
+import contextvars
 import re
 import time
 from fractions import Fraction as F
@@ -17,9 +18,10 @@ from hyperode.errors import (
     ParseError,
     UnsupportedEquation,
 )
-from hyperode.exactalg import GaussRat, GenRatFunc, Poly, RatFunc
+from hyperode.exactalg import DEGREE_CAP, GaussRat, GenRatFunc, Poly, RatFunc
 from hyperode import odeio
 from hyperode.odeio import (
+    ONE,
     X,
     Add,
     Const,
@@ -46,6 +48,7 @@ from hyperode.odeio import (
 )
 from reference import mp_eval, ratfunc_at
 from test_cli import _ATOMS, _expression_texts
+from test_witness_digest import _poly_text
 
 
 def rf(num_coeffs, den_coeffs=(1,)):
@@ -435,6 +438,76 @@ class TestRoundTrip:
                 as exc:
             parse_solution(text)
         assert exc.value.position == text.index(var, 4)
+
+
+def reduced_ratfuncs():
+    coeffs = st.lists(st.fractions(min_value=-30, max_value=30,
+                                   max_denominator=12),
+                      min_size=1, max_size=7)
+    return st.tuples(coeffs, coeffs).filter(lambda nd: any(nd[1])).map(
+        lambda nd: RatFunc(Poly(tuple(nd[0])), Poly(tuple(nd[1]))))
+
+
+def ode_text(A, B):
+    """The equation as the benchmark writes it: expanded numerator and
+    denominator, rational coefficients and x^n."""
+    def side(f):
+        top = _poly_text(f.num, F(1))
+        if f.den.degree == 0:
+            return "(%s)" % top
+        return "(%s)/(%s)" % (top, _poly_text(f.den, F(1)))
+    return "y'' + %s*y' + %s*y = 0" % (side(A), side(B))
+
+
+class TestOdeRoundTrip:
+    @given(reduced_ratfuncs(), reduced_ratfuncs())
+    @example(RatFunc(Poly((F(-7, 3), F(0), F(1, 12)))),
+             RatFunc(Poly((F(5),)), Poly((F(0), F(0), F(2, 9), F(-1)))))
+    @settings(max_examples=200, deadline=None)
+    def test_rendered_coefficients_parse_back(self, A, B):
+        ode = parse_ode(ode_text(A, B))
+        assert type(ode.A) is RatFunc and type(ode.B) is RatFunc
+        assert (ode.A, ode.B) == (A, B)
+
+
+class TestShortcutCaps:
+    """The caps hold on the paths that skip the kernel."""
+
+    @pytest.mark.parametrize("text", ["1/(7^(1400)+I)", "(7^(1400)+I)^(-1)"])
+    def test_gaussian_reciprocal_doubles_the_length(self, text):
+        # 7^1400 fits in 4096 bits; the reciprocal's denominator is its
+        # square plus one
+        with pytest.raises(CoefficientOverflow):
+            parse_solution(text)
+
+    def test_rational_reciprocal_keeps_the_length(self):
+        assert parse_solution("1/(7^(1400))") == num(F(1, 7 ** 1400))
+
+    @pytest.mark.parametrize("text", ["1/%d", "x/%d", "(%d)^(-1)"])
+    def test_rational_reciprocal_past_the_cap(self, text):
+        # short enough for the tokenizer, one bit past the kernel's cap
+        with pytest.raises(CoefficientOverflow):
+            parse_solution(text % (2 ** 4096 + 1))
+
+    @pytest.mark.parametrize("text, cap, degree", [
+        ("x^40/(x^(-30) + 1)", 64, 70),
+        ("(x^2 + x^(-2))/(x^(-2) + 1)", 3, 4),
+        ("x^(1/2)/(x^(-1/2) + 1)", 1, 2),
+    ])
+    def test_monomial_past_the_cap_in_a_quotient(self, text, cap, degree):
+        def parse():
+            DEGREE_CAP.set(cap)
+            parse_ode("y'' + %s*y = 0" % text)
+
+        with pytest.raises(DegreeOverflow) as exc:
+            contextvars.copy_context().run(parse)
+        assert exc.value.degree == degree
+
+    @given(exprs(2), exprs(2))
+    @settings(max_examples=300)
+    def test_product_of_two_matches_the_general_product(self, a, b):
+        # a third factor 1 takes mul past its two-factor shortcut
+        assert repr(mul(a, b)) == repr(mul(a, b, ONE))
 
 
 class TestDifferentiate:
