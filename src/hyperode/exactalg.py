@@ -358,6 +358,13 @@ class Poly:
         cap = DEGREE_CAP.get()
         if top > cap:
             raise DegreeOverflow(top, cap)
+        if all(isinstance(c, (int, Fraction)) for _, c in pairs):
+            # over Q: the numerators over one denominator, built directly
+            den = lcm(*[c.denominator for _, c in pairs])
+            re = [0] * (top + 1)
+            for e, c in pairs:
+                re[e] += c.numerator * (den // c.denominator)
+            return _poly(re, (), den)
         cs = [0] * (top + 1)
         for e, c in pairs:
             cs[e] = cs[e] + c if cs[e] else c

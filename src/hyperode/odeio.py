@@ -33,7 +33,6 @@ from .exactalg import (
     GenRatFunc,
     Poly,
     RatFunc,
-    _poly,
 )
 from .values import Value, setfield
 
@@ -158,17 +157,14 @@ def num(v):
 
 def add(*terms):
     flat = []
-    acc = None
+    acc = Fraction(0)
     for t in terms:
         for p in (t.terms if type(t) is Add else (t,)):
             if type(p) is Num:
-                acc = p.value if acc is None else acc + p.value
+                acc = acc + p.value
             else:
                 flat.append(p)
-    if acc is None:
-        if not flat:
-            return ZERO
-    elif acc != 0 or not flat:
+    if acc != 0 or not flat:
         flat.append(num(acc))
     if len(flat) == 1:
         return flat[0]
@@ -205,13 +201,13 @@ def mul(*factors):
                 (a.base if ta is Pow else a) != (b.base if tb is Pow else b):
             return Mul((b, a) if _recip(a) and not _recip(b) else (a, b))
     flat = []
-    acc = None
+    acc = Fraction(1)
     for f in factors:
         for p in (f.factors if type(f) is Mul else (f,)):
             if type(p) is Num:
                 if not p.value:
                     return ZERO
-                acc = p.value if acc is None else acc * p.value
+                acc = acc * p.value
             else:
                 flat.append(p)
     # Merge repeated bases; z^a * z^b = z^(a+b) holds for principal
@@ -230,7 +226,7 @@ def mul(*factors):
             if type(p) is Num:
                 if not p.value:
                     return ZERO
-                acc = p.value if acc is None else acc * p.value
+                acc = acc * p.value
                 continue
         merged.append(p)
     # reciprocal factors go last, mirroring the printed numerator /
@@ -239,8 +235,8 @@ def mul(*factors):
     if tail:
         merged = [f for f in merged if not _recip(f)] + tail
     if not merged:
-        return ONE if acc is None else num(acc)
-    if acc is not None and acc != 1:
+        return num(acc)
+    if acc != 1:
         merged.insert(0, num(acc))
     if len(merged) == 1:
         return merged[0]
@@ -579,9 +575,6 @@ class _Parser:
 
 def _carrier(exponents):
     """The lcm of the denominators of the exponents."""
-    # a sum of ints is an int, and one Fraction makes the sum a Fraction
-    if type(sum(exponents)) is int:
-        return 1
     return lcm(*[e.denominator for e in exponents])
 
 
@@ -612,15 +605,8 @@ def _is_one(v):
 
 def _in_carrier(v, carrier, low):
     """The Poly in t = x^(1/carrier) of the terms of v times x^(-low)."""
-    top = int((max(v) - low) * carrier)
-    cap = DEGREE_CAP.get()
-    if top > cap:
-        raise DegreeOverflow(top, cap)
-    den = lcm(*[c.denominator for c in v.values()])
-    cs = [0] * (top + 1)
-    for e, c in v.items():
-        cs[int((e - low) * carrier)] = c.numerator * (den // c.denominator)
-    return _poly(cs, (), den)
+    return Poly.from_pairs([(int((e - low) * carrier), c)
+                            for e, c in v.items()])
 
 
 def _ratio(a, b):

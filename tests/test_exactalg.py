@@ -127,6 +127,17 @@ class TestPoly:
         with pytest.raises(OverflowError):
             Poly([10 ** 400, 1]).complex_coeffs()
 
+    @given(st.lists(st.tuples(st.integers(0, 6), rationals), min_size=1,
+                    max_size=8), st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_from_pairs_sums_repeated_exponents(self, pairs, gaussian):
+        if gaussian:
+            pairs = pairs + [(0, GaussRat(F(1, 3), 2))]
+        cs = [0] * (max(e for e, _ in pairs) + 1)
+        for e, c in pairs:
+            cs[e] += c
+        assert Poly.from_pairs(pairs) == Poly(cs)
+
     def test_compose(self):
         p = poly_of([-1, 0, 1])  # x^2 - 1
         q = poly_of([1, 1])      # x + 1

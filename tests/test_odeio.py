@@ -29,6 +29,7 @@ from hyperode.odeio import (
     Hyp,
     Intg,
     Leg,
+    LinearODE,
     Mul,
     Num,
     Pow,
@@ -48,7 +49,7 @@ from hyperode.odeio import (
 )
 from reference import mp_eval, ratfunc_at
 from test_cli import _ATOMS, _expression_texts
-from test_witness_digest import _poly_text
+from test_witness_digest import ode_text
 
 
 def rf(num_coeffs, den_coeffs=(1,)):
@@ -448,24 +449,13 @@ def reduced_ratfuncs():
         lambda nd: RatFunc(Poly(tuple(nd[0])), Poly(tuple(nd[1]))))
 
 
-def ode_text(A, B):
-    """The equation as the benchmark writes it: expanded numerator and
-    denominator, rational coefficients and x^n."""
-    def side(f):
-        top = _poly_text(f.num, F(1))
-        if f.den.degree == 0:
-            return "(%s)" % top
-        return "(%s)/(%s)" % (top, _poly_text(f.den, F(1)))
-    return "y'' + %s*y' + %s*y = 0" % (side(A), side(B))
-
-
 class TestOdeRoundTrip:
     @given(reduced_ratfuncs(), reduced_ratfuncs())
     @example(RatFunc(Poly((F(-7, 3), F(0), F(1, 12)))),
              RatFunc(Poly((F(5),)), Poly((F(0), F(0), F(2, 9), F(-1)))))
     @settings(max_examples=200, deadline=None)
     def test_rendered_coefficients_parse_back(self, A, B):
-        ode = parse_ode(ode_text(A, B))
+        ode = parse_ode(ode_text(LinearODE(A, B)))
         assert type(ode.A) is RatFunc and type(ode.B) is RatFunc
         assert (ode.A, ode.B) == (A, B)
 
