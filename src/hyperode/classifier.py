@@ -108,20 +108,8 @@ def _expand_row(p_bound, p_le, p_star, qs):
 @lru_cache(maxsize=1)
 def expand_table1():
     """Explicit case inventories per class, from the star notation."""
-    out = {}
-    for kind, rows in _TABLE1_ROWS.items():
-        cases = []
-        seen = set()
-        for row in rows:
-            for symbol in _expand_row(*row):
-                # identical symbols from different rows stay distinct in
-                # the row counts but not in the per-class inventory
-                key = (symbol, row)
-                if key not in seen:
-                    seen.add(key)
-                    cases.append(symbol)
-        out[kind] = tuple(cases)
-    return out
+    return {kind: tuple(symbol for row in rows for symbol in _expand_row(*row))
+            for kind, rows in _TABLE1_ROWS.items()}
 
 
 def profile(i0):

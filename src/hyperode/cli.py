@@ -238,19 +238,33 @@ def load_corpus(path=None):
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     entries = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
+    for number, line in enumerate(text.splitlines(), 1):
+        if not line.strip():
             continue
-        entries.append(CorpusEntry.from_json(json.loads(line)))
+        try:
+            entries.append(_corpus_entry(line))
+        except (ValueError, RecursionError) as e:
+            raise ValueError("line %d: %s" % (number, e)) from None
     return sorted(entries, key=lambda e: e.id)
+
+
+def _corpus_entry(line):
+    """The entry of one corpus line: a JSON object whose id and
+    ode_text are strings."""
+    row = json.loads(line)
+    if not isinstance(row, dict):
+        raise ValueError("a corpus row must be a JSON object")
+    for key in ("id", "ode_text"):
+        if not isinstance(row.get(key), str):
+            raise ValueError("%r must be a string" % key)
+    return CorpusEntry.from_json(row)
 
 
 def cmd_corpus(path=None, verify=False):
     """Replay a corpus file against its recorded expectations."""
     try:
         entries = load_corpus(path)
-    except (OSError, ValueError, KeyError) as e:
+    except (OSError, ValueError) as e:
         return _error_payload("invalid_corpus", e), 1
     rows = [_run_entry(entry, verify) for entry in entries]
     marked = [e for e in entries if e.expected_class is not None]

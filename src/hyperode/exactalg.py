@@ -816,10 +816,6 @@ class RatFunc:
         return cls.from_coprime(Poly.const(c), _ONE)
 
     @classmethod
-    def x(cls):
-        return cls.from_coprime(Poly.x(), _ONE)
-
-    @classmethod
     def from_coprime(cls, num, den):
         """num/den for polynomials the caller knows share no factor.
 

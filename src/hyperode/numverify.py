@@ -41,8 +41,6 @@ from .odeio import (
     Pow,
     Sym,
     format_exact,
-    has_integral,
-    walk,
 )
 from .values import Value, setfield
 
@@ -355,10 +353,15 @@ def _legendre_jet(kind, degree):
     is the 1/z^2 series valid for |z| > 1 with the classical
     normalization, which agrees with the P recurrences used by the
     symbolic differentiation rule. Both take the chain rule through
-    one eval_pfq call. A degree with no value raises at every point.
+    one eval_pfq call. A degree with no value raises SamplingFailed
+    naming it: a degree that is not real, a Q degree on an integer
+    <= -1, and one where the gamma of Q's normalization has a pole or
+    overflows.
     """
+    _double(degree)  # a degree beyond double range is refused first
     if isinstance(degree, GaussRat):
-        return _refusal("nonreal Legendre degree %s" % (degree,))
+        raise _no_point("Legendre%s degree %s is not real"
+                        % (kind, format_exact(degree)))
     v = Fraction(degree)
     if kind == "P":
         series = _series("2F1", (v + 1, -v), (1,))
@@ -369,12 +372,13 @@ def _legendre_jet(kind, degree):
 
         return p_jet
     if v.denominator == 1 and v <= -1:
-        return _refusal("LegendreQ degree %s has no finite value" % (v,))
+        raise _no_point("LegendreQ degree %s has no finite value" % v)
     try:
         scale = (math.sqrt(math.pi) * math.gamma(float(v) + 1.0)
                  / math.gamma(float(v) + 1.5))
     except (ValueError, OverflowError):
-        return _refusal("LegendreQ normalization undefined at %s" % (v,))
+        raise _no_point("the gamma of LegendreQ's normalization has a pole "
+                        "or overflows at degree %s" % v) from None
     series = _series("2F1", (v / 2 + 1, (v + 1) / 2), (v + Fraction(3, 2),))
     e = complex(-float(v) - 1.0)
 
@@ -393,39 +397,24 @@ def _legendre_jet(kind, degree):
     return q_jet
 
 
-def _refusal(message):
-    """A jet that raises EvalDiverged(message) at every point."""
-    def refuse(z):
-        raise EvalDiverged(message)
-
-    return refuse
+def _no_point(reason):
+    """The SamplingFailed of a solution that no sample point could
+    evaluate."""
+    return SamplingFailed("no sample point is admissible: " + reason)
 
 
-def _check_evaluable(s):
-    """Raise SamplingFailed, before any point is tried, for an exact
-    number beyond double range: no sample point could evaluate it."""
-    for e in walk(s):
-        if isinstance(e, Num):
-            values = (e.value,)
-        elif isinstance(e, Pow):
-            values = (e.exponent,)
-        elif isinstance(e, Hyp):
-            values = e.upper + e.lower
-        elif isinstance(e, Leg):
-            values = (e.degree,)
-        else:
-            values = ()
-        for v in values:
-            try:
-                complex(v)
-            except OverflowError:
-                text = format_exact(v)
-                if len(text) > 40:
-                    text = "%s...%s (%d characters)" % (
-                        text[:20], text[-8:], len(text))
-                raise SamplingFailed(
-                    "no sample point is admissible: the constant %s is "
-                    "beyond double range" % text) from None
+def _double(v):
+    """complex(v) of an exact number, or SamplingFailed naming a number
+    beyond double range."""
+    try:
+        return complex(v)
+    except OverflowError:
+        text = format_exact(v)
+        if len(text) > 40:
+            text = "%s...%s (%d characters)" % (
+                text[:20], text[-8:], len(text))
+        raise _no_point("the constant %s is beyond double range"
+                        % text) from None
 
 
 def _compile_jet(e):
@@ -437,13 +426,17 @@ def _compile_jet(e):
     once, into one closure per node, so every exact number, power
     exponent and series parameter is converted to complex once per
     check. A series or Legendre node makes one eval_pfq call per point,
-    looked up at call time, and a series that no point could evaluate
-    raises ValueError here. A power refuses a point within _POLE_GUARD
-    of its pole or branch point. Expects a tree that has passed
-    _check_evaluable.
+    looked up at call time. A power refuses a point within _POLE_GUARD
+    of its pole or branch point.
+
+    The walk is also where a solution no point could evaluate is
+    refused, each node's own numbers before its children: an
+    unevaluated integral and a series with no value raise ValueError,
+    and an exact number beyond double range and a Legendre degree with
+    no value raise SamplingFailed.
     """
     if isinstance(e, Num):
-        const = (complex(e.value), 0j, 0j)
+        const = (_double(e.value), 0j, 0j)
         return lambda z: const
     if isinstance(e, Sym):
         return lambda z: (z, 1 + 0j, 0j)
@@ -475,7 +468,7 @@ def _compile_jet(e):
 
         return mul_jet
     if isinstance(e, Pow):
-        return _power_jet(_compile_jet(e.base), e.exponent)
+        return _power_jet(e)
     if isinstance(e, Exp):
         arg = _compile_jet(e.arg)
 
@@ -486,14 +479,17 @@ def _compile_jet(e):
 
         return exp_jet
     if isinstance(e, (Hyp, Leg)):
-        arg = _compile_jet(e.arg)
         if isinstance(e, Leg):
             outer = _legendre_jet(e.kind, e.degree)
         else:
+            for v in e.upper + e.lower:  # refused before _series reads them
+                _double(v)
             series = _series(e.kind, e.upper, e.lower)
 
             def outer(g):
                 return eval_pfq(series, None, None, g)
+
+        arg = _compile_jet(e.arg)
 
         def series_jet(z):
             g, g1, g2 = arg(z)
@@ -502,13 +498,17 @@ def _compile_jet(e):
 
         return series_jet
     if isinstance(e, Intg):
-        raise ValueError("unevaluated integral has no pointwise value")
+        raise ValueError(
+            "solution contains an unevaluated integral; exclude it "
+            "from pointwise residual checks")
     raise TypeError("not a solution expression: %r" % (e,))
 
 
-def _power_jet(base, ex):
-    """The jet of base^ex for the jet function base and an exact ex."""
-    p = float(ex)
+def _power_jet(e):
+    """The jet of the power node e, base^ex with an exact ex."""
+    ex = e.exponent
+    p = _double(ex).real
+    base = _compile_jet(e.base)
     if ex.denominator == 1 and ex >= 0:
         n = int(ex)
 
@@ -757,18 +757,12 @@ def residual_check(ode, s, n_points=8):
     the coefficients. Points where any piece fails its numeric guards
     (series outside the convergence disc, pole proximity, overflow)
     are skipped; if fewer than n_points survive the ladder and rings,
-    SamplingFailed is raised, at once when an exact number in the
-    solution is beyond double range. A solution holding an unevaluated
-    integral, or a series that no point could evaluate, raises
-    ValueError before any point is tried.
+    SamplingFailed is raised. A solution that no point could evaluate
+    is refused while its jet is built, before any point is tried (see
+    _compile_jet).
     """
     if n_points < 1:
         raise ValueError("n_points must be positive")
-    if has_integral(s):
-        raise ValueError(
-            "solution contains an unevaluated integral; exclude it "
-            "from pointwise residual checks")
-    _check_evaluable(s)
     jet = _compile_jet(s)
     try:
         a_at = _coefficient(ode.A)

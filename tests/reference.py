@@ -60,7 +60,8 @@ def at_power(f, k):
     the denominator of k.
     """
     k = Fraction(k)
-    return GenRatFunc(f.compose(RatFunc.x() ** k.numerator), k.denominator)
+    return GenRatFunc(f.compose(RatFunc(Poly.x()) ** k.numerator),
+                      k.denominator)
 
 
 def pullback_ode(i0, f):

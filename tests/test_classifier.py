@@ -51,6 +51,10 @@ class TestTableExpansion:
         assert len(table["1F1"]) == 13
         assert len(table["0F1"]) == 9
 
+    def test_no_class_repeats_a_symbol(self):
+        for kind, cases in expand_table1().items():
+            assert len(set(cases)) == len(cases), kind
+
     def test_gauss_cases(self):
         assert set(expand_table1()["2F1"]) == EXPECTED_2F1
 
@@ -92,7 +96,7 @@ class TestProfile:
         assert pr.point_at_infinity_order == 0
 
     def test_polynomial_invariant(self):
-        pr = profile(RatFunc.x())
+        pr = profile(RatFunc(Poly.x()))
         assert pr.numerator_degree == 1
         assert pr.denominator_signature == ()
         assert pr.finite_points == ()
@@ -139,7 +143,7 @@ class TestClassify:
         assert cands[0].matched_case == (2, (2,))
 
     def test_limit_profile(self):
-        cands = classify(profile(RatFunc.x()))
+        cands = classify(profile(RatFunc(Poly.x())))
         assert ClassCandidate("0F1", (1, (0,))) in cands
         assert cands[-1] == ClassCandidate("0F1", (1, (0,)))
 

@@ -252,6 +252,18 @@ class TestVerify:
         assert payload["error"]["type"] == "verification_impossible"
         assert "beyond double range" in payload["error"]["message"]
 
+    def test_legendre_degree_whose_normalization_overflows(self):
+        # Legendre's equation at degree 200: y1 = P_200 finds its points,
+        # while Gamma(201) in Q_200's normalization is beyond double range
+        payload, code = cmd_solve(
+            "x*(1-x)*y'' + (1-2*x)*y' + 40200*y = 0", verify=True)
+        assert code == 1
+        assert payload["error"] == {
+            "type": "sampling_failed",
+            "message": "no sample point is admissible: the gamma of "
+                       "LegendreQ's normalization has a pole or overflows "
+                       "at degree 200"}
+
     def test_legendre_function_of_a_constant_is_a_constant(self):
         # LegendreP(1/2, 1) = 1; its derivative rule has a pole at 1
         payload, code = cmd_verify("y'' = 0", "LegendreP(1/2, 1)")
@@ -636,6 +648,47 @@ class TestCorpus:
         payload, code = cmd_corpus(str(tmp_path / "missing.jsonl"))
         assert code == 1
         assert payload["error"]["type"] == "invalid_corpus"
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"id": "a", "ode_text": "y\'\' = 0"}\n[1, 2]\n',
+         "line 2: a corpus row must be a JSON object"),
+        ('"str"\n', "line 1: a corpus row must be a JSON object"),
+        ('{"id": "x", "ode_text": 5}\n',
+         "line 1: 'ode_text' must be a string"),
+        ('{"id": "b", "ode_text": "y\'\' = 0"}\n\n'
+         '{"id": 1, "ode_text": "y\'\' = 0"}\n',
+         "line 3: 'id' must be a string"),
+        ("[" * 100000 + "]" * 100000 + "\n",
+         "line 1: maximum recursion depth exceeded"),
+    ], ids=["list", "string", "numeric-ode-text", "mixed-ids", "deep"])
+    def test_malformed_row_is_refused_naming_its_line(self, tmp_path, text,
+                                                      message):
+        p = tmp_path / "corpus.jsonl"
+        p.write_text(text)
+        payload, code = cmd_corpus(str(p))
+        assert code == 1
+        assert payload["error"]["type"] == "invalid_corpus"
+        assert payload["error"]["message"].startswith(message)
+
+    def test_each_failing_row_says_why(self, tmp_path):
+        p = tmp_path / "corpus.jsonl"
+        p.write_text("".join(json.dumps(row) + "\n" for row in [
+            {"id": "witness", "ode_text": "y'' + x*y = 0"},
+            {"id": "error", "ode_text": "not an equation"},
+            {"id": "marked", "ode_text": "y'' = 0", "expected_class": "2F1"},
+        ]))
+        payload, code = cmd_corpus(str(p))
+        assert code == 2
+        assert payload["passed"] == 0
+        assert payload["entries"] == [
+            {"id": "error", "expected_class": None, "status": "FAIL",
+             "note": "unknown symbol 'not' in an ODE (at offset 0)"},
+            {"id": "marked", "expected_class": "2F1", "status": "FAIL",
+             "note": "the reduced invariant matches no model singularity "
+                     "case"},
+            {"id": "witness", "expected_class": None, "status": "FAIL",
+             "got_class": "0F1", "note": "unexpected witness"},
+        ]
 
     def test_entry_parser_keeps_optional_fields(self):
         entry = CorpusEntry.from_json({"id": "a", "ode_text": "y'' = 0"})

@@ -4,7 +4,10 @@ A module-level definition counts as used when some file under ``src/``
 names it outside its own body, or when ``hyperode.__all__`` exports it.
 A method that is not a dunder counts as used when some file under
 ``src/`` names it outside its own body, or when a file under
-``perfbench/`` names it.
+``perfbench/`` names it. A classmethod counts as used only when such a
+file names it through its own class (``RatFunc.const``) or through
+``cls`` inside that class, so a method of the same name on another
+class does not hide it.
 """
 
 import ast
@@ -26,6 +29,32 @@ def _names(tree):
             yield node.lineno, node.attr
 
 
+def _class_reads(tree):
+    """(line, class, name) of every attribute read as ``Class.name``, or
+    as ``cls.name`` inside the body of Class."""
+    out = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name)
+                continue
+            if (isinstance(child, ast.Attribute)
+                    and isinstance(child.value, ast.Name)):
+                base = child.value.id
+                out.append((child.lineno, owner if base == "cls" else base,
+                            child.attr))
+            visit(child, owner)
+
+    visit(tree, None)
+    return out
+
+
+def _is_classmethod(node):
+    return any(isinstance(d, ast.Name) and d.id == "classmethod"
+               for d in node.decorator_list)
+
+
 def unreferenced(sources, exported, bench=()):
     """``module:line name`` of each definition nothing else names.
 
@@ -38,13 +67,18 @@ def unreferenced(sources, exported, bench=()):
     trees = {name: ast.parse(text) for name, text in sources.items()}
     uses = [(name, line, used) for name, tree in trees.items()
             for line, used in _names(tree)]
-    bench_uses = {used for text in bench
-                  for _, used in _names(ast.parse(text))}
+    bench_trees = [ast.parse(text) for text in bench]
+    bench_uses = {used for tree in bench_trees for _, used in _names(tree)}
+    class_reads = [(name, line, (owner, used))
+                   for name, tree in trees.items()
+                   for line, owner, used in _class_reads(tree)]
+    class_reads += [(None, 0, (owner, used)) for tree in bench_trees
+                    for _, owner, used in _class_reads(tree)]
 
-    def unused(name, node):
-        return not any(used == node.name and not (
+    def unused(name, node, key, reads):
+        return not any(used == key and not (
             where == name and node.lineno <= line <= node.end_lineno)
-            for where, line, used in uses)
+            for where, line, used in reads)
 
     out = []
     for name, tree in trees.items():
@@ -53,16 +87,23 @@ def unreferenced(sources, exported, bench=()):
         for node in tree.body:
             if not isinstance(node, _DEFS):
                 continue
-            if node.name not in exported and unused(name, node):
+            if node.name not in exported and unused(name, node, node.name,
+                                                    uses):
                 out.append("%s:%d %s" % (name, node.lineno, node.name))
             if not isinstance(node, ast.ClassDef):
                 continue
             for item in node.body:
-                if (isinstance(item, _DEFS)
-                        and not (item.name.startswith("__")
-                                 and item.name.endswith("__"))
-                        and item.name not in bench_uses
-                        and unused(name, item)):
+                if not isinstance(item, _DEFS) or (
+                        item.name.startswith("__")
+                        and item.name.endswith("__")):
+                    continue
+                if _is_classmethod(item):
+                    dead = unused(name, item, (node.name, item.name),
+                                  class_reads)
+                else:
+                    dead = (item.name not in bench_uses
+                            and unused(name, item, item.name, uses))
+                if dead:
                     out.append("%s:%d %s.%s" % (name, item.lineno,
                                                 node.name, item.name))
     return out
@@ -104,4 +145,28 @@ def test_guard_flags_an_unused_method():
     assert unreferenced(sources, set(), bench) == [
         "hyperode/a.py:11 Point.recursive",
         "hyperode/a.py:14 Point.only_tests",
+    ]
+
+
+def test_guard_reads_a_classmethod_through_its_own_class_only():
+    sources = {
+        "hyperode/a.py": (
+            "class Point:\n"
+            "    @classmethod\n    def origin(cls):\n        return cls()\n\n"
+            "    @classmethod\n    def unit(cls):\n"
+            "        return cls.origin()\n\n"
+            "    @classmethod\n    def benched(cls):\n        return 1\n\n"
+            "    @classmethod\n    def shadowed(cls):\n        return 2\n\n"
+            "    @classmethod\n    def recursive(cls):\n"
+            "        return cls.recursive()\n\n\n"
+            "class Line:\n"
+            "    def shadowed(self):\n        return 3\n"),
+        "hyperode/b.py": ("from .a import Line, Point\n\n"
+                          "VALUE = (Point.unit(), Line().shadowed(),\n"
+                          "         Point().shadowed())\n"),
+    }
+    bench = ["from hyperode.a import Point\n\nPoint.benched()\n"]
+    assert unreferenced(sources, set(), bench) == [
+        "hyperode/a.py:15 Point.shadowed",
+        "hyperode/a.py:19 Point.recursive",
     ]

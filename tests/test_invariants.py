@@ -33,7 +33,7 @@ def rf(nums, dens=(1,)):
                    Poly(tuple(F(c) for c in dens)))
 
 
-X = RatFunc.x()
+X = RatFunc(Poly.x())
 
 nonzero_rationals = st.fractions(min_value=-6, max_value=6,
                                  max_denominator=4).filter(bool)
@@ -196,7 +196,7 @@ class TestTransformInvariant:
         # i.e. parameters (1/4, -1/12, -1/3), mapped through 2t/(t-1),
         # must land on the reduced invariant of the worked example
         lam, mu, kap = F(4, 3), F(1, 2), F(1, 3)
-        x = RatFunc.x()
+        x = RatFunc(Poly.x())
         seed = ((lam * lam - 1) / 4) / (x * x) \
             + ((mu * mu - 1) / 4) / ((x - 1) ** 2) \
             + ((1 + kap * kap - lam * lam - mu * mu) / 4) / (x * (x - 1))
@@ -233,7 +233,7 @@ class TestTransformInvariant:
         # (9/4) x^(2k-2) x^(-3/2) + (5/16)/x^2 = (9/4) x^(-1/2) + (5/16)/x^2
         assert isinstance(out, GenRatFunc)
         assert out.carrier == 2
-        s = RatFunc.x()
+        s = RatFunc(Poly.x())
         assert out.fn == F(9, 4) / s + F(5, 16) / (s ** 4)
 
 

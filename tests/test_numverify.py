@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperode import numverify
-from hyperode.cli import cmd_verify
+from hyperode.cli import cmd_solve, cmd_verify
 from hyperode.equivalence import solve_equivalence
 from hyperode.errors import EvalDiverged, PointRejected, SamplingFailed
 from hyperode.exactalg import (
@@ -34,6 +34,7 @@ from hyperode.exactalg import (
 from hyperode.numverify import (
     EvalPoint,
     ResidualReport,
+    _candidate_points,
     _coefficient,
     _compile_jet,
     _singular_points,
@@ -545,6 +546,58 @@ class TestJet:
         assert calls
 
 
+class TestRefusalsBeforeSampling:
+    """The jet's one walk over a solution refuses what no point could
+    evaluate, so residual_check draws no sample point for it."""
+
+    BEYOND = ("no sample point is admissible: the constant "
+              "10000000000000000000...00000000 (401 characters) is beyond "
+              "double range")
+
+    @pytest.fixture(autouse=True)
+    def no_sampling(self, monkeypatch):
+        def sample(*args):
+            raise AssertionError("a sample point was drawn")
+
+        monkeypatch.setattr(numverify, "_candidate_points", sample)
+
+    @pytest.mark.parametrize("solution, error, message", [
+        ("Int(x, x)", ValueError,
+         "solution contains an unevaluated integral; exclude it from "
+         "pointwise residual checks"),
+        ("exp(10^400*x)", SamplingFailed, BEYOND),
+        ("hypergeom([],[-2],x)", ValueError,
+         "0F1 with lower parameter -2 has no value: no upper parameter "
+         "ends the series before its terms divide by zero"),
+        ("LegendreQ(-2, x)", SamplingFailed,
+         "no sample point is admissible: LegendreQ degree -2 has no "
+         "finite value"),
+        ("LegendreQ(2+I, x)", SamplingFailed,
+         "no sample point is admissible: LegendreQ degree 2+I is not "
+         "real"),
+        ("LegendreQ(-3/2, x)", SamplingFailed,
+         "no sample point is admissible: the gamma of LegendreQ's "
+         "normalization has a pole or overflows at degree -3/2"),
+        # the walk meets a node's own numbers before its children, and
+        # children from left to right
+        ("10^400*Int(x, x)", SamplingFailed, BEYOND),
+        ("hypergeom([10^400], [-2], x)", SamplingFailed, BEYOND),
+        ("LegendreQ(-2, 10^400*x)", SamplingFailed,
+         "no sample point is admissible: LegendreQ degree -2 has no "
+         "finite value"),
+    ])
+    def test_refused_with_its_type_and_message(self, solution, error,
+                                               message):
+        with pytest.raises((ValueError, SamplingFailed)) as info:
+            residual_check(parse_ode("y'' = 0"), parse_solution(solution), 8)
+        assert type(info.value) is error
+        assert str(info.value) == message
+        payload, code = cmd_verify("y'' = 0", solution)
+        assert code == 1
+        assert payload["error"] == {"type": "verification_impossible",
+                                    "message": message}
+
+
 class TestSingularPoints:
     def test_repeated_factors_give_accurate_roots(self):
         ode = parse_ode("y'' + (1/((x - 1/3)^3*(x^2 + 2)^2))*y' = 0")
@@ -627,7 +680,7 @@ def _horner_value(f, z):
 
 
 class TestCoefficients:
-    X1 = RatFunc.x()
+    X1 = RatFunc(Poly.x())
     COEFFICIENTS = [
         RatFunc.const(F(-7, 3)),
         (X1 ** 2 + 1) / 4,
@@ -693,6 +746,26 @@ class TestResidualCheck:
         pair = assemble(solve_equivalence(ode))
         for s in (pair.y1, pair.y2):
             assert residual_check(ode, s, 8).max_residual < 1e-7
+
+    def test_fractional_power_input_samples_the_right_half_plane(self):
+        # the only singular point is the branch point x = 0, so the
+        # ladder's scale is 1 and every point keeps Re x >= 0.05
+        payload, code = cmd_solve("y'' + x^(1/2)*y = 0", verify=True)
+        assert code == 0
+        assert payload["witness"]["class"] == "0F1"
+        for name in ("y1", "y2"):
+            points = payload["residuals"][name]["points"]
+            assert len(points) == 8
+            assert all(p["z"][0] >= 0.05 for p in points)
+
+    def test_half_plane_rule_holds_on_the_ladder_and_the_rings(self):
+        # rings around x = 0 cross the imaginary axis; the rule drops
+        # their left halves relative to the distance d = 1
+        points = [z for z, _ in _candidate_points([0j], True)]
+        assert all(z.real >= 0.05 for z in points)
+        assert any(abs(z) < 0.5 for z in points)
+        both = [z for z, _ in _candidate_points([0j], False)]
+        assert any(z.real < 0.05 for z in both)
 
     def test_corrupted_parameter_is_loud(self):
         ode = parse_ode(WORKED_ODE)
