@@ -229,7 +229,7 @@ def exp_integral_expr(f):
     if f.is_zero:
         return ONE
     result = None if f.den.has_gauss() else integrate_ratfunc(f)
-    if (result is None or not result.exact
+    if (result is None
             or any(isinstance(c, GaussRat) for _, c in result.logarithms)):
         return Exp(Intg(ratfunc_to_expr(f, var)))
     factors = [power(poly_to_expr(g, var), c) for g, c in result.logarithms]
@@ -423,11 +423,7 @@ def resolve_1F1(i0, pr):
                 return nxt / (theta * (t_irr - t_reg))
 
     theta = _scale_root(theta_sq)
-    seen = set()
-    for c in (1 + d, 1 - d):
-        if c in seen:
-            continue
-        seen.add(c)
+    for c in (1 + d, 1 - d) if d else (1 + d,):
         for th in (theta, -theta):
             yield ("1F1", _scale_mobius(th, t_irr, t_reg),
                    {"a": linear_of(th) + Fraction(c) / 2, "c": c})
@@ -457,11 +453,7 @@ def resolve_0F1(i0, pr):
     if not theta:
         return
     m = _scale_mobius(theta, t_irr, t_reg)
-    seen = set()
-    for c in (1 + d, 1 - d):
-        if c in seen:
-            continue
-        seen.add(c)
+    for c in (1 + d, 1 - d) if d else (1 + d,):
         yield "0F1", m, {"c": c}
 
 

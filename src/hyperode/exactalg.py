@@ -1329,17 +1329,14 @@ class IntegrationResult:
     polynomial_part   Poly, already integrated
     rational_part     RatFunc part of the antiderivative
     logarithms        tuple of (monic Poly g, coefficient c) meaning c*log(g)
-    exact             False when some residues live outside Q(i); the three
-                      parts above are then incomplete and should not be used
     """
 
-    __slots__ = ("polynomial_part", "rational_part", "logarithms", "exact")
+    __slots__ = ("polynomial_part", "rational_part", "logarithms")
 
-    def __init__(self, polynomial_part, rational_part, logarithms, exact):
+    def __init__(self, polynomial_part, rational_part, logarithms):
         self.polynomial_part = polynomial_part
         self.rational_part = rational_part
         self.logarithms = logarithms
-        self.exact = exact
 
 
 def integrate_ratfunc(f):
@@ -1349,16 +1346,15 @@ def integrate_ratfunc(f):
     Q(i): linear factors directly, irreducible factors through the
     matching-derivative test (which keeps conjugate pairs such as x^2 + 1
     merged when their residues agree), quadratics with unequal Gaussian
-    residues by splitting. Anything else flips `exact` off.
+    residues by splitting. A residue outside Q(i) returns None.
     """
     quot, rem = divmod(f.num, f.den)
     poly_int = Poly([Fraction(0)] + [c * Fraction(1, k + 1)
                                      for k, c in enumerate(quot.coeffs)])
     rational_part = RatFunc(Poly())
     logs = []
-    exact = True
     if rem.is_zero:
-        return IntegrationResult(poly_int, rational_part, (), True)
+        return IntegrationResult(poly_int, rational_part, ())
     den = f.den
     _, roots, tail = factor_rational_roots(den)
     base = [(Poly((-r, Fraction(1))), m) for r, m in
@@ -1406,5 +1402,5 @@ def integrate_ratfunc(f):
                 for root in split:
                     logs.append((Poly((-root, 1)), w(root) / gp(root)))
                 continue
-        exact = False
-    return IntegrationResult(poly_int, rational_part, tuple(logs), exact)
+        return None
+    return IntegrationResult(poly_int, rational_part, tuple(logs))

@@ -15,7 +15,7 @@ M(x^k) by equivalence._pull_back alone.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .exactalg import GaussRat, GenRatFunc, Poly, RatFunc
 from .odeio import LinearODE
@@ -78,19 +78,12 @@ class Mobius(Value):
             lead = next(e for e in entries if e)
             return Mobius(*(e / lead for e in entries))
         fracs = [Fraction(e) for e in entries]
-        denlcm = 1
-        for f in fracs:
-            denlcm = denlcm * f.denominator // gcd(denlcm, f.denominator)
-        ints = [int(f * denlcm) for f in fracs]
-        g = 0
-        for v in ints:
-            g = gcd(g, v)
-        if g:
-            ints = [v // g for v in ints]
-        lead = next(v for v in ints if v)
-        if lead < 0:
-            ints = [-v for v in ints]
-        return Mobius(*(Fraction(v) for v in ints))
+        scale = lcm(*(f.denominator for f in fracs))
+        ints = [int(f * scale) for f in fracs]
+        g = gcd(*ints)
+        if next(v for v in ints if v) < 0:
+            g = -g
+        return Mobius(*(Fraction(v // g) for v in ints))
 
 
 class NormalizedODE(Value):

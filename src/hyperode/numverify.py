@@ -24,6 +24,7 @@ coefficients' square-free denominators.
 import cmath
 import math
 import random
+import sys
 from fractions import Fraction
 from itertools import islice
 
@@ -355,8 +356,7 @@ def _legendre_jet(kind, degree):
     symbolic differentiation rule. Both take the chain rule through
     one eval_pfq call. A degree with no value raises SamplingFailed
     naming it: a degree that is not real, a Q degree on an integer
-    <= -1, and one where the gamma of Q's normalization has a pole or
-    overflows.
+    <= -1, and one where the gamma of Q's normalization has a pole.
     """
     _double(degree)  # a degree beyond double range is refused first
     if isinstance(degree, GaussRat):
@@ -373,12 +373,23 @@ def _legendre_jet(kind, degree):
         return p_jet
     if v.denominator == 1 and v <= -1:
         raise _no_point("LegendreQ degree %s has no finite value" % v)
+    a, b = float(v) + 1.0, float(v) + 1.5
     try:
-        scale = (math.sqrt(math.pi) * math.gamma(float(v) + 1.0)
-                 / math.gamma(float(v) + 1.5))
-    except (ValueError, OverflowError):
+        ga, gb = math.gamma(a), math.gamma(b)
+    except ValueError:
         raise _no_point("the gamma of LegendreQ's normalization has a pole "
-                        "or overflows at degree %s" % v) from None
+                        "at degree %s" % v) from None
+    except OverflowError:
+        ga = gb = 0.0
+    if min(abs(ga), abs(gb)) >= sys.float_info.min:
+        scale = math.sqrt(math.pi) * ga / gb
+    else:
+        # past |v| = 170 the gammas overflow, or lose their digits below
+        # the normal range, while their ratio stays near |v|^(-1/2); a
+        # gamma at a negative argument has the sign (-1)^floor
+        scale = math.sqrt(math.pi) * math.exp(math.lgamma(a) - math.lgamma(b))
+        if v < 0 and (math.floor(a) - math.floor(b)) % 2:
+            scale = -scale
     series = _series("2F1", (v / 2 + 1, (v + 1) / 2), (v + Fraction(3, 2),))
     e = complex(-float(v) - 1.0)
 

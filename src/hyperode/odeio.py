@@ -294,11 +294,6 @@ def _fit(c):
     return c
 
 
-def _lower_param_degenerate(lower):
-    return any(isinstance(c, Fraction) and c.denominator == 1 and c <= 0
-               for c in lower)
-
-
 def hyp(kind, upper, lower, arg, degenerate=False):
     nu, nl = _ARITY[kind]
     upper = tuple(upper)
@@ -306,7 +301,8 @@ def hyp(kind, upper, lower, arg, degenerate=False):
     if len(upper) != nu or len(lower) != nl:
         raise ValueError("bad %s arity: %d upper, %d lower"
                          % (kind, len(upper), len(lower)))
-    bad = _lower_param_degenerate(lower)
+    bad = any(isinstance(c, Fraction) and c.denominator == 1 and c <= 0
+              for c in lower)
     if bad and not degenerate:
         raise ValueError(
             "nonpositive integer lower parameter needs the degenerate flag")
@@ -322,28 +318,19 @@ def legendre(kind, degree, arg):
                arg)
 
 
-def walk(e):
-    """Every node of a solution tree, each parent before its children."""
-    yield e
-    if isinstance(e, Add):
-        children = e.terms
-    elif isinstance(e, Mul):
-        children = e.factors
-    elif isinstance(e, Pow):
-        children = (e.base,)
-    elif isinstance(e, (Exp, Hyp, Leg)):
-        children = (e.arg,)
-    elif isinstance(e, Intg):
-        children = (e.integrand,)
-    else:
-        children = ()
-    for c in children:
-        yield from walk(c)
-
-
 def has_integral(e):
     """True when the tree holds an unevaluated integral."""
-    return any(isinstance(n, Intg) for n in walk(e))
+    if isinstance(e, Intg):
+        return True
+    if isinstance(e, Add):
+        return any(has_integral(t) for t in e.terms)
+    if isinstance(e, Mul):
+        return any(has_integral(f) for f in e.factors)
+    if isinstance(e, Pow):
+        return has_integral(e.base)
+    if isinstance(e, (Exp, Hyp, Leg)):
+        return has_integral(e.arg)
+    return False
 
 
 def poly_to_expr(p, var=None):
@@ -935,8 +922,7 @@ class _ExprParser(_Parser):
             if shape not in kinds:
                 raise ParseError("unsupported hypergeom shape %s" % (shape,),
                                  pos)
-            return hyp(kinds[shape], upper, lower, arg,
-                       degenerate=_lower_param_degenerate(lower))
+            return hyp(kinds[shape], upper, lower, arg, degenerate=True)
         if val in ("LegendreP", "LegendreQ"):
             self.expect("(", "'('")
             deg = self.scalar("degree")
@@ -1090,29 +1076,6 @@ def print_solution(e):
 # differentiation
 
 
-def series_shift(kind, upper, lower):
-    """The contiguous-series rule d/dz F(upper; lower; z).
-
-    Returns None when an upper parameter is 0, since F is then the
-    constant 1. Otherwise returns (factor, upper + 1, lower + 1), with
-    d/dz F(upper; lower; z) = factor * F(upper + 1; lower + 1; z) and
-    factor the product of the upper parameters over that of the lower
-    ones; a lower parameter 0 has no such rule and raises ValueError.
-    """
-    if any(not u for u in upper):
-        return None
-    if any(not c for c in lower):
-        raise ValueError("no derivative rule for %s with a lower "
-                         "parameter 0" % kind)
-    factor = Fraction(1)
-    for u in upper:
-        factor = factor * u
-    for c in lower:
-        factor = factor / c
-    return (factor, tuple(u + 1 for u in upper),
-            tuple(c + 1 for c in lower))
-
-
 def differentiate_expr(e):
     """Exact d/dx of a solution expression tree.
 
@@ -1143,12 +1106,22 @@ def differentiate_expr(e):
     if isinstance(e, Intg):
         return e.integrand
     if isinstance(e, Hyp):
-        shift = series_shift(e.kind, e.upper, e.lower)
-        if shift is None:
+        # d/dz F(upper; lower; z) = (prod upper / prod lower)
+        #                           * F(upper + 1; lower + 1; z)
+        if any(not u for u in e.upper):
             return ZERO
-        factor, upper, lower = shift
+        if any(not c for c in e.lower):
+            raise ValueError("no derivative rule for %s with a lower "
+                             "parameter 0" % e.kind)
+        factor = Fraction(1)
+        for u in e.upper:
+            factor = factor * u
+        for c in e.lower:
+            factor = factor / c
         return mul(num(factor),
-                   hyp(e.kind, upper, lower, e.arg, degenerate=e.degenerate),
+                   hyp(e.kind, tuple(u + 1 for u in e.upper),
+                       tuple(c + 1 for c in e.lower), e.arg,
+                       degenerate=e.degenerate),
                    differentiate_expr(e.arg))
     if isinstance(e, Leg):
         # (z^2 - 1) X'(z) = (v+1) (X_{v+1}(z) - z X_v(z)); a constant

@@ -193,5 +193,6 @@ def assemble(witness):
                  else ratfunc_to_expr(witness.argument.deriv()))
     y1 = mul(witness.gauge, substitute_argument(pair.y1, arg_expr, darg_expr))
     y2 = mul(witness.gauge, substitute_argument(pair.y2, arg_expr, darg_expr))
-    free = not (has_integral(y1) or has_integral(y2))
+    # substitution keeps the pair's integrals and makes none of its own
+    free = pair.integral_free and not has_integral(witness.gauge)
     return SolutionPair(y1, y2, free, pair.derivation_note)

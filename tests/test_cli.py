@@ -253,16 +253,28 @@ class TestVerify:
         assert "beyond double range" in payload["error"]["message"]
 
     def test_legendre_degree_whose_normalization_overflows(self):
-        # Legendre's equation at degree 200: y1 = P_200 finds its points,
-        # while Gamma(201) in Q_200's normalization is beyond double range
+        # Legendre's equation at degree 200: Gamma(201) in Q_200's
+        # normalization is beyond double range, so the ratio comes from
+        # lgamma; Q_200 is about 1e-70 at the points, so y2 passes on the
+        # gate's absolute floor
         payload, code = cmd_solve(
             "x*(1-x)*y'' + (1-2*x)*y' + 40200*y = 0", verify=True)
-        assert code == 1
-        assert payload["error"] == {
-            "type": "sampling_failed",
-            "message": "no sample point is admissible: the gamma of "
-                       "LegendreQ's normalization has a pole or overflows "
-                       "at degree 200"}
+        assert code == 0
+        assert payload["witness"]["params"] == {
+            "a": "201", "b": "-200", "c": "1"}
+        res = payload["residuals"]
+        assert res["passes"] is True
+        assert res["y1"]["max_residual"] < 1e-12
+        assert res["y2"]["max_residual"] < 1e-60
+
+    @pytest.mark.parametrize("degree", ["-717/4", "-721/4"])
+    def test_legendre_q_of_a_large_negative_degree_is_not_zero(self,
+                                                               degree):
+        # gamma(v + 1) underflows to zero here; Q_v must not vanish, or
+        # every equation would pass it
+        payload, code = cmd_verify("y'' = 0", "LegendreQ(%s, x)" % degree)
+        assert code == 2
+        assert payload["residual_report"]["max_residual"] > 0.5
 
     def test_legendre_function_of_a_constant_is_a_constant(self):
         # LegendreP(1/2, 1) = 1; its derivative rule has a pole at 1
@@ -603,6 +615,58 @@ def test_module_entry_point_runs_the_cli():
         capture_output=True, text=True, env=env, timeout=60)
     assert run.returncode == 0, run.stderr
     assert json.loads(run.stdout)["witness"]["class"] == "0F1"
+
+
+class TestHumanOutput:
+    """The renderers behind main() without --json."""
+
+    def test_classify(self, capsys):
+        assert main(["classify", "y'' + x*y = 0"]) == 0
+        assert capsys.readouterr().out == (
+            "k = 3\n"
+            "numerator degree: 1\n"
+            "pole multiplicities: [2]\n"
+            "order at infinity: 1\n"
+            "candidates: 1F1, 0F1\n")
+
+    def test_verify(self, capsys):
+        assert main(["verify", "y'' = 0", "x"]) == 0
+        assert capsys.readouterr().out == (
+            "max residual: 0.000e+00 over 8 points\n"
+            "verdict: pass\n")
+
+    def test_solve_with_a_skipped_member(self, capsys):
+        # the corpus entry euler-three-quarters: y2 is an integral
+        assert main(["solve", "--verify", "y'' = (3/4/x^2)*y"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:7] == [
+            "class: 2F1 with k = 1",
+            "argument: x",
+            "parameters: a = 1, b = -1, c = -1",
+            "gauge: (x - 1)/(x^(1/2))",
+            "y1 = (x - 1)*x^(3/2)*hypergeom([1, 3], [3], x)",
+            "y2 = (x - 1)*x^(3/2)*hypergeom([1, 3], [3], x)"
+            "*Int(1/(x^3*(x - 1)^2*hypergeom([1, 3], [3], x)^2), x)",
+            "integral free: False",
+        ]
+        assert lines[7].startswith("residual y1: max ")
+        assert lines[7].endswith(" over 8 points")
+        assert lines[8:10] == [
+            "residual y2: skipped (contains an unevaluated integral)",
+            "verification: pass",
+        ]
+        assert lines[10].startswith("timing: ")
+        assert len(lines) == 11
+
+    def test_corpus_row_with_the_wrong_class(self, capsys, tmp_path):
+        p = tmp_path / "corpus.jsonl"
+        p.write_text(json.dumps(
+            {"id": "bogus", "ode_text": "y'' + y = 0",
+             "expected_class": "2F1"}) + "\n")
+        assert main(["corpus", str(p)]) == 2
+        assert capsys.readouterr().out == (
+            "bogus                      FAIL  0F1  expected 2F1\n"
+            "passed 0 of 1 entries; solved 0 of 1 marked solvable\n")
 
 
 class TestCorpus:

@@ -547,19 +547,19 @@ def _integral_derivative(result):
 class TestIntegrateRatfunc:
     def test_pure_polynomial(self):
         r = integrate_ratfunc(RatFunc(poly_of([1, 0, 3])))
-        assert r.exact
+        assert r is not None
         assert r.polynomial_part == poly_of([0, 1, 0, 1])
         assert r.rational_part.is_zero
         assert r.logarithms == ()
 
     def test_single_log(self):
         r = integrate_ratfunc(RatFunc(poly_of([1]), poly_of([0, 1])))
-        assert r.exact
+        assert r is not None
         assert r.logarithms == ((poly_of([0, 1]), F(1)),)
 
     def test_double_pole_has_no_log(self):
         r = integrate_ratfunc(RatFunc(Poly.const(F(1)), poly_of([0, 0, 1])))
-        assert r.exact
+        assert r is not None
         assert r.logarithms == ()
         assert r.rational_part == RatFunc(poly_of([-1]), poly_of([0, 1]))
 
@@ -567,40 +567,40 @@ class TestIntegrateRatfunc:
         den = poly_of([0, 0, 1]) * poly_of([-1, 1]) ** 3
         f = RatFunc(Poly.const(F(1)), den)
         r = integrate_ratfunc(f)
-        assert r.exact
+        assert r is not None
         assert _integral_derivative(r) == f
 
     def test_merged_quadratic_block(self):
         # equal residues at +-i stay merged as a single log of x^2 + 1
         f = RatFunc(poly_of([0, 1]), poly_of([1, 0, 1]))
         r = integrate_ratfunc(f)
-        assert r.exact
+        assert r is not None
         assert r.logarithms == ((poly_of([1, 0, 1]), F(1, 2)),)
 
     def test_gaussian_split_of_quadratic(self):
         # residues at +-i differ, so the block splits over Q(i)
         f = RatFunc(Poly.const(F(1)), poly_of([1, 0, 1]))
         r = integrate_ratfunc(f)
-        assert r.exact
+        assert r is not None
         assert len(r.logarithms) == 2
         assert _integral_derivative(r) == f
 
     def test_irrational_residues_flagged(self):
         f = RatFunc(Poly.const(F(1)), poly_of([-2, 0, 1]))
         r = integrate_ratfunc(f)
-        assert not r.exact
+        assert r is None
 
     def test_merged_real_irrational_block(self):
         # x/(x^2 - 2): residues agree, so no splitting is needed
         f = RatFunc(poly_of([0, 1]), poly_of([-2, 0, 1]))
         r = integrate_ratfunc(f)
-        assert r.exact
+        assert r is not None
         assert r.logarithms == ((poly_of([-2, 0, 1]), F(1, 2)),)
 
     def test_quartic_block_merged(self):
         f = RatFunc(poly_of([0, 0, 0, 1]), poly_of([-2, 0, 0, 0, 1]))
         r = integrate_ratfunc(f)
-        assert r.exact
+        assert r is not None
         assert r.logarithms == ((poly_of([-2, 0, 0, 0, 1]), F(1, 4)),)
 
     @given(st.lists(st.tuples(small_rationals,
@@ -614,5 +614,5 @@ class TestIntegrateRatfunc:
             den = den * Poly((-root, F(1))) ** mult
         f = RatFunc(Poly(tuple(num_coeffs)), den)
         r = integrate_ratfunc(f)
-        assert r.exact
+        assert r is not None
         assert _integral_derivative(r) == f

@@ -75,6 +75,17 @@ class TestMobius:
         m = Mobius(F(1), F(0), F(1, 2), F(-1, 2)).canonical()
         assert (m.a, m.b, m.c, m.d) == (2, 0, 1, -1)
 
+    def test_canonical_signs_and_common_factor(self):
+        m = Mobius(F(0), F(-6, 5), F(-4, 15), F(2, 3)).canonical()
+        assert (m.a, m.b, m.c, m.d) == (0, 9, 2, -5)
+
+    def test_canonical_gaussian(self):
+        # a Gaussian entry scales the first nonzero entry to 1
+        m = Mobius(F(0), GaussRat(2, 4), F(3), F(-1, 2)).canonical()
+        assert (m.a, m.b) == (0, 1)
+        assert (m.c, m.d) == (F(3) / GaussRat(2, 4), F(-1, 2) / GaussRat(2, 4))
+        assert m.canonical() == m
+
     @given(mobius_strategy(), mobius_strategy())
     @settings(max_examples=50)
     def test_compose_matches_ratfunc_composition(self, m1, m2):

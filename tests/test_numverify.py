@@ -198,12 +198,18 @@ class TestEvalPfq:
             eval_pfq("2F1", upper, lower, -1)
 
 
+def _mp(p):
+    """An exact or complex parameter as an mpmath number."""
+    if isinstance(p, F):
+        return mpmath.mpf(p.numerator) / p.denominator
+    return mpmath.mpmathify(p)
+
+
 def _mp_pfq(kind, upper, lower, z):
     """pFq(upper; lower; z) by mpmath, for the three kinds."""
     fn = {"2F1": mpmath.hyp2f1, "1F1": mpmath.hyp1f1,
           "0F1": mpmath.hyp0f1}[kind]
-    return fn(*(mpmath.mpf(p.numerator) / p.denominator
-                for p in upper + lower), z)
+    return fn(*(_mp(p) for p in upper + lower), z)
 
 
 def _mp_contiguous_jet(kind, upper, lower, z):
@@ -215,9 +221,9 @@ def _mp_contiguous_jet(kind, upper, lower, z):
         out.append(factor * _mp_pfq(kind, tuple(u + n for u in upper),
                                     tuple(l + n for l in lower), z))
         for v in upper:
-            factor *= mpmath.mpf((v + n).numerator) / (v + n).denominator
+            factor *= _mp(v + n)
         for v in lower:
-            factor /= mpmath.mpf((v + n).numerator) / (v + n).denominator
+            factor /= _mp(v + n)
     return out
 
 
@@ -323,6 +329,27 @@ class TestSeriesJet:
             want = _mp_contiguous_jet(kind, upper, lower, z)
         self._close(eval_pfq(kind, upper, lower, z), want)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("kind, upper, lower, z, resums", [
+        # the fixed-point pass takes the complex lower parameter from the
+        # exact value of its double
+        ("1F1", (5,), (1 / 7 + 1j,), -30.0, 1),
+        ("2F1", (0.5 + 0.25j, 2), (1.5 - 1j,), 0.3 + 0.2j, 0),
+    ], ids=["kummer,c=1/7+i,z=-30", "gauss,complex a and c"])
+    def test_complex_parameters(self, monkeypatch, kind, upper, lower, z,
+                                resums):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return fixed_point_sums(*args)
+
+        fixed_point_sums = numverify._fixed_point_sums
+        monkeypatch.setattr(numverify, "_fixed_point_sums", counted)
+        with mpmath.workdps(40):
+            want = _mp_contiguous_jet(kind, upper, lower, z)
+        self._close(eval_pfq(kind, upper, lower, z), want)
+        assert len(calls) == resums
 
     def test_sums_without_cancellation_are_not_summed_again(
             self, monkeypatch):
@@ -448,6 +475,18 @@ class TestEvalExpr:
             got = eval_expr(Leg("Q", F(-1, 2), X), z)
             want = complex(mpmath.legenq(-0.5, 0, mpmath.mpc(z), type=3))
             assert abs(got - want) < 1e-12 * max(1.0, abs(want))
+
+    @pytest.mark.parametrize("degree", [F(171), F(200), F(-715, 4),
+                                        F(-717, 4), F(-721, 4)], ids=str)
+    def test_legendre_q_past_the_gamma_range_matches_mpmath(self, degree):
+        # the gammas of Q's normalization overflow above degree 170, and
+        # below -170 they lose their digits or underflow to zero
+        for z in (2.5 + 0.0j, 1.8 + 0.9j, -2.2 + 1.1j):
+            got = eval_expr(Leg("Q", degree, X), z)
+            with mpmath.workdps(40):
+                want = complex(mpmath.legenq(_mp(degree), 0, mpmath.mpc(z),
+                                             type=3))
+            assert abs(got - want) <= 1e-9 * abs(want)
 
     def test_derivatives_match_central_differences(self):
         ode = parse_ode(WORKED_ODE)
@@ -577,7 +616,7 @@ class TestRefusalsBeforeSampling:
          "real"),
         ("LegendreQ(-3/2, x)", SamplingFailed,
          "no sample point is admissible: the gamma of LegendreQ's "
-         "normalization has a pole or overflows at degree -3/2"),
+         "normalization has a pole at degree -3/2"),
         # the walk meets a node's own numbers before its children, and
         # children from left to right
         ("10^400*Int(x, x)", SamplingFailed, BEYOND),

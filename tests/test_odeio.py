@@ -525,6 +525,13 @@ class TestDifferentiate:
                          degenerate=True)):
             assert differentiate_expr(node) == odeio.ZERO
 
+    def test_series_with_a_lower_zero_has_no_rule(self):
+        node = hyp("2F1", (F(1, 2), F(1, 3)), (F(0),), X, degenerate=True)
+        with pytest.raises(ValueError) as info:
+            differentiate_expr(node)
+        assert str(info.value) == \
+            "no derivative rule for 2F1 with a lower parameter 0"
+
     def test_legendre_of_a_constant_at_its_pole(self):
         # the rule divides by z^2 - 1, which is 0 here
         assert differentiate_expr(legendre("P", F(1, 2), num(1))) == \
