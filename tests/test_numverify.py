@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperode import numverify
-from hyperode.cli import cmd_solve, cmd_verify
+from hyperode.cli import cmd_solve, cmd_verify, load_corpus
 from hyperode.equivalence import solve_equivalence
 from hyperode.errors import EvalDiverged, PointRejected, SamplingFailed
 from hyperode.exactalg import (
@@ -37,6 +37,7 @@ from hyperode.numverify import (
     _candidate_points,
     _coefficient,
     _compile_jet,
+    _preimages,
     _singular_points,
     eval_pfq,
     pfq_terms,
@@ -49,6 +50,7 @@ from hyperode.odeio import (
     Intg,
     Leg,
     Mul,
+    Num,
     Pow,
     X,
     add,
@@ -65,6 +67,7 @@ from hyperode.odeio import (
 from hyperode.solutions import assemble
 from reference import eval_expr, mp_eval
 from test_odeio import exprs
+from test_witness_digest import FRACTIONAL_K
 
 WORKED_ODE = ("y'' = ((1/3*x^2 - 3*x^4 - 8/3)/(x^5 - x))*y'"
               " + (19/12/(x^6 - x^2))*y")
@@ -646,6 +649,11 @@ class TestRefusalsBeforeSampling:
          "no sample point is admissible: the constant "
          "1/100000000000000000...00000000 (403 characters) underflows "
          "double range"),
+        # no gamma argument is a pole, but v + 1 rounds to one as a double
+        ("LegendreQ(-10^20-1/3, 3*x)", SamplingFailed,
+         "no sample point is admissible: doubles cannot resolve the gamma "
+         "of LegendreQ's normalization at degree "
+         "-300000000000000000001/3"),
     ]
 
     @pytest.mark.parametrize("solution, error, message", REFUSALS,
@@ -855,9 +863,18 @@ class TestResidualCheck:
             residual_check(parse_ode("y'' = 0"), Intg(X), 4)
 
     def test_sampling_failure_is_detected(self):
-        blocked = hyp("2F1", (F(1), F(1)), (F(2),), mul(num(100), X))
+        # the constant argument 5 leaves the disc and Pfaff's at every point
+        blocked = hyp("2F1", (F(1), F(1)), (F(2),), num(5))
         with pytest.raises(SamplingFailed):
             residual_check(parse_ode("y'' = 0"), blocked, 8)
+
+    def test_a_large_linear_argument_gets_a_verdict(self):
+        # 100x is small only within about 0.008 of 0, where the ladder
+        # never lands; its preimages of |w| = 0.4 lie at |x| = 0.004
+        payload, code = cmd_verify("y'' = 0", "hypergeom([1, 1], [2], 100*x)")
+        assert code == 2
+        assert all(abs(complex(*p["z"])) == pytest.approx(0.004)
+                   for p in payload["residual_report"]["points"])
 
     @pytest.mark.parametrize("solution, code", [
         ("hypergeom([9/5, 1/8], [-5/4], ((3/2)*x + 3/2)/(x + 5/4))", 0),
@@ -897,6 +914,112 @@ class TestResidualCheck:
         assert len(data["points"]) == 5
         assert data["points"][0]["z"] == [rep.points[0].z.real,
                                           rep.points[0].z.imag]
+
+
+def _moebius_of_power(k):
+    """(t - 1)/(t + 1) at t = x^k, as a solution tree: |w| < 1 has its
+    preimages at Re t > 0, where some g-th root is principal."""
+    t = power(X, k)
+    return mul(add(t, num(-1)), power(add(t, num(1)), -1))
+
+
+class TestPreimages:
+    """Before the ladder, the sampler draws the points where each 2F1
+    argument takes the values of numverify._TARGETS."""
+
+    @pytest.mark.parametrize("arg", [
+        "100*x",
+        "((3/2)*x + 3/2)/(x + 5/4)",
+        "(3*x^2 - 1)/(x^2 + 2)",
+        "2/x^3",
+        "(I*x + 1)/(x - 2)",
+        "(2*x^(1/2) - 2)/(x^(1/2) + 1/3)",
+        "((3/5)*x^(2/3) - 4/5)/(x^(2/3) + 2/5)",
+    ])
+    def test_each_preimage_takes_its_target(self, arg):
+        tree = parse_solution(arg)
+        points = _preimages(tree)
+        assert points
+        value = _compile_jet(tree)
+        for z in points:
+            r = value(z)[0]
+            assert min(abs(r - w) / max(1.0, abs(w))
+                       for w in numverify._TARGETS) <= 1e-9
+
+    @pytest.mark.parametrize("k", FRACTIONAL_K, ids=str)
+    def test_fractional_powers_take_the_principal_root(self, k):
+        # M(s^p) with s the principal x^(1/L) must be a target; another
+        # L-th root of x gives another value of M
+        points = _preimages(_moebius_of_power(k))
+        assert points
+        for z in points:
+            t = (z ** (1.0 / k.denominator)) ** k.numerator
+            r = (t - 1) / (t + 1)
+            assert min(abs(r - w) for w in numverify._TARGETS) <= 1e-9
+
+    @pytest.mark.parametrize("arg", [
+        parse_solution("exp(x)"),
+        parse_solution("x^2 + x"),
+        parse_solution("(x + 1)^(1/2)"),
+        parse_solution("5"),
+        parse_solution("10^400*x + 1"),              # beyond double range
+        Pow(add(X, num(1)), F(100)),                  # past DEGREE_CAP
+        Mul((Num(F(10) ** 2000), X)),                 # past COEFF_BITS
+        Pow(Add((X, Mul((Num(F(-1)), X)))), F(-1)),   # 1/0
+    ], ids=["exp", "quadratic", "root-of-sum", "constant", "overflow",
+            "degree", "coefficient", "zero-division"])
+    def test_other_arguments_draw_no_points(self, arg):
+        assert _preimages(arg) == []
+        bad = [1 + 0j, -2j]
+        assert (list(_candidate_points(bad, False, [arg]))
+                == list(_candidate_points(bad, False)))
+
+    def test_a_member_whose_argument_avoids_both_discs_still_fails(self):
+        # k = -1/2: M(s) = (2s + 2)/(s + 1/3) takes no value with |w| <= 0.8
+        # or |w/(w-1)| <= 0.8 for Re s > 0, so neither the preimages nor
+        # the ladder admit a point (the 1/z or 1-z connection formulas
+        # would)
+        ode = ("y'' + ((3/2*x^(3/2) + 83/60*x + 59/180*x^(1/2) + 5/18)"
+               "/(x^(5/2) + 3*x^2 + 23/9*x^(3/2) + 5/9*x))*y'"
+               " + ((16/45)/(x^3 + 10/3*x^(5/2) + 32/9*x^2 + 38/27*x^(3/2)"
+               " + 5/27*x))*y = 0")
+        member = ("hypergeom([2, 4/5], [-3/4], "
+                  "(2*x^(1/2) + 2)/(x^(1/2) + 1/3))")
+        with pytest.raises(SamplingFailed):
+            residual_check(parse_ode(ode), parse_solution(member), 8)
+        payload, code = cmd_verify(ode, member)
+        assert code == 1
+        assert payload["error"]["message"] == (
+            "only 0 of 8 sample points were admissible")
+
+    def test_corpus_gauss_members_stay_within_the_point_budget(
+            self, monkeypatch):
+        # eval_pfq calls over both members of every integral-free 2F1
+        # entry of the bundled corpus: 220 with the preimages (8 per
+        # member, 62 for each Legendre y1, whose series are not steered)
+        # against 342 from the ladder alone; the bound leaves 30 calls
+        calls = []
+        real = numverify.eval_pfq
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        members = 0
+        for entry in load_corpus():
+            payload, code = cmd_solve(entry.ode_text)
+            if (code or payload["witness"]["class"] != "2F1"
+                    or not payload["solutions"]["integral_free"]):
+                continue
+            ode = parse_ode(entry.ode_text)
+            for name in ("y1", "y2"):
+                s = parse_solution(payload["solutions"][name])
+                monkeypatch.setattr(numverify, "eval_pfq", counted)
+                residual_check(ode, s, 8)
+                monkeypatch.setattr(numverify, "eval_pfq", real)
+                members += 1
+        assert members == 14
+        assert len(calls) <= 250
 
 
 class TestRelativeGate:
