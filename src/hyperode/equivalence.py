@@ -258,9 +258,10 @@ class EquivalenceWitness:
 
     carries solutions Y of the instantiated model equation to solutions y
     of the input. Construction verifies the transformed model equation
-    against the input coefficient by coefficient and raises
-    WitnessRejected on a mismatch, under ``python -O`` too; an instance
-    can therefore never hold an unchecked claim.
+    against the input coefficient by coefficient: l = P'/P = (pulled A -
+    A)/2 makes A agree by definition, so B + l' + l (l + A) is compared
+    with the pulled B. A mismatch raises WitnessRejected, under ``python
+    -O`` too; an instance can therefore never hold an unchecked claim.
     """
 
     def __init__(self, class_kind, k, mobius, params, input_ode):
@@ -271,7 +272,8 @@ class EquivalenceWitness:
         self.seed = seed_ode(class_kind, self.params)
         arg, pulled = _pull_back(self.seed, mobius, self.k)
         gpp = (pulled.A - input_ode.A) / 2
-        if apply_gauge(input_ode, gpp) != pulled:
+        # A + 2 gpp is pulled.A by the choice of gpp: B alone is compared
+        if input_ode.B + gpp.deriv() + gpp * (gpp + input_ode.A) != pulled.B:
             raise WitnessRejected(
                 "the transformed %s equation does not match the input"
                 % class_kind)

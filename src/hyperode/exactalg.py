@@ -1333,11 +1333,16 @@ class IntegrationResult:
 def integrate_ratfunc(f):
     """Hermite reduction plus residue extraction, all in exact arithmetic.
 
-    The logarithmic part is recovered only when every residue lies in Q or
-    Q(i): linear factors directly, irreducible factors through the
-    matching-derivative test (which keeps conjugate pairs such as x^2 + 1
-    merged when their residues agree), quadratics with unequal Gaussian
-    residues by splitting. A residue outside Q(i) returns None.
+    Hermite reduction runs only on factors of multiplicity two or more.
+    A simple factor g of the denominator D has residues rem(a)/D'(a) at
+    its roots a (Bronstein, Symbolic Integration I, ch. 2), read off
+    w = rem mod g over g' = D' mod g with no extended gcd. The
+    logarithmic part is recovered only when every residue w(a)/g'(a)
+    lies in Q or Q(i): linear factors directly, irreducible factors
+    through the matching-derivative test w = c g' (which keeps conjugate
+    pairs such as x^2 + 1 merged when their residues agree), quadratics
+    with unequal Gaussian residues by splitting. A residue outside Q(i)
+    returns None.
     """
     quot, rem = divmod(f.num, f.den)
     poly_int = Poly([Fraction(0)] + [c * Fraction(1, k + 1)
@@ -1352,17 +1357,19 @@ def integrate_ratfunc(f):
             sorted(roots.items())]
     if tail.degree >= 1:
         base.extend(squarefree_decomposition(tail))
+    dden = den.deriv()
     for g, m in base:
-        gm = g ** m
-        h = den // gm
-        v = (rem * _poly_inverse_mod(h, gm)) % gm
-        digits = []
-        w = v
-        for _ in range(m):
-            w, d = divmod(w, g)
-            digits.append(d)
-        # digits[i] / g^(m-i); push multiplicities down one step at a time
-        if m >= 2:
+        if m == 1:
+            w, gp = rem % g, dden % g
+        else:
+            gm = g ** m
+            h = den // gm
+            v = (rem * _poly_inverse_mod(h, gm)) % gm
+            digits = []
+            for _ in range(m):
+                v, d = divmod(v, g)
+                digits.append(d)
+            # digits[i] / g^(m-i); push multiplicities down one at a time
             gp = g.deriv()
             gpinv = _poly_inverse_mod(gp, g)
             for i in range(m - 1):
@@ -1376,13 +1383,12 @@ def integrate_ratfunc(f):
                     t * Fraction(-1, j - 1), g ** (j - 1))
                 digits[i + 1] = digits[i + 1] + s + \
                     t.deriv() * Fraction(1, j - 1)
-        w = digits[m - 1]
+            w = digits[m - 1]
         if w.is_zero:
             continue
         if g.degree == 1:
-            logs.append((g, w.coeff(0)))
+            logs.append((g, w.coeff(0) / gp.coeff(0)))
             continue
-        gp = g.deriv()
         lcq = w.lc / gp.lc
         if gp * lcq == w:
             logs.append((g, lcq))

@@ -11,13 +11,14 @@ transform_invariant applies I1 = M'^2 * I0(M). For F = x^k it is
 (k^2 - 1) / (4 x^2), which turns the law into J1(x) = k^2 * J0(x^k): a
 power substitution shows in the exponents of J, and
 minimize_power_exponents reads it off. Equations are pulled back along
-M(x^k) by equivalence._pull_back alone.
+M(x^k) by equivalence._pull_back alone. to_normal_form builds I over the
+one denominator d^2 of A = p/d.
 """
 
 from fractions import Fraction
 from math import gcd, lcm
 
-from .exactalg import GaussRat, GenRatFunc, Poly, RatFunc
+from .exactalg import GaussRat, GenRatFunc, Poly, RatFunc, poly_gcd
 from .odeio import LinearODE
 from .values import Value, setfield
 
@@ -96,9 +97,27 @@ class NormalizedODE(Value):
 
 
 def to_normal_form(ode):
-    """Invariant of a linear ODE; exact in all fields."""
+    """Invariant of a linear ODE; exact in all fields.
+
+    A RatFunc A = p/d gives A'/2 + A^2/4 = n/(4 d^2), n = 2(p'd - pd') + p^2.
+    p is prime to d, so n shares with d^2 only factors simple in d, and
+    two gcds, g1 = gcd(n, d) and gcd(n/g1, g1), reduce the fraction before
+    B is subtracted. A GenRatFunc A takes the operator expression.
+    """
     a, b = ode.A, ode.B
-    return NormalizedODE(a.deriv() / 2 + a ** 2 * Fraction(1, 4) - b)
+    if not isinstance(a, RatFunc):
+        return NormalizedODE(a.deriv() / 2 + a ** 2 * Fraction(1, 4) - b)
+    p, d = a.num, a.den
+    n = (p.deriv() * d - p * d.deriv()) * 2 + p * p
+    den = d * d
+    if not n.is_zero and d.degree > 0:
+        g = poly_gcd(n, d)
+        if g.degree > 0:
+            n, den = n // g, den // g
+            g = poly_gcd(n, g)
+            if g.degree > 0:
+                n, den = n // g, den // g
+    return NormalizedODE(RatFunc.from_coprime(n * Fraction(1, 4), den) - b)
 
 
 def transform_invariant(i0, mobius):

@@ -13,6 +13,12 @@ candidate by the full coefficient identity alone; seed_invariant gives
 the model invariant, so tests can check the invariant identity too.
 eval_expr is not a reference: it reads the package's own value of a
 tree, the one the residual oracle uses.
+
+Three shortcuts of the exact stages have their plain forms here: the
+normal form by field operators (normal_form_reference), integration by
+Hermite reduction at every factor with an extended gcd each
+(integrate_ratfunc_reference), and the witness check that applies the
+whole gauge and compares both coefficients (witness_rejects_reference).
 """
 
 from fractions import Fraction
@@ -21,9 +27,19 @@ from math import isqrt, lcm
 import mpmath
 
 from hyperode import numverify
-from hyperode.equivalence import seed_ode
-from hyperode.exactalg import GaussRat, GenRatFunc, Poly, RatFunc
-from hyperode.invariants import INF, Mobius, to_normal_form
+from hyperode.equivalence import _pull_back, seed_ode
+from hyperode.exactalg import (
+    GaussRat,
+    GenRatFunc,
+    IntegrationResult,
+    Poly,
+    RatFunc,
+    _poly_inverse_mod,
+    factor_rational_roots,
+    split_quadratic_gauss,
+    squarefree_decomposition,
+)
+from hyperode.invariants import INF, Mobius, apply_gauge, to_normal_form
 from hyperode.odeio import (
     Add,
     Const,
@@ -41,6 +57,85 @@ from hyperode.odeio import (
 def seed_invariant(class_kind, params):
     """Normal-form invariant of an instantiated model equation."""
     return to_normal_form(seed_ode(class_kind, params)).I
+
+
+def normal_form_reference(ode):
+    """The invariant A'/2 + A^2/4 - B by the field operators."""
+    a, b = ode.A, ode.B
+    return a.deriv() / 2 + a ** 2 * Fraction(1, 4) - b
+
+
+def witness_rejects_reference(class_kind, k, mobius, params, input_ode):
+    """Whether the model equation, pulled back along M(x^k) and gauged
+    by l = (pulled A - A)/2, differs from the input in A or in B."""
+    _, pulled = _pull_back(seed_ode(class_kind, params), mobius,
+                           Fraction(k))
+    return apply_gauge(input_ode, (pulled.A - input_ode.A) / 2) != pulled
+
+
+def integrate_ratfunc_reference(f):
+    """integrate_ratfunc with Hermite reduction at every factor.
+
+    Each factor g^m of the denominator takes rem / (den / g^m) modulo
+    g^m by an extended gcd, splits it into g-adic digits and reduces
+    them down to one simple-pole part w / g, whose residues are
+    w(alpha)/g'(alpha).
+    """
+    quot, rem = divmod(f.num, f.den)
+    poly_int = Poly([Fraction(0)] + [c * Fraction(1, k + 1)
+                                     for k, c in enumerate(quot.coeffs)])
+    rational_part = RatFunc(Poly())
+    logs = []
+    if rem.is_zero:
+        return IntegrationResult(poly_int, rational_part, ())
+    den = f.den
+    _, roots, tail = factor_rational_roots(den)
+    base = [(Poly((-r, Fraction(1))), m) for r, m in
+            sorted(roots.items())]
+    if tail.degree >= 1:
+        base.extend(squarefree_decomposition(tail))
+    for g, m in base:
+        gm = g ** m
+        h = den // gm
+        v = (rem * _poly_inverse_mod(h, gm)) % gm
+        digits = []
+        w = v
+        for _ in range(m):
+            w, d = divmod(w, g)
+            digits.append(d)
+        if m >= 2:
+            gp = g.deriv()
+            gpinv = _poly_inverse_mod(gp, g)
+            for i in range(m - 1):
+                j = m - i
+                big = digits[i]
+                if big.is_zero:
+                    continue
+                t = (big * gpinv) % g
+                s = (big - t * gp) // g
+                rational_part = rational_part + RatFunc(
+                    t * Fraction(-1, j - 1), g ** (j - 1))
+                digits[i + 1] = digits[i + 1] + s + \
+                    t.deriv() * Fraction(1, j - 1)
+        w = digits[m - 1]
+        if w.is_zero:
+            continue
+        if g.degree == 1:
+            logs.append((g, w.coeff(0)))
+            continue
+        gp = g.deriv()
+        lcq = w.lc / gp.lc
+        if gp * lcq == w:
+            logs.append((g, lcq))
+            continue
+        if g.degree == 2:
+            split = split_quadratic_gauss(g)
+            if split is not None:
+                for root in split:
+                    logs.append((Poly((-root, 1)), w(root) / gp(root)))
+                continue
+        return None
+    return IntegrationResult(poly_int, rational_part, tuple(logs))
 
 
 def general_schwarzian(f):

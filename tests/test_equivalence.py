@@ -44,7 +44,8 @@ from hyperode.invariants import (
 )
 from hyperode.odeio import LinearODE, parse_ode, print_solution
 
-from reference import mobius_apply, seed_invariant
+from reference import mobius_apply, seed_invariant, witness_rejects_reference
+from test_witness_digest import instance_draws
 
 
 def rf(nums, dens=(1,)):
@@ -403,6 +404,39 @@ class TestWitness:
                               env=dict(os.environ, PYTHONPATH=src),
                               capture_output=True, text=True, timeout=60)
         assert done.returncode == 0, done.stderr
+
+    def test_rejection_parity_with_full_gauge_check(self):
+        # the constructor compares B alone; the reference applies the
+        # whole gauge and compares A too, so both must reject alike
+        tenth = F(1, 10)
+        cases = rejected = 0
+        for n, (kind, params, m, k, gauge) in enumerate(instance_draws()):
+            ode = transformed_seed_ode(kind, params, m, k, gauge)
+            names = sorted(params)
+            moved = dict(params)
+            moved[names[n % len(names)]] += tenth
+            entries = [m.a, m.b, m.c, m.d]
+            entries[n % 4] += 1
+            near = LinearODE(ode.A, ode.B + F(1, 7 + n % 5))
+            candidates = [(ode, kind, k, m, params),
+                          (ode, kind, k, m, moved),
+                          (ode, kind, -F(k), m, params),
+                          (near, kind, k, m, params)]
+            if entries[0] * entries[3] - entries[1] * entries[2]:
+                candidates.append((ode, kind, k, Mobius(*entries), params))
+            for target, kind_, k_, m_, params_ in candidates:
+                want = witness_rejects_reference(kind_, k_, m_, params_,
+                                                 target)
+                try:
+                    EquivalenceWitness(kind_, k_, m_, params_, target)
+                    got = False
+                except WitnessRejected:
+                    got = True
+                assert got == want, (n, kind_, k_, m_, params_)
+                cases += 1
+                rejected += got
+        # every true candidate passes, and most moved ones fail
+        assert n + 1 <= cases - rejected < cases // 2
 
     def test_gauge_expression_worked_example(self):
         w = solve_equivalence(parse_ode(WORKED_ODE))

@@ -32,7 +32,7 @@ from hyperode.exactalg import (
     squarefree_decomposition,
 )
 
-from reference import ratfunc_at
+from reference import integrate_ratfunc_reference, ratfunc_at
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 small_rationals = st.fractions(min_value=-9, max_value=9, max_denominator=6)
@@ -616,3 +616,52 @@ class TestIntegrateRatfunc:
         r = integrate_ratfunc(f)
         assert r is not None
         assert _integral_derivative(r) == f
+
+
+def _same_integration(f):
+    """integrate_ratfunc(f) and the Hermite-everywhere reference agree
+    part by part, logarithms in order; returns the package's result."""
+    got = integrate_ratfunc(f)
+    want = integrate_ratfunc_reference(f)
+    if want is None:
+        assert got is None
+        return got
+    assert got is not None
+    assert got.polynomial_part == want.polynomial_part
+    assert got.rational_part == want.rational_part
+    assert got.logarithms == want.logarithms
+    return got
+
+
+_FACTORS = (poly_of([1, 0, 1]), poly_of([-2, 0, 1]), poly_of([-2, 0, 0, 1]))
+
+
+class TestIntegrateRatfuncReference:
+    """Residues at simple factors match Hermite reduction at each one."""
+
+    @given(st.lists(st.tuples(st.one_of(small_rationals,
+                                        st.sampled_from(_FACTORS)),
+                              st.integers(min_value=1, max_value=3)),
+                    min_size=1, max_size=4,
+                    unique_by=lambda t: str(t[0])),
+           st.lists(small_rationals, min_size=1, max_size=6))
+    @settings(max_examples=120, deadline=None)
+    def test_matches_reference(self, parts, num_coeffs):
+        den = Poly.const(F(1))
+        for g, m in parts:
+            if not isinstance(g, Poly):
+                g = Poly((-g, F(1)))
+            den = den * g ** m
+        _same_integration(RatFunc(Poly(tuple(num_coeffs)), den))
+
+    def test_unequal_gaussian_residues_split(self):
+        # x/(x^2+1) + 1/(x^2+1) has residues (1 -+ i)/2 at +-i
+        r = _same_integration(RatFunc(poly_of([1, 1]), poly_of([1, 0, 1]))
+                              * RatFunc(poly_of([1]), poly_of([-3, 1])))
+        assert [g.degree for g, _ in r.logarithms] == [1, 1, 1]
+        assert any(isinstance(c, GaussRat) for _, c in r.logarithms)
+
+    def test_residue_outside_gaussian_field(self):
+        # residues 1/(2 a (a - 1)) at a = +-sqrt(2)
+        f = RatFunc(poly_of([1]), poly_of([-2, 0, 1]) * poly_of([-1, 1]))
+        assert _same_integration(f) is None

@@ -1,6 +1,7 @@
 """Normal form, transformation law, shifted invariant, power minimization."""
 
 from fractions import Fraction as F
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +24,7 @@ from reference import (
     general_schwarzian,
     mobius_compose,
     mobius_inverse,
+    normal_form_reference,
     pullback_ode,
     ratfunc_at,
 )
@@ -148,6 +150,60 @@ class TestNormalForm:
                     Poly.const(exp), Poly((F(-root), F(1))))
         transformed = to_normal_form(apply_gauge(ode, log_deriv)).I
         assert transformed == base
+
+
+def repeated_factor_ratfuncs(coeffs):
+    """num / prod g^m with g among x - r and x^2 + c, m from 1 to 3:
+    denominators with repeated and irreducible factors."""
+    factor = st.one_of(
+        st.builds(lambda r: Poly((-r, F(1))), small_rationals),
+        st.builds(lambda c: Poly((c, F(0), F(1))), nonzero_rationals))
+    return st.builds(
+        lambda num, parts: RatFunc(
+            Poly(tuple(num)),
+            prod((g ** m for g, m in parts), start=Poly.const(F(1)))),
+        st.lists(coeffs, min_size=1, max_size=4),
+        st.lists(st.tuples(factor, st.integers(min_value=1, max_value=3)),
+                 max_size=3))
+
+
+class TestNormalFormReference:
+    """to_normal_form against A'/2 + A^2/4 - B by the field operators."""
+
+    @given(repeated_factor_ratfuncs(small_rationals), random_ratfuncs(2))
+    @settings(max_examples=80, deadline=None)
+    def test_rational(self, a, b):
+        ode = LinearODE(a, b)
+        assert to_normal_form(ode).I == normal_form_reference(ode)
+
+    @given(repeated_factor_ratfuncs(st.one_of(small_rationals,
+                                              gauss_rationals)),
+           random_ratfuncs(2))
+    @settings(max_examples=60, deadline=None)
+    def test_gaussian(self, a, b):
+        ode = LinearODE(a, b)
+        assert to_normal_form(ode).I == normal_form_reference(ode)
+
+    @pytest.mark.parametrize("a", [
+        RatFunc.const(0),
+        RatFunc.const(F(-7, 3)),
+        # n = 2(p'd - pd') + p^2 vanishes: the invariant is -B alone
+        rf([2], [0, 1]),
+        # criterion 5's trial 230: n = 8 x^3 (x^3 + 8/3) holds x three
+        # times and d^2 = x^2 (x^3 + 4/3)^2 twice, so two rounds, not three
+        rf([F(8, 3), 0, 0, 4], [0, F(4, 3), 0, 0, 1]),
+        # residue 2 at the simple pole 0: x cancels once
+        rf([2, 3], [0, 1]) * rf([1], [1, 1]) ** 2,
+    ], ids=["zero", "constant", "n-zero", "trial-230", "one-round"])
+    def test_fixed_cases(self, a):
+        for b in (RatFunc.const(0), rf([1, -2], [3, 0, 1])):
+            ode = LinearODE(a, b)
+            assert to_normal_form(ode).I == normal_form_reference(ode)
+
+    def test_fractional_coefficient(self):
+        ode = parse_ode("y'' + (1/x^(1/2))*y' + x^(1/3)*y = 0")
+        assert isinstance(ode.A, GenRatFunc)
+        assert to_normal_form(ode).I == normal_form_reference(ode)
 
 
 def pulled_back_invariant(i0, f):

@@ -33,7 +33,8 @@ KINDS = ("2F1", "1F1", "0F1")
 FRACTIONAL_K = (F(1, 2), F(2, 3), F(3, 2), F(-1, 2))
 
 
-def _criterion_5_instances():
+def instance_draws():
+    """(kind, params, mobius, k, gauge) of each digest instance, in order."""
     rng = random.Random(0xACCE55)
     for trial in range(300):
         kind = KINDS[trial % 3]
@@ -41,10 +42,7 @@ def _criterion_5_instances():
         m = _random_mobius(rng)
         k = rng.choice((1, 2, 3))
         gauge = _random_gauge(rng) if trial % 4 == 0 else None
-        yield transformed_seed_ode(kind, params, m, k, gauge)
-
-
-def _fractional_instances():
+        yield kind, params, m, k, gauge
     rng = random.Random(0xF4AC)
     for trial in range(60):
         kind = KINDS[trial % 3]
@@ -52,7 +50,7 @@ def _fractional_instances():
         m = _random_mobius(rng)
         k = FRACTIONAL_K[trial % 4]
         gauge = _random_gauge(rng) if trial % 5 == 0 else None
-        yield transformed_seed_ode(kind, params, m, k, gauge)
+        yield kind, params, m, k, gauge
 
 
 def _poly_text(p, step):
@@ -96,13 +94,12 @@ def ode_text(ode):
 def witness_digest():
     h = hashlib.sha256()
     count = 0
-    for gen in (_criterion_5_instances, _fractional_instances):
-        for ode in gen():
-            payload, code = cmd_solve(ode_text(ode))
-            payload.pop("timing_ms", None)
-            h.update(json.dumps([payload, code], sort_keys=True).encode())
-            h.update(b"\n")
-            count += 1
+    for draw in instance_draws():
+        payload, code = cmd_solve(ode_text(transformed_seed_ode(*draw)))
+        payload.pop("timing_ms", None)
+        h.update(json.dumps([payload, code], sort_keys=True).encode())
+        h.update(b"\n")
+        count += 1
     assert count == 360
     return h.hexdigest()
 
