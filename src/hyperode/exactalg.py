@@ -683,6 +683,43 @@ def poly_gcd(p, q):
     return _poly(b, (), b[-1])
 
 
+# Below 2^15, so a product of two residues fits one machine digit.
+_CERT_PRIME = 32749
+
+
+def _coprime_mod_prime(a, b):
+    """True when the integer polynomials a and b (low degree first) have a
+    constant gcd modulo _CERT_PRIME, which divides neither leading
+    coefficient.
+
+    A gcd g over Q, taken primitive in Z[x], divides both, so its leading
+    coefficient is prime to p and g mod p keeps its degree and divides the
+    gcd mod p (Brown, J. ACM 18, 1971). A constant gcd mod p therefore
+    proves a and b coprime over Q. False says nothing.
+    """
+    p = _CERT_PRIME
+    if not a[-1] % p or not b[-1] % p:
+        return False
+    a = [c % p for c in a]
+    b = [c % p for c in b]
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        n = len(b) - 1
+        inv = pow(b[-1], -1, p)
+        while len(a) > n:
+            q = a.pop() * inv % p
+            off = len(a) - n
+            for j in range(n):
+                a[off + j] = (a[off + j] - q * b[j]) % p
+            while a and not a[-1]:
+                a.pop()
+        if not a:
+            return False
+        a, b = b, a
+    return True
+
+
 def _gauss_pow(a, n, out=(1, 0)):
     """out * a**n for Gaussian integers given as (re, im) pairs."""
     for _ in range(n):
@@ -770,7 +807,9 @@ def squarefree_decomposition(p):
 class RatFunc:
     """Reduced rational function num/den with a monic denominator.
 
-    The constructor reduces arbitrary input by one gcd. The operators take
+    The constructor reduces arbitrary input by one gcd, which it skips
+    when Euclid modulo _CERT_PRIME proves num and den coprime (see
+    _coprime_mod_prime); Gaussian pairs always take it. The operators take
     reduced operands to a reduced result directly, by Henrici's rules
     (Knuth, TAOCP vol. 2, 4.5.1): they divide out only the small gcds the
     result can still share, skip the gcd where coprimality is provable,
@@ -792,10 +831,11 @@ class RatFunc:
             self.num = num
             self.den = _ONE
             return
-        g = poly_gcd(num, den)
-        if g.degree > 0:
-            num = num // g
-            den = den // g
+        if num.im or den.im or not _coprime_mod_prime(num.re, den.re):
+            g = poly_gcd(num, den)
+            if g.degree > 0:
+                num = num // g
+                den = den // g
         if den.re[-1] != den.den or (den.im and den.im[-1]):
             num = num * (1 / den.lc)
             den = den.monic()

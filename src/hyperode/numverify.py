@@ -21,7 +21,8 @@ values on |w| = 0.4, inverting the argument exactly when it is a Moebius
 map of a power of x^(1/L); then a ladder of circles around the singular
 set; then rings around each singular point. The singular set comes from
 one root search on the lcm of the coefficients' square-free
-denominators.
+denominators, run in t = x^g when every denominator is a power of x
+times a polynomial in x^g, as a pulled-back witness's are.
 """
 
 import cmath
@@ -689,27 +690,46 @@ def _coefficient(f):
 def _singular_points(ode):
     """The finite singular points of the equation, each once.
 
+    A witness y = P(x) Y(M(x^k)) gives denominators x^j q(x^g), so the
+    search runs on q in t = x^g, g the gcd of the exponent gcds of both
+    denominators' q for one carrier, and x = 0 is singular when j > 0.
     A and B share most of their poles, so one Durand-Kerner search runs
-    on the lcm of their square-free denominators, sA * (sB / gcd(sA,
+    on the lcm of their compressed square-free q, sA * (sB / gcd(sA,
     sB)): every root is simple there and the iteration converges fast.
-    A coefficient of x^(1/L) adds x = 0 and maps each root t to t^L; A
-    and B with different carriers L get one search each.
+    Each root t gives the g points t^(1/g) e^(2 pi i m/g). A coefficient
+    of x^(1/L) adds x = 0 and maps each root s to s^L; A and B with
+    different carriers L get one search each.
     """
     dens = {}
     for f in (ode.A, ode.B):
         fn, carrier = ((f.fn, f.carrier) if isinstance(f, GenRatFunc)
                        else (f, 1))
-        sq = fn.den // poly_gcd(fn.den, fn.den.deriv())
-        factors = dens.setdefault(carrier, [])
-        if factors:
-            # only the poles of B that A lacks
-            sq = sq // poly_gcd(factors[0], sq)
-        factors.append(sq)
+        j = fn.den.order_at_zero()
+        # reversing drops the zero tail, so twice gives den / x^j
+        den = fn.den.reverse().reverse() if j else fn.den
+        dens.setdefault(carrier, []).append((j, den))
     out = []
-    for carrier, factors in dens.items():
+    for carrier, pairs in dens.items():
+        g = math.gcd(*(q.exponent_gcd() for _, q in pairs)) or 1
+        factors = []
+        for _, q in pairs:
+            q = q.compress_power(g)
+            d = poly_gcd(q, q.deriv())
+            sq = q // d if d.degree > 0 else q
+            if factors:
+                # only the poles of B that A lacks
+                d = poly_gcd(factors[0], sq)
+                if d.degree > 0:
+                    sq = sq // d
+            factors.append(sq)
         roots = _poly_roots(_monic_product(factors))
+        if g > 1:
+            turns = [cmath.exp(2j * math.pi * m / g) for m in range(g)]
+            roots = [t ** (1.0 / g) * turn for t in roots for turn in turns]
+        if carrier > 1 or any(j for j, _ in pairs):
+            roots = [0j] + roots
         if carrier > 1:
-            roots = [0j] + [r ** carrier for r in roots]
+            roots = [r ** carrier for r in roots]
         for r in roots:
             if all(abs(r - q) > 1e-9 for q in out):
                 out.append(r)

@@ -165,7 +165,7 @@ def add(*terms):
             else:
                 flat.append(p)
     if acc != 0 or not flat:
-        flat.append(num(acc))
+        flat.append(num(_fit(acc)))
     if len(flat) == 1:
         return flat[0]
     return Add(tuple(flat))
@@ -188,8 +188,8 @@ def mul(*factors):
         ta, tb = type(a), type(b)
         if ta is Num and tb is not Mul:
             if tb is Num:
-                return Num(a.value * b.value) if a.value and b.value \
-                    else ZERO
+                return Num(_fit(a.value * b.value)) \
+                    if a.value and b.value else ZERO
             if not a.value:
                 return ZERO
             return b if a.value == 1 else Mul((a, b))
@@ -234,6 +234,7 @@ def mul(*factors):
     tail = [f for f in merged if _recip(f)]
     if tail:
         merged = [f for f in merged if not _recip(f)] + tail
+    acc = _fit(acc)
     if not merged:
         return num(acc)
     if acc != 1:
@@ -286,7 +287,11 @@ def div(a, b):
 
 def _fit(c):
     """c, refused when its numerator or denominator alone is longer than
-    COEFF_BITS, so that the kernel's layout would refuse it too."""
+    COEFF_BITS, so that the kernel's layout would refuse it too. A
+    Gaussian c is checked in that layout."""
+    if type(c) is GaussRat:
+        Poly.const(c)
+        return c
     bits = c.bit_length() if type(c) is int else max(
         c.numerator.bit_length(), c.denominator.bit_length())
     if bits > COEFF_BITS:
@@ -865,7 +870,10 @@ class _ExprParser(_Parser):
     neg = staticmethod(neg)
     mul = staticmethod(mul)
     div = staticmethod(div)
-    number = staticmethod(num)
+
+    @staticmethod
+    def number(n):
+        return num(_fit(n))
 
     @staticmethod
     def power(base, e, start):

@@ -14,11 +14,13 @@ the model invariant, so tests can check the invariant identity too.
 eval_expr is not a reference: it reads the package's own value of a
 tree, the one the residual oracle uses.
 
-Three shortcuts of the exact stages have their plain forms here: the
+Four shortcuts of the exact stages have their plain forms here: the
 normal form by field operators (normal_form_reference), integration by
 Hermite reduction at every factor with an extended gcd each
-(integrate_ratfunc_reference), and the witness check that applies the
-whole gauge and compares both coefficients (witness_rejects_reference).
+(integrate_ratfunc_reference), the witness check that applies the
+whole gauge and compares both coefficients (witness_rejects_reference),
+and the RatFunc constructor reducing by one gcd without its coprimality
+certificate modulo a prime (ratfunc_reference).
 """
 
 from fractions import Fraction
@@ -36,6 +38,7 @@ from hyperode.exactalg import (
     RatFunc,
     _poly_inverse_mod,
     factor_rational_roots,
+    poly_gcd,
     split_quadratic_gauss,
     squarefree_decomposition,
 )
@@ -63,6 +66,14 @@ def normal_form_reference(ode):
     """The invariant A'/2 + A^2/4 - B by the field operators."""
     a, b = ode.A, ode.B
     return a.deriv() / 2 + a ** 2 * Fraction(1, 4) - b
+
+
+def ratfunc_reference(num, den):
+    """num/den for a nonzero den, reduced by their gcd over Q or Q(i)."""
+    if num.is_zero:
+        return RatFunc.from_coprime(num, Poly.const(1))
+    g = poly_gcd(num, den)
+    return RatFunc.from_coprime(num // g, den // g)
 
 
 def witness_rejects_reference(class_kind, k, mobius, params, input_ode):

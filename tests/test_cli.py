@@ -227,6 +227,11 @@ class TestVerify:
         assert code == 1
         assert payload["error"]["type"] == "verification_impossible"
 
+    def test_number_past_the_cap_is_an_input_error(self):
+        payload, code = cmd_verify("y'' = 0", str(2 ** 4096 + 1))
+        assert code == 1
+        assert payload["error"]["type"] == "invalid_input"
+
     def test_integral_over_another_variable_is_an_input_error(self):
         payload, code = cmd_verify("y'' = 0", "Int(1, t)")
         assert code == 1

@@ -21,6 +21,8 @@ from hyperode.exactalg import (
     GenRatFunc,
     Poly,
     RatFunc,
+    _CERT_PRIME,
+    _coprime_mod_prime,
     _lifted_roots,
     factor_rational_roots,
     gauss_sqrt,
@@ -32,7 +34,11 @@ from hyperode.exactalg import (
     squarefree_decomposition,
 )
 
-from reference import integrate_ratfunc_reference, ratfunc_at
+from reference import (
+    integrate_ratfunc_reference,
+    ratfunc_at,
+    ratfunc_reference,
+)
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 small_rationals = st.fractions(min_value=-9, max_value=9, max_denominator=6)
@@ -370,7 +376,70 @@ class TestGcdAndFactoring:
         assert r == w or r == -w
 
 
+P = _CERT_PRIME
+small_ints = st.integers(-40, 40)
+SHAPES = ("random", "planted", "vanishing mod p", "coprime not mod p",
+          "gaussian")
+
+
+@st.composite
+def constructor_pairs(draw):
+    """(shape, num, den) for the constructor, den nonzero.
+
+    "planted" shares a factor of positive degree. "vanishing mod p"
+    shares p*k*x + r, a factor that is the constant r modulo p, so only
+    the leading coefficient test keeps the certificate from passing it.
+    "coprime not mod p" is a*(x + r + p*m) over b*(x + r), coprime over Q
+    but not modulo p. "gaussian" shares a factor over Q(i).
+    """
+    shape = draw(st.sampled_from(SHAPES))
+    num = Poly(draw(st.lists(small_rationals, min_size=1, max_size=4)))
+    den = Poly(draw(st.lists(small_rationals, min_size=1, max_size=4)
+                    .filter(any)))
+    if shape == "planted":
+        g = Poly(draw(st.lists(small_ints, min_size=2, max_size=3)
+                      .filter(lambda cs: cs[-1])))
+        num, den = num * g, den * g
+    elif shape == "vanishing mod p":
+        k = draw(st.integers(1, 3).map(lambda k: k * P))
+        g = Poly([draw(st.integers(1, 40)), k * draw(st.sampled_from(
+            (-1, 1)))])
+        num, den = num * g, den * g
+    elif shape == "coprime not mod p":
+        r = draw(small_ints)
+        m = draw(st.sampled_from((-2, -1, 1, 2)))
+        num = num * Poly([r + P * m, 1])
+        den = den * Poly([r, 1])
+    elif shape == "gaussian":
+        g = Poly([GaussRat(draw(small_ints), draw(st.integers(1, 9))),
+                  draw(st.integers(1, 9))])
+        num, den = num * g, den * g
+    return shape, num, den
+
+
 class TestRatFunc:
+    @given(constructor_pairs())
+    @settings(max_examples=200, deadline=None)
+    def test_constructor_equals_the_gcd_reduced_reference(self, drawn):
+        shape, num, den = drawn
+        f, want = RatFunc(num, den), ratfunc_reference(num, den)
+        assert (f.num, f.den) == (want.num, want.den)
+        if shape in ("vanishing mod p", "coprime not mod p") and \
+                not num.is_zero:
+            # the certificate cannot hold, so the gcd decides
+            assert not _coprime_mod_prime(num.re, den.re)
+
+    def test_certificate_refuses_what_it_cannot_prove(self):
+        x = Poly.x()
+        assert _coprime_mod_prime(x.re, (x + 1).re)
+        assert not _coprime_mod_prime(x.re, (x + P).re)
+        # coprime modulo p, yet sharing P*x + 1 over Q
+        shared = Poly([1, P])
+        assert not _coprime_mod_prime((shared * x).re,
+                                      (shared * (x + 2)).re)
+        assert RatFunc(shared * x, shared * (x + 2)) == \
+            RatFunc(x, x + 2)
+
     def test_reduction(self):
         f = RatFunc(poly_of([0, 2]), poly_of([0, 0, 4]))
         assert f.num == Poly.const(F(1, 2))

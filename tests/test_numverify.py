@@ -49,6 +49,7 @@ from hyperode.odeio import (
     Hyp,
     Intg,
     Leg,
+    LinearODE,
     Mul,
     Num,
     Pow,
@@ -670,7 +671,71 @@ class TestRefusalsBeforeSampling:
                                     "message": message}
 
 
+@st.composite
+def power_equations(draw):
+    """Equations whose denominators are x^j q(x^g), g in {2, 3, 4, 6}.
+
+    q has a repeated factor, B shares a factor with A, and A sometimes
+    lives on the carrier x^(1/2) or x^(1/3), as a GenRatFunc.
+    """
+    g = draw(st.sampled_from((2, 3, 4, 6)))
+    coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    lows = coeffs.filter(lambda c: abs(c) >= F(1, 4))
+
+    def factor():
+        cs = [draw(lows)] + [draw(coeffs) for _ in
+                             range(draw(st.integers(0, 1)))] + [F(1)]
+        return Poly(cs).substitute_power(g)
+
+    shared, own_a, own_b = factor(), factor(), factor()
+    x = Poly.x()
+    den_a = x ** draw(st.integers(0, 2)) * shared ** 2 * own_a
+    den_b = x ** draw(st.integers(0, 2)) * shared * own_b ** 2
+    b = RatFunc(Poly.const(draw(lows)), den_b)
+    carrier = draw(st.sampled_from((1, 1, 2, 3)))
+    if carrier == 1:
+        return LinearODE(RatFunc(x + 1, den_a), b)
+    return LinearODE(GenRatFunc(RatFunc(x + 1, den_a), carrier), b)
+
+
 class TestSingularPoints:
+    @given(power_equations())
+    @settings(max_examples=40, deadline=None)
+    def test_search_in_x_to_the_g_finds_the_separate_roots(self, ode):
+        want = self._separate_searches(ode)
+        got = _singular_points(ode)
+        for i, r in enumerate(got):
+            assert all(abs(r - q) > 1e-9 for q in got[:i])
+        for r in want:
+            assert min(abs(r - g) for g in got) < 1e-10
+        for g in got:
+            assert min(abs(g - r) for r in want) < 1e-10
+
+    def test_clustered_roots_search_the_cube(self, monkeypatch):
+        # the poles of B are poles of A: x = 0 and the cube roots of
+        # three t. The search on x, of degree 10, ran to the iteration cap
+        ode = parse_ode(
+            "y'' + (4*x^9 - 607/84*x^6 - 437/672*x^3 + 30/7)"
+            "/(x^10 - 325/84*x^7 + 419/84*x^4 - 15/7*x)*y'"
+            " + (11/224*x^4)/(x^12 - 437/84*x^9 + 2557/252*x^6"
+            " - 554/63*x^3 + 20/7)*y = 0")
+        degrees = []
+
+        def counted(coeffs):
+            degrees.append(len(coeffs) - 1)
+            return poly_roots(coeffs)
+
+        poly_roots = numverify._poly_roots
+        monkeypatch.setattr(numverify, "_poly_roots", counted)
+        got = _singular_points(ode)
+        want = self._separate_searches(ode)
+        assert degrees == [3]
+        assert len(got) == 10
+        for r in want:
+            assert min(abs(r - g) for g in got) < 1e-10
+        for g in got:
+            assert min(abs(g - r) for r in want) < 1e-10
+
     def test_repeated_factors_give_accurate_roots(self):
         ode = parse_ode("y'' + (1/((x - 1/3)^3*(x^2 + 2)^2))*y' = 0")
         got = _singular_points(ode)

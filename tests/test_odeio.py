@@ -479,6 +479,18 @@ class TestShortcutCaps:
         with pytest.raises(CoefficientOverflow):
             parse_solution(text % (2 ** 4096 + 1))
 
+    @pytest.mark.parametrize("text", [
+        str(2 ** 4096 + 1),
+        "%d*%d" % (2 ** 4000, 2 ** 4000),
+        "x*%d*%d" % (2 ** 4000, 2 ** 4000),
+        "%d + %d*x + %d" % (2 ** 4096 - 1, 2, 2 ** 4096 - 1),
+        "I*%d*%d" % (2 ** 4000, 2 ** 4000),
+    ], ids=["literal", "product", "product-after-x", "sum", "gaussian"])
+    def test_solution_numbers_past_the_cap(self, text):
+        # the equation side refuses the same values
+        with pytest.raises(CoefficientOverflow):
+            parse_solution(text)
+
     @pytest.mark.parametrize("text, cap, degree", [
         ("x^40/(x^(-30) + 1)", 64, 70),
         ("(x^2 + x^(-2))/(x^(-2) + 1)", 3, 4),
