@@ -58,6 +58,7 @@ from .odeio import (
     LinearODE,
     ONE,
     X,
+    _ratio,
     add,
     mul,
     poly_to_expr,
@@ -195,16 +196,36 @@ def _compose_coeff(f, arg):
 def _pull_back(seed, mobius, k):
     """The argument M(x^k) and the equation satisfied by Y(M(x^k)).
 
-    Y is any solution of the equation ``seed``.
+    Y is any solution of the equation ``seed``. With t = x^k and
+    det = ad - bc, the argument w and the two derivatives the pull-back
+    needs have closed forms,
+
+        w = (a t + b) / (c t + d),
+        w' = det k x^(k-1) / (c t + d)^2,
+        w''/w' = ((-k-1) c t + (k-1) d) / (x (c t + d)),
+
+    each built from its terms as one quotient.
     """
     k = Fraction(k)
-    xk = GenRatFunc.x_power(k.numerator, k.denominator)
-    arg = (xk * mobius.a + mobius.b) / (xk * mobius.c + mobius.d)
-    d1 = arg.deriv()
+    a, b, c, d = mobius.a, mobius.b, mobius.c, mobius.d
+    arg = _quotient({k: a, 0: b}, {k: c, 0: d})
+    d1 = _quotient({k - 1: (a * d - b * c) * k},
+                   {2 * k: c * c, k: 2 * c * d, 0: d * d})
+    log_d1 = _quotient({k: (-k - 1) * c, 0: (k - 1) * d},
+                       {k + 1: c, 1: d})
     pulled = LinearODE(
-        -(d1.deriv() / d1) + _compose_coeff(seed.A, arg) * d1,
+        -log_d1 + _compose_coeff(seed.A, arg) * d1,
         _compose_coeff(seed.B, arg) * d1 * d1)
     return arg, pulled
+
+
+def _quotient(num, den):
+    """The quotient of two sums of powers of x, each a dict from the
+    exponent to its coefficient, zero terms dropped."""
+    num = {e: v for e, v in num.items() if v}
+    if not num:
+        return RatFunc.const(0)
+    return _ratio(num, {e: v for e, v in den.items() if v})
 
 
 # ---------------------------------------------------------------------------

@@ -10,19 +10,24 @@ above roundoff.
 
 Series evaluation uses partial sums of the defining hypergeometric
 series inside a convergence-guarded disc, which Pfaff's transformation
-widens for 2F1. One pass over the terms in doubles gives the value and
-both derivatives; when a term dwarfs its sum, so that the doubles have
-cancelled, the series is summed again in fixed point with Python
-integers at the precision the cancellation needs. Other arguments are
-rejected rather than continued analytically; the sampler simply picks
-points whose transformed arguments land inside. It first draws the
-points where each Gauss series argument of the solution takes fixed
-values on |w| = 0.4, inverting the argument exactly when it is a Moebius
-map of a power of x^(1/L); then a ladder of circles around the singular
-set; then rings around each singular point. The singular set comes from
-one root search on the lcm of the coefficients' square-free
-denominators, run in t = x^g when every denominator is a power of x
-times a polynomial in x^g, as a pulled-back witness's are.
+widens for 2F1. Each series, prepared once per check, keeps a table of
+its term ratios that the points share, so a point's terms cost one
+complex product each. One pass over the terms in doubles gives the
+value and both derivatives; when a term dwarfs its sum, so that the
+doubles have cancelled, the series is summed again in fixed point with
+Python integers at the precision the cancellation needs. Other
+arguments are rejected rather than continued analytically; the sampler
+simply picks points whose transformed arguments land inside. It first
+draws the points where each Gauss series argument of the solution takes
+fixed values on |w| = 0.4, inverting the argument exactly when it is a
+Moebius map of a power of x^(1/L); then a ladder of circles around the
+singular set; then rings around each singular point, in a fixed order
+of the points. The singular set comes from one root search on the lcm
+of the coefficients' square-free denominators, run in t = x^g when
+every denominator is a power of x times a polynomial in x^g, as a
+pulled-back witness's are. An EquationSide lets the checks of several
+solutions of one equation share that search and the coefficients'
+evaluators.
 """
 
 import cmath
@@ -119,10 +124,12 @@ def pfq_terms(upper, lower, z):
 def eval_pfq(kind, upper, lower, z):
     """(F, F', F'') of 2F1, 1F1 or 0F1 at a complex point.
 
-    Parameters are exact or complex. One pass over pfq_terms sums
+    Parameters are exact or complex. One pass over the terms of
+    pfq_terms, taken from the series' table of term ratios, sums
     F = sum t_k, z F' = sum k t_k and z^2 F'' = sum k (k-1) t_k in
     doubles; it stops once the last term of each sum is below 1e-16 of
-    its running sum, or raises EvalDiverged after 10000 terms. When a
+    its running sum, or raises EvalDiverged after 10000 terms or at a
+    term beyond double range. When a
     term of some sum exceeds 2^20 times that sum, the doubles have
     cancelled, and the three sums are taken again in fixed point from
     the exact parameters (see _fixed_point_sums). At z = 0 the
@@ -136,7 +143,8 @@ def eval_pfq(kind, upper, lower, z):
 
     kind may instead be a series that _series prepared, with None for
     upper and lower: the oracle's jet prepares each series once per
-    check, and _series has then applied the undefined-series rule.
+    check, so its ratio table serves every point, and _series has then
+    applied the undefined-series rule.
     """
     series = kind if upper is None else _series(kind, upper, lower,
                                                  EvalDiverged)
@@ -164,10 +172,13 @@ class _Series:
     ``upper`` and ``lower`` are complex, for the double pass; ``exact``
     holds them as (re, im) Fraction pairs, for the fixed-point pass. For
     a 2F1 whose c is not 0, -1, ..., ``pfaff`` is the series
-    2F1(a, c-b; c) of Pfaff's form, else None.
+    2F1(a, c-b; c) of Pfaff's form, else None. ``ratios`` is the table
+    of term ratios that _ratios grows as the points need it, and
+    ``ended`` says whether it reached the series' last term.
     """
 
-    __slots__ = ("kind", "upper", "lower", "exact", "pfaff")
+    __slots__ = ("kind", "upper", "lower", "exact", "pfaff", "ratios",
+                 "ended")
 
     def __init__(self, kind, upper, lower, exact):
         self.kind = kind
@@ -175,6 +186,8 @@ class _Series:
         self.lower = lower
         self.exact = exact
         self.pfaff = None
+        self.ratios = []
+        self.ended = False
 
 
 def _series(kind, upper, lower, refusal=ValueError):
@@ -225,34 +238,76 @@ def _undefined_lower(upper, lower):
     return None
 
 
+def _ratios(series, n):
+    """The length of series.ratios after growing it to n entries.
+
+    Entry k is rho_k = prod(u + k) / ((k + 1) prod(l + k)), so term k+1
+    is term k times rho_k z at every point. The table stops short of n
+    at the first k whose upper factor is 0, before the lower parameters
+    divide, where pfq_terms stops, and never passes _TERM_CAP entries.
+    """
+    ratios = series.ratios
+    if series.ended:
+        return len(ratios)
+    upper, lower = series.upper, series.lower
+    for k in range(len(ratios), min(n, _TERM_CAP)):
+        num = 1 + 0j
+        for u in upper:
+            num *= u + k
+        if not num:
+            series.ended = True
+            break
+        den = k + 1.0
+        for l in lower:
+            den *= l + k
+        ratios.append(num / den)
+    return len(ratios)
+
+
 def _series_jet(series, z):
-    """(F, F', F'') of the plain series; see eval_pfq."""
+    """(F, F', F'') of the plain series; see eval_pfq.
+
+    One loop over the series' ratio table: t <- t (rho_k z), with the
+    three sums, their peaks and the stop test on k |t| and (k-1) k |t|.
+    Only a term that sets a new peak |t| can have overflowed, so only
+    those are tested for finiteness.
+    """
     upper, lower = series.upper, series.lower
     if not z:
         c = list(islice(pfq_terms(upper, lower, 1.0), 3)) + [0j, 0j]
         return c[0], c[1], 2 * c[2]
-    s0 = s1 = s2 = 0j
-    m0 = m1 = m2 = 0.0
-    for k, t in enumerate(pfq_terms(upper, lower, z)):
-        if not cmath.isfinite(t):
-            raise EvalDiverged("series term overflowed at z=%s" % (z,))
+    ratios = series.ratios
+    n = len(ratios)
+    t = s0 = 1 + 0j
+    s1 = s2 = 0j
+    m0, m1, m2 = 1.0, 0.0, 0.0
+    k = 0
+    while True:
+        if k == n:
+            n = _ratios(series, n + 32)
+            if k == n:
+                break
+        t = t * (ratios[k] * z)
+        if t == 0:
+            break
+        k += 1
         t1 = k * t
-        t2 = (k - 1) * t1
         s0 += t
         s1 += t1
-        s2 += t2
-        # peaks of |t_k|, |k t_k| and |k (k-1) t_k|, from one abs()
+        s2 += (k - 1) * t1
         a0 = abs(t)
+        if not a0 <= m0:  # a new peak, or nan
+            if not cmath.isfinite(t):
+                raise EvalDiverged("series term overflowed at z=%s" % (z,))
+            m0 = a0
         a1 = k * a0
         a2 = (k - 1) * a1
-        if a0 > m0:
-            m0 = a0
         if a1 > m1:
             m1 = a1
         if a2 > m2:
             m2 = a2
-        if (a0 <= _REL_EPS * abs(s0) and abs(t1) <= _REL_EPS * abs(s1)
-                and abs(t2) <= _REL_EPS * abs(s2)):
+        if (a0 <= _REL_EPS * abs(s0) and a1 <= _REL_EPS * abs(s1)
+                and a2 <= _REL_EPS * abs(s2)):
             break
         if k + 1 >= _TERM_CAP:
             raise EvalDiverged(
@@ -434,6 +489,10 @@ def _double(v):
     raise _no_point("the constant %s %s" % (text, fault))
 
 
+class UnevaluatedIntegral(ValueError):
+    """The refusal of a solution that holds an unevaluated integral."""
+
+
 def _compile_jet(e, arguments=None):
     """The jet (y, y', y'') of a solution expression, as a function of a
     complex point.
@@ -448,9 +507,10 @@ def _compile_jet(e, arguments=None):
 
     The walk is also where a solution no point could evaluate is
     refused, each node's own numbers before its children: an
-    unevaluated integral and a series with no value raise ValueError,
-    and an exact number that leaves the normal double range and a
-    Legendre degree with no value raise SamplingFailed.
+    unevaluated integral raises UnevaluatedIntegral, a ValueError, and
+    a series with no value ValueError; an exact number that leaves the
+    normal double range and a Legendre degree with no value raise
+    SamplingFailed.
 
     When arguments is a list, the walk appends to it the argument tree
     of each 2F1 node, once each, for the sampler; the series that a
@@ -517,7 +577,7 @@ def _compile_jet(e, arguments=None):
     if isinstance(e, Leg):
         return _legendre_jet(e)
     if isinstance(e, Intg):
-        raise ValueError(
+        raise UnevaluatedIntegral(
             "solution contains an unevaluated integral; exclude it "
             "from pointwise residual checks")
     raise TypeError("not a solution expression: %r" % (e,))
@@ -828,7 +888,9 @@ def _candidate_points(bad, fractional, arguments=()):
     equations whose arguments leave the series' regions everywhere on
     the ladder. The radii stay below d/2, so b is the nearest singular
     point and the clearance is at least 0.07 d; the half-plane rule
-    holds relative to d.
+    holds relative to d. The rings are drawn with the singular points
+    sorted by their parts to 9 places, then exactly, so the points
+    depend on the singular set alone, not on its order.
     """
     scale = max([1.0] + [abs(b) for b in bad])
     for arg in arguments:
@@ -863,7 +925,8 @@ def _candidate_points(bad, fractional, arguments=()):
                 if fractional and z.real < 0.05 * scale:
                     continue
                 yield z, guard
-    for b in bad:
+    for b in sorted(bad, key=lambda b: (round(b.real, 9), round(b.imag, 9),
+                                        b.real, b.imag)):
         d = min((abs(b - q) for q in bad if q != b), default=scale)
         for f in (0.3, 0.15, 0.45, 0.07):
             for _ in range(6):
@@ -874,7 +937,38 @@ def _candidate_points(bad, fractional, arguments=()):
                 yield z, min(abs(z - q) for q in bad)
 
 
-def residual_check(ode, s, n_points=8):
+class EquationSide:
+    """What residual checks need of the equation alone: evaluators of
+    its coefficients and its finite singular points.
+
+    They are built on the first check that asks, after that check has
+    compiled its solution, so a solution's own refusals still come
+    before an equation no point can evaluate; later checks of other
+    solutions of the same equation share them.
+    """
+
+    __slots__ = ("ode", "parts")
+
+    def __init__(self, ode):
+        self.ode = ode
+        self.parts = None
+
+    def build(self, n_points):
+        """(A, B, singular points); SamplingFailed when a coefficient
+        is beyond double range, which fails at every point."""
+        if self.parts is None:
+            ode = self.ode
+            try:
+                self.parts = (_coefficient(ode.A), _coefficient(ode.B),
+                              _singular_points(ode))
+            except OverflowError:
+                raise SamplingFailed(
+                    "only 0 of %d sample points were admissible"
+                    % n_points) from None
+        return self.parts
+
+
+def residual_check(ode, s, n_points=8, *, side=None):
     """Measure how well s satisfies the equation at sampled points.
 
     Builds the jet of y, y' and y'' once, then evaluates it at
@@ -889,19 +983,15 @@ def residual_check(ode, s, n_points=8):
     SamplingFailed is raised, counting the points that left double
     range. A solution that no point could evaluate is refused while its
     jet is built, before any point is tried (see _compile_jet).
+
+    side, an EquationSide of ode, lets the checks of several solutions
+    of one equation build its coefficients and singular points once.
     """
     if n_points < 1:
         raise ValueError("n_points must be positive")
     arguments = []
     jet = _compile_jet(s, arguments)
-    try:
-        a_at = _coefficient(ode.A)
-        b_at = _coefficient(ode.B)
-        bad = _singular_points(ode)
-    except OverflowError:
-        # a coefficient beyond double range fails at every point
-        raise SamplingFailed("only 0 of %d sample points were admissible"
-                             % n_points) from None
+    a_at, b_at, bad = (side or EquationSide(ode)).build(n_points)
     points = []
     residuals = []
     unranged = 0

@@ -14,8 +14,10 @@ the model invariant, so tests can check the invariant identity too.
 eval_expr is not a reference: it reads the package's own value of a
 tree, the one the residual oracle uses.
 
-Four shortcuts of the exact stages have their plain forms here: the
-normal form by field operators (normal_form_reference), integration by
+Five shortcuts of the exact stages have their plain forms here: the
+pull-back by the kernel's derivative and quotient operators
+(pull_back_reference), the normal form by field operators
+(normal_form_reference), integration by
 Hermite reduction at every factor with an extended gcd each
 (integrate_ratfunc_reference), the witness check that applies the
 whole gauge and compares both coefficients (witness_rejects_reference),
@@ -29,7 +31,7 @@ from math import isqrt, lcm
 import mpmath
 
 from hyperode import numverify
-from hyperode.equivalence import _pull_back, seed_ode
+from hyperode.equivalence import seed_ode
 from hyperode.exactalg import (
     GaussRat,
     GenRatFunc,
@@ -62,6 +64,23 @@ def seed_invariant(class_kind, params):
     return to_normal_form(seed_ode(class_kind, params)).I
 
 
+def pull_back_reference(seed, mobius, k):
+    """The argument M(x^k) and the equation satisfied by Y(M(x^k)), Y a
+    solution of seed, with w' and w'' from the derivative operator."""
+    k = Fraction(k)
+    xk = GenRatFunc.x_power(k.numerator, k.denominator)
+    arg = (xk * mobius.a + mobius.b) / (xk * mobius.c + mobius.d)
+
+    def composed(f):
+        if isinstance(arg, GenRatFunc):
+            return GenRatFunc(f.compose(arg.fn), arg.carrier)
+        return f.compose(arg)
+
+    d1 = arg.deriv()
+    return arg, LinearODE(-(d1.deriv() / d1) + composed(seed.A) * d1,
+                          composed(seed.B) * d1 * d1)
+
+
 def normal_form_reference(ode):
     """The invariant A'/2 + A^2/4 - B by the field operators."""
     a, b = ode.A, ode.B
@@ -79,8 +98,8 @@ def ratfunc_reference(num, den):
 def witness_rejects_reference(class_kind, k, mobius, params, input_ode):
     """Whether the model equation, pulled back along M(x^k) and gauged
     by l = (pulled A - A)/2, differs from the input in A or in B."""
-    _, pulled = _pull_back(seed_ode(class_kind, params), mobius,
-                           Fraction(k))
+    _, pulled = pull_back_reference(seed_ode(class_kind, params), mobius,
+                                    Fraction(k))
     return apply_gauge(input_ode, (pulled.A - input_ode.A) / 2) != pulled
 
 

@@ -26,9 +26,11 @@ from hyperode.cli import (
     main,
 )
 from hyperode.errors import CoefficientOverflow
-from hyperode.exactalg import DEGREE_CAP
+from hyperode.exactalg import DEGREE_CAP, Poly, RatFunc
 from hyperode.invariants import Mobius
 from hyperode.odeio import parse_ode, print_solution, ratfunc_to_expr
+
+from test_witness_digest import ode_text
 
 WORKED_ODE = ("y'' = ((1/3*x^2 - 3*x^4 - 8/3)/(x^5 - x))*y'"
               " + (19/12/(x^6 - x^2))*y")
@@ -112,6 +114,22 @@ class TestSolve:
         assert payload["solutions"]["integral_free"] is False
         assert "skipped" in payload["residuals"]["y2"]
         assert payload["residuals"]["passes"] is True
+
+    def test_member_refused_before_its_integral_is_skipped(self):
+        # the gauge exp(Int(...)) of 1/(x^2 - 2) leaves Q(i), and each
+        # member starts with the constant 10^400, beyond double range,
+        # which the jet's walk meets before the integral
+        ode = equivalence.transformed_seed_ode(
+            "2F1", {"a": F(3), "b": F(5), "c": F(0)},
+            Mobius(F(10) ** 400, F(0), F(0), F(1)), 1,
+            RatFunc(Poly((F(1),)), Poly((F(-2), F(0), F(1)))))
+        payload, code = cmd_solve(ode_text(ode), verify=True)
+        assert code == 0
+        for name in ("y1", "y2"):
+            assert payload["solutions"][name].startswith("1" + "0" * 400)
+        skipped = {"skipped": "contains an unevaluated integral"}
+        assert payload["residuals"] == {"y1": skipped, "y2": skipped,
+                                        "passes": True}
 
     def test_no_sample_points_is_no_verdict(self, capsys):
         # neither member holds an integral, so neither may be skipped

@@ -24,6 +24,7 @@ from hyperode.errors import (
 )
 from hyperode.exactalg import GaussRat, Poly, RatFunc
 from hyperode.equivalence import (
+    PARAMETER_NAMES,
     EquivalenceWitness,
     double_pole_coefficient,
     exponent_difference_at,
@@ -44,7 +45,12 @@ from hyperode.invariants import (
 )
 from hyperode.odeio import LinearODE, parse_ode, print_solution
 
-from reference import mobius_apply, seed_invariant, witness_rejects_reference
+from reference import (
+    mobius_apply,
+    pull_back_reference,
+    seed_invariant,
+    witness_rejects_reference,
+)
 from test_witness_digest import instance_draws
 
 
@@ -140,6 +146,35 @@ class TestSeedEquations:
                 with pytest.raises(ValueError, match="'%s'" % name):
                     seed_ode(kind, {n: v for n, v in full.items()
                                     if n != name})
+
+
+_small = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+_entry = st.one_of(
+    st.just(F(0)), _small,
+    st.builds(GaussRat, _small, _small.filter(bool)))
+_POWERS = [F(n, d) * sign for n, d in ((1, 1), (2, 1), (3, 1), (1, 2),
+                                       (2, 3), (3, 2)) for sign in (1, -1)]
+
+
+class TestPullBack:
+    @given(st.tuples(_entry, _entry, _entry, _entry).filter(
+               lambda m: m[0] * m[3] - m[1] * m[2]),
+           st.sampled_from(_POWERS), st.sampled_from(sorted(PARAMETER_NAMES)),
+           st.randoms(use_true_random=False))
+    @settings(max_examples=150, deadline=None)
+    def test_closed_form_equals_the_operators(self, entries, k, kind, rng):
+        # Gaussian entries, c = 0 and d = 0 included; equal values have
+        # equal parts, so == compares the canonical forms
+        params = {name: F(rng.randint(-9, 9), rng.randint(1, 4))
+                  for name in PARAMETER_NAMES[kind]}
+        seed = seed_ode(kind, params)
+        mobius = Mobius(*entries)
+        arg, pulled = equivalence._pull_back(seed, mobius, k)
+        want_arg, want = pull_back_reference(seed, mobius, k)
+        assert arg == want_arg and type(arg) is type(want_arg)
+        assert pulled.A == want.A and pulled.B == want.B
+        assert type(pulled.A) is type(want.A)
+        assert type(pulled.B) is type(want.B)
 
 
 class TestExponentDifferences:

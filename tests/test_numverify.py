@@ -34,6 +34,7 @@ from hyperode.exactalg import (
 from hyperode.numverify import (
     EvalPoint,
     ResidualReport,
+    UnevaluatedIntegral,
     _candidate_points,
     _coefficient,
     _compile_jet,
@@ -367,17 +368,111 @@ class TestSeriesJet:
                     eval_pfq(kind, upper, lower, z)
 
     def test_one_summation_per_point(self, monkeypatch):
-        # the jet comes from one pass of pfq_terms, not from shifted series
-        calls = []
+        # the jet comes from one pass over one ratio table per series, not
+        # from shifted series: per point one _series_jet call, no
+        # pfq_terms pass, and each ratio read once, in order
+        reads = []
+
+        class Table(list):
+            def __getitem__(self, k):
+                reads.append(k)
+                return list.__getitem__(self, k)
 
         def counted(*args):
             calls.append(args)
-            return pfq_terms(*args)
+            return series_jet(*args)
 
-        monkeypatch.setattr(numverify, "pfq_terms", counted)
-        eval_pfq("2F1", (F(1, 3), F(-5, 7)), (F(4, 5),), -1.5)
-        eval_pfq("1F1", (F(2, 3),), (F(4, 3),), 0.4)
-        assert len(calls) == 2
+        calls = []
+        series_jet = numverify._series_jet
+        monkeypatch.setattr(numverify, "_series_jet", counted)
+        monkeypatch.setattr(numverify, "pfq_terms", None)
+        gauss = numverify._series("2F1", (F(1, 3), F(-5, 7)), (F(4, 5),))
+        kummer = numverify._series("1F1", (F(2, 3),), (F(4, 3),))
+        for series in (gauss, gauss.pfaff, kummer):
+            series.ratios = Table()
+        for series, z, summed in ((gauss, -1.5, gauss.pfaff),
+                                  (kummer, 0.4, kummer)):
+            del calls[:], reads[:]
+            eval_pfq(series, None, None, z)
+            assert [c[0] for c in calls] == [summed]
+            assert reads == list(range(len(reads))) and len(reads) > 10
+
+
+def _reference_jet(upper, lower, z):
+    """sum t_k, sum k t_k, sum k (k-1) t_k over pfq_terms, each with the
+    sum of the magnitudes of its terms, stopping where the jet's rule
+    does."""
+    sums = [0j, 0j, 0j]
+    mass = [0.0, 0.0, 0.0]
+    for k, t in enumerate(pfq_terms(upper, lower, z)):
+        parts = (t, k * t, k * (k - 1) * t)
+        for i, p in enumerate(parts):
+            sums[i] += p
+            mass[i] += abs(p)
+        if all(abs(p) <= 1e-16 * abs(q) for p, q in zip(parts, sums)):
+            break
+    return sums, mass
+
+
+class TestRatioTable:
+    """The term ratios each prepared series keeps for every point."""
+
+    PARAMS = [
+        ("2F1", (F(1, 3), F(-5, 7)), (F(4, 5),)),
+        ("2F1", (F(9, 5), F(1, 8)), (F(-5, 4),)),
+        ("2F1", (GaussRat(F(1, 2), F(1, 3)), F(2, 3)),
+         (GaussRat(F(3, 2), F(-1, 4)),)),
+        ("1F1", (F(2, 3),), (F(4, 3),)),
+        ("1F1", (F(-7, 4),), (F(1, 6),)),
+        ("0F1", (), (F(3, 2),)),
+    ]
+    POINTS = [0.31 - 0.44j, -0.62, 0.07j, 0.55 + 0.5j, -0.79, 0.2 + 0.7j]
+
+    @pytest.mark.parametrize("kind, upper, lower", PARAMS)
+    def test_sums_agree_with_pfq_terms(self, kind, upper, lower):
+        # one table serves every point, the Pfaff twin's too; each sum
+        # keeps to a few ulps of the magnitudes it adds up
+        series = numverify._series(kind, upper, lower)
+        plain = [(series, z) for z in self.POINTS]
+        if series.pfaff is not None:
+            plain += [(series.pfaff, z / (z - 1))
+                      for z in (-1.5, -2 + 0.5j, -0.9 + 0.3j, -1.2 + 1.5j)]
+        for s, z in plain:
+            got = numverify._series_jet(s, z)
+            sums, mass = _reference_jet(s.upper, s.lower, z)
+            scaled = (got[0], got[1] * z, got[2] * z * z)
+            for g, want, m in zip(scaled, sums, mass):
+                assert abs(g - want) <= 8 * 2.0 ** -52 * m, (z, g, want)
+        assert not series.ended
+
+    @pytest.mark.parametrize("kind, upper, lower", [
+        ("2F1", (F(-3), F(2, 5)), (F(7, 3),)),
+        ("1F1", (F(-5),), (F(3, 4),)),
+        # an upper -n ends the series before a lower -m, m >= n
+        ("2F1", (F(-2), F(1, 3)), (F(-2),)),
+        ("2F1", (F(5, 6), F(-2)), (F(-4),)),
+        ("1F1", (F(-1),), (F(-3),)),
+    ])
+    def test_a_terminating_series_ends_where_pfq_terms_does(
+            self, kind, upper, lower):
+        series = numverify._series(kind, upper, lower)
+        for z in (0.41 + 0.13j, -0.7):
+            got = numverify._series_jet(series, z)
+            terms = list(pfq_terms(series.upper, series.lower, z))
+            assert series.ended and len(series.ratios) == len(terms) - 1
+            want = sum(terms)
+            assert abs(got[0] - want) <= 1e-15 * sum(map(abs, terms))
+
+    @pytest.mark.parametrize("kind, upper, lower, z", [
+        ("1F1", (F(1),), (F(1),), -750.0 + 300j),
+        ("0F1", (), (F(1, 2),), 3e5),
+        ("2F1", (F(10) ** 200, F(10) ** 200), (F(1),), 0.5),
+    ], ids=["exp(-750+300i)", "0F1 at 3e5", "huge a b"])
+    def test_an_overflowing_term_raises(self, kind, upper, lower, z):
+        # terms pass double range while the sums cancel; with a and b
+        # at 1e200 the first ratio is already infinite and the term nan
+        with pytest.raises(EvalDiverged, match="overflowed"):
+            eval_pfq(kind, upper, lower, z)
 
 
 class TestEvalExpr:
@@ -620,7 +715,7 @@ class TestRefusalsBeforeSampling:
 
     # (solution, error type, message); each test is named by its solution
     REFUSALS = [
-        ("Int(x, x)", ValueError,
+        ("Int(x, x)", UnevaluatedIntegral,
          "solution contains an unevaluated integral; exclude it from "
          "pointwise residual checks"),
         ("exp(10^400*x)", SamplingFailed, BEYOND),
@@ -903,6 +998,17 @@ class TestResidualCheck:
         assert any(abs(z) < 0.5 for z in points)
         both = [z for z, _ in _candidate_points([0j], False)]
         assert any(z.real < 0.05 for z in both)
+
+    @pytest.mark.parametrize("fractional", [False, True])
+    def test_points_depend_on_the_singular_set_alone(self, fractional):
+        # the rings share one generator, drawn in the set's sorted order
+        bad = [0j, 1 + 0j, -0.5 + 0.8660254037844386j,
+               -0.5 - 0.8660254037844386j, 2.5j, 1 + 1e-12j]
+        want = list(_candidate_points(bad, fractional))
+        for order in ([5, 4, 3, 2, 1, 0], [2, 0, 5, 3, 1, 4],
+                      [3, 2, 1, 0, 5, 4]):
+            assert list(_candidate_points(
+                [bad[i] for i in order], fractional)) == want
 
     def test_corrupted_parameter_is_loud(self):
         ode = parse_ode(WORKED_ODE)

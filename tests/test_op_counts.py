@@ -18,22 +18,39 @@ before it reduces, so parse_ode calls poly_gcd 3 times, against 140
 without the certificate. The singular-point search runs in x^g, so the
 Durand-Kerner degrees sum to 171, against 340 in x. The bounds, 10 gcds
 and a degree sum of 190, fail on a revert of either change.
+
+The pull-back builds M(x^k) and its derivatives in closed form: on the
+first 60 instances _pull_back calls poly_gcd 417 times, against 653 by
+the derivative and quotient operators (reference.pull_back_reference);
+the bound leaves 13 (3%) of headroom. A residual check prepares each
+series once and grows one ratio table for it and one for its Pfaff
+twin, however many points it sums. The two members of a solve --verify
+share one build of the equation side: over the corpus, 18 builds for 18
+solves that reach sampling, against 35 with one build per member.
 """
 
 from itertools import islice
 
 from hyperode import exactalg, invariants, numverify
-from hyperode.cli import load_corpus
-from hyperode.equivalence import solve_equivalence, transformed_seed_ode
+from hyperode.cli import cmd_solve, load_corpus
+from hyperode.equivalence import (
+    _pull_back,
+    seed_ode,
+    solve_equivalence,
+    transformed_seed_ode,
+)
 from hyperode.errors import HyperodeError
-from hyperode.odeio import parse_ode
+from hyperode.odeio import has_integral, parse_ode
+from hyperode.solutions import assemble
 
+from reference import pull_back_reference
 from test_witness_digest import instance_draws, ode_text
 
 GCD_BOUND = 2250
 INVERSE_BOUND = 24
 PARSE_GCD_BOUND = 10
 ROOT_DEGREE_BOUND = 190
+PULL_BACK_GCD_BOUND = 430
 
 
 def _inputs():
@@ -94,3 +111,86 @@ def test_parse_gcds_and_root_search_degrees(monkeypatch):
     assert len(odes) == len(degrees) == 80
     assert len(gcds) <= PARSE_GCD_BOUND, len(gcds)
     assert sum(degrees) <= ROOT_DEGREE_BOUND, sum(degrees)
+
+
+def test_pull_back_gcds(monkeypatch):
+    draws = list(islice(instance_draws(), 60))
+    counts = []
+
+    def counted(*args):
+        counts.append(1)
+        return gcd(*args)
+
+    gcd = exactalg.poly_gcd
+    monkeypatch.setattr(exactalg, "poly_gcd", counted)
+    for pull_back in (_pull_back, pull_back_reference):
+        del counts[:]
+        for kind, params, mobius, k, _ in draws:
+            pull_back(seed_ode(kind, params), mobius, k)
+        if pull_back is _pull_back:
+            closed = len(counts)
+    assert closed <= PULL_BACK_GCD_BOUND < len(counts), (closed, len(counts))
+
+
+def test_one_ratio_table_per_series(monkeypatch):
+    members = []
+    for ode in _inputs()[:40]:
+        try:
+            pair = assemble(solve_equivalence(ode))
+        except HyperodeError:
+            continue
+        members += [(ode, s) for s in (pair.y1, pair.y2)
+                    if not has_integral(s)]
+    prepared = []
+    started = []
+    evals = []
+
+    def counted_series(*args):
+        prepared.append(args)
+        return prepare(*args)
+
+    def counted_ratios(series, n):
+        if not (series.ratios or series.ended):
+            started.append(series)
+        return ratios(series, n)
+
+    def counted_jet(series, z):
+        evals.append(series)
+        return series_jet(series, z)
+
+    prepare, ratios = numverify._series, numverify._ratios
+    series_jet = numverify._series_jet
+    monkeypatch.setattr(numverify, "_series", counted_series)
+    monkeypatch.setattr(numverify, "_ratios", counted_ratios)
+    monkeypatch.setattr(numverify, "_series_jet", counted_jet)
+    tables = sums = 0
+    for ode, s in members:
+        del prepared[:], started[:], evals[:]
+        try:
+            numverify.residual_check(ode, s, 8)
+        except HyperodeError:
+            continue
+        # a series and its Pfaff twin, each started once
+        assert len(set(map(id, started))) == len(started)
+        assert len(started) <= 2 * len(prepared)
+        tables += len(started)
+        sums += len(evals)
+    # 63 tables served 472 sums when this was written; a table per point
+    # would make the two counts equal
+    assert len(members) > 50 and sums > 4 * tables, (tables, sums)
+
+
+def test_one_equation_side_per_solve(monkeypatch):
+    builds = []
+
+    def counted(ode):
+        builds.append(ode)
+        return singular_points(ode)
+
+    singular_points = numverify._singular_points
+    monkeypatch.setattr(numverify, "_singular_points", counted)
+    verified = 0
+    for entry in load_corpus():
+        payload, _ = cmd_solve(entry.ode_text, verify=True)
+        verified += "residuals" in payload
+    assert len(builds) <= verified == 18, (len(builds), verified)
